@@ -66,8 +66,6 @@ func main() {
 	flight := flag.Int("flight", 0, "flight-recorder depth: last N completed job records (0 = default 256)")
 	flightDir := flag.String("flight-dir", "", "directory for automatic flight-recorder snapshots on panic/stage-timeout (empty disables)")
 	exploreCells := flag.Int("explore-cells", 0, "concurrent cells per /v1/explore study (0 = shared worker pool budget)")
-	maxExplorations := flag.Int("max-explorations", 0, "retained exploration records for status/frontier queries (0 = default 64)")
-	maxWhatifs := flag.Int("max-whatifs", 0, "retained fault-replay records for /v1/whatif status queries (0 = default 64)")
 	clusterSelf := flag.String("cluster-self", "", "this shard's advertised base URL (e.g. http://10.0.0.1:8418); enables cluster mode")
 	clusterPeers := flag.String("cluster-peers", "", "comma-separated shard base URLs — the full membership, including self")
 	clusterPrev := flag.String("cluster-prev", "", "previous membership (comma-separated), so peer-fill survives a rebalance")
@@ -103,8 +101,6 @@ func main() {
 		FlightDir:       *flightDir,
 
 		ExploreCellConcurrency: *exploreCells,
-		MaxExplorations:        *maxExplorations,
-		MaxWhatifs:             *maxWhatifs,
 	}, *drainTimeout, obsFlags); err != nil {
 		fmt.Fprintln(os.Stderr, "xringd:", err)
 		os.Exit(1)

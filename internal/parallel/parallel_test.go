@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -118,10 +119,13 @@ func TestNestedForEachNoDeadlock(t *testing.T) {
 	}
 }
 
+// TestWorkersFloor pins SetWorkers' floor: any n < 1 restores the full
+// GOMAXPROCS-sized pool.
 func TestWorkersFloor(t *testing.T) {
+	defer SetWorkers(Workers())
 	SetWorkers(0)
-	if Workers() != 1 {
-		t.Fatalf("Workers() = %d, want 1", Workers())
+	if want := runtime.GOMAXPROCS(0); Workers() != want {
+		t.Fatalf("Workers() = %d, want GOMAXPROCS %d", Workers(), want)
 	}
 	SetWorkers(4)
 	if Workers() != 4 {

@@ -164,8 +164,7 @@ const maxConstructNodes = 1024
 // (peers fall back to their local solver).
 func (s *Server) handleClusterConstruct(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
+		s.rejectDraining(w, "")
 		return
 	}
 	var req ConstructRequest

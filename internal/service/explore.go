@@ -16,11 +16,8 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"xring/internal/explore"
@@ -88,16 +85,10 @@ type FrontierBody struct {
 
 // exploration is the server-side record of one grid study.
 type exploration struct {
-	id      string
-	traceID string
-	started time.Time
-	log     eventLog
-	done    chan struct{}
-
+	run
 	frontier *explore.Frontier
 
-	mu        sync.Mutex
-	state     JobState
+	// Guarded by run.mu.
 	cells     []CellStatus
 	completed int
 	ok        int
@@ -128,14 +119,7 @@ func (x *exploration) status(withFrontier bool) *ExploreStatus {
 	return st
 }
 
-func (x *exploration) terminal() bool {
-	select {
-	case <-x.done:
-		return true
-	default:
-		return false
-	}
-}
+func (x *exploration) statusBody() any { return x.status(true) }
 
 // exploreID builds a stable study identifier: an admission sequence
 // number plus a digest of the expanded cell keys (the study's content
@@ -157,9 +141,7 @@ func exploreID(seq uint64, keys []string) string {
 // keys by construction.
 func cellRequest(g *explore.Grid, c explore.Cell) (*Request, error) {
 	var net NetworkSpec
-	dec := json.NewDecoder(bytes.NewReader(g.Floorplans[c.Floorplan].Network))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&net); err != nil {
+	if err := decodeStrict(bytes.NewReader(g.Floorplans[c.Floorplan].Network), &net); err != nil {
 		return nil, fmt.Errorf("floorplan %d: decoding network: %w", c.Floorplan, err)
 	}
 	req := &Request{Network: net}
@@ -196,16 +178,9 @@ func pointFor(cellID, key string, sum *Summary) explore.Point {
 }
 
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
-	s.st.exploreStudies.Add(1)
-	mExploreStudies.Inc()
-	traceID := string(requestTraceID(r))
-	w.Header().Set("X-Trace-Id", traceID)
+	traceID := traceRequest(w, r)
 	var req ExploreRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		mRequestsInvalid.Inc()
-		writeErrorTraced(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err), traceID)
+	if !decodeBody(w, r, traceID, &req) {
 		return
 	}
 	cells, err := req.Grid.Expand()
@@ -236,54 +211,31 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		}
 		keys[i] = canonicalKey(rrs[i])
 	}
-	if s.draining.Load() {
-		s.st.drained.Add(1)
-		mRejectedDrain.Inc()
-		w.Header().Set("Retry-After", "5")
-		writeErrorTraced(w, http.StatusServiceUnavailable, errors.New("server is draining"), traceID)
-		return
-	}
 
 	deadline := s.cfg.DefaultDeadline
 	if req.CellDeadlineMS > 0 {
 		deadline = time.Duration(req.CellDeadlineMS) * time.Millisecond
 	}
 
-	x := &exploration{
-		id:       exploreID(s.exploreSeq.Add(1), keys),
-		traceID:  traceID,
-		started:  time.Now(),
-		log:      eventLog{traceID: traceID},
-		done:     make(chan struct{}),
-		frontier: explore.NewFrontier(),
-		state:    StateQueued,
-	}
-	x.cells = make([]CellStatus, len(cells))
+	x := &exploration{frontier: explore.NewFrontier(), cells: make([]CellStatus, len(cells))}
 	for i, c := range cells {
 		x.cells[i] = CellStatus{Index: c.Index, ID: c.ID, Key: keys[i]}
 	}
-	x.log.publish(Event{Type: "queued", Attrs: map[string]any{"cells": len(cells)}})
-
-	s.mu.Lock()
-	s.retainExplorationLocked(x)
-	s.mu.Unlock()
-	s.st.exploreCells.Add(int64(len(cells)))
-	mExploreCells.Add(int64(len(cells)))
-	s.wg.Add(1)
+	x.init(exploreID(s.explores.next(), keys), traceID, map[string]any{"cells": len(cells)})
+	if !s.admit(w, traceID, func() {
+		s.explores.add(x)
+		s.st.exploreStudies.Add(1)
+		mExploreStudies.Inc()
+		s.st.exploreCells.Add(int64(len(cells)))
+		mExploreCells.Add(int64(len(cells)))
+	}) {
+		return
+	}
 	go s.runExploration(x, cells, rrs, keys, deadline)
 
-	if req.Async {
-		w.Header().Set("Location", "/v1/explore/"+x.id)
-		writeJSON(w, http.StatusAccepted, x.status(false))
-		return
+	if s.explores.await(w, r, x, req.Async, func() any { return x.status(false) }) {
+		writeJSON(w, http.StatusOK, x.status(true))
 	}
-	select {
-	case <-x.done:
-	case <-r.Context().Done():
-		// Client gone; the study keeps running and fills the caches.
-		return
-	}
-	writeJSON(w, http.StatusOK, x.status(true))
 }
 
 // maxExploreCells bounds one study's expansion (a typo'd axis must not
@@ -295,10 +247,7 @@ const maxExploreCells = 4096
 // for jobs).
 func (s *Server) runExploration(x *exploration, cells []explore.Cell, rrs []*resolved, keys []string, deadline time.Duration) {
 	defer s.wg.Done()
-	x.mu.Lock()
-	x.state = StateRunning
-	x.mu.Unlock()
-	x.log.publish(Event{Type: "started"})
+	x.start()
 
 	runner := &explore.Runner{
 		Concurrency: s.cfg.ExploreCellConcurrency,
@@ -310,14 +259,9 @@ func (s *Server) runExploration(x *exploration, cells []explore.Cell, rrs []*res
 	// isolated inside run); a study never fails as a whole.
 	_ = runner.RunAll(context.Background(), cells)
 
-	elapsed := time.Since(x.started)
-	x.mu.Lock()
-	x.state = StateDone
-	x.elapsedMS = float64(elapsed.Microseconds()) / 1000
-	x.mu.Unlock()
-	mExploreStudyMS.Observe(float64(elapsed.Microseconds()) / 1000)
-	x.log.publish(Event{Type: "done", Attrs: map[string]any{"frontier": x.frontier.Size()}})
-	close(x.done)
+	elapsedMS := float64(time.Since(x.started).Microseconds()) / 1000
+	mExploreStudyMS.Observe(elapsedMS)
+	x.finish(nil, map[string]any{"frontier": x.frontier.Size()}, func() { x.elapsedMS = elapsedMS })
 }
 
 // runCell executes one cell: cache tiers first, then singleflight
@@ -346,7 +290,6 @@ func (s *Server) runCell(x *exploration, c explore.Cell, rr *resolved, key strin
 		j, attached := s.inflight[key]
 		attached = attached && !j.terminal()
 		if attached {
-			j.attach()
 			s.mu.Unlock()
 			s.st.dedupHits.Add(1)
 			mDedupHits.Inc()
@@ -354,15 +297,15 @@ func (s *Server) runCell(x *exploration, c explore.Cell, rr *resolved, key strin
 			<-j.done
 		} else {
 			mCacheMisses.Inc()
-			j = newJob(jobID(s.seq.Add(1), key), key, x.traceID, rr, deadline)
+			j = newJob(jobID(s.jobs.next(), key), key, x.traceID, rr, deadline)
 			s.inflight[key] = j
-			s.retainJobLocked(j)
+			s.jobs.add(j)
 			s.mu.Unlock()
 			source = "synthesized"
 			s.run(j)
 		}
 		jobid = j.id
-		if _, _, sum, jerr := j.snapshot(); jerr != nil {
+		if _, sum, _, jerr := j.snapshot(); jerr != nil {
 			cellErr = jerr
 		} else {
 			summary = sum
@@ -430,58 +373,12 @@ func (s *Server) runCell(x *exploration, c explore.Cell, rr *resolved, key strin
 	x.log.publish(ev)
 }
 
-// retainExplorationLocked registers a study and evicts the oldest
-// finished studies beyond the retention cap. Callers hold s.mu.
-func (s *Server) retainExplorationLocked(x *exploration) {
-	s.explorations[x.id] = x
-	s.exploreOrder = append(s.exploreOrder, x.id)
-	for len(s.exploreOrder) > s.cfg.MaxExplorations {
-		evicted := false
-		for i, id := range s.exploreOrder {
-			if old, ok := s.explorations[id]; ok && old.terminal() {
-				delete(s.explorations, id)
-				s.exploreOrder = append(s.exploreOrder[:i], s.exploreOrder[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			break // every retained study is still live; retain them all
-		}
-	}
-}
-
-func (s *Server) lookupExploration(id string) *exploration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.explorations[id]
-}
-
-func (s *Server) handleExploreStatus(w http.ResponseWriter, r *http.Request) {
-	x := s.lookupExploration(r.PathValue("id"))
-	if x == nil {
-		writeError(w, http.StatusNotFound, errors.New("unknown exploration"))
-		return
-	}
-	writeJSON(w, http.StatusOK, x.status(true))
-}
-
-func (s *Server) handleExploreEvents(w http.ResponseWriter, r *http.Request) {
-	x := s.lookupExploration(r.PathValue("id"))
-	if x == nil {
-		writeError(w, http.StatusNotFound, errors.New("unknown exploration"))
-		return
-	}
-	streamLog(w, r, &x.log)
-}
-
 // handleExploreFrontier serves the study's current Pareto frontier —
 // canonically sorted and byte-deterministic for a given set of
 // completed cells. ?format=csv renders the CSV export.
 func (s *Server) handleExploreFrontier(w http.ResponseWriter, r *http.Request) {
-	x := s.lookupExploration(r.PathValue("id"))
-	if x == nil {
-		writeError(w, http.StatusNotFound, errors.New("unknown exploration"))
+	x, ok := s.explores.lookup(w, r)
+	if !ok {
 		return
 	}
 	if r.URL.Query().Get("format") == "csv" {

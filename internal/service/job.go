@@ -1,148 +1,62 @@
 package service
 
-// Jobs and their event streams. A job is one admitted synthesis run;
-// identical concurrent requests share a single job (singleflight), and
-// every observer — the original submitter, deduplicated waiters, SSE
-// streams — consumes the same append-only event log.
+// Jobs: one admitted synthesis run each. Identical concurrent requests
+// share a single job (singleflight), and every observer — the original
+// submitter, deduplicated waiters, SSE streams — consumes the same
+// append-only event log.
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
-// JobState is the lifecycle of a job.
-type JobState string
-
-// Job lifecycle states.
-const (
-	StateQueued  JobState = "queued"
-	StateRunning JobState = "running"
-	StateDone    JobState = "done"
-	StateFailed  JobState = "failed"
-)
-
-// Event is one progress entry of a job's stream: lifecycle transitions
-// plus one "stage" event per engine span finished under the job's
-// context (obs.WithProgress).
-type Event struct {
-	Seq int `json:"seq"`
-	// TraceID is the job's request-scoped trace identity, stamped on
-	// every event so SSE consumers can correlate streams with response
-	// summaries and flight-recorder records.
-	TraceID string         `json:"traceID,omitempty"`
-	Type    string         `json:"type"` // queued | started | stage | done | failed
-	Stage   string         `json:"stage,omitempty"`
-	DurMS   float64        `json:"durMS,omitempty"`
-	Attrs   map[string]any `json:"attrs,omitempty"`
-	Error   string         `json:"error,omitempty"`
-}
-
 // job is the server-side record of one synthesis run.
 type job struct {
-	id  string
+	run
 	key string
-	// traceID is the W3C trace ID of the admitting request (accepted
-	// from its traceparent header or generated), immutable thereafter.
-	traceID string
-	req     *resolved
+	req *resolved
 	// deadline is the per-job synthesis budget (0 = none).
 	deadline time.Duration
-	// enqueued is the admission instant; run() observes the queue wait.
-	enqueued time.Time
 
-	// done closes when the job reaches a terminal state.
-	done chan struct{}
-
-	// log is the job's event stream (shared publish/subscribe machinery
-	// with explorations; see events.go).
-	log eventLog
-
-	mu    sync.Mutex
-	state JobState
-	// result payload on success; err on failure.
+	// Guarded by run.mu: the result payload on success.
 	summary *Summary
 	design  []byte
-	err     error
-	// dedupWaiters counts requests that attached to this job instead of
-	// starting their own (singleflight hits).
-	dedupWaiters int
 	// peerFilled marks a job that adopted a cluster peer's persisted
 	// envelope instead of running synthesis (Response source "peerfill").
 	peerFilled bool
 }
 
 func newJob(id, key, traceID string, req *resolved, deadline time.Duration) *job {
-	j := &job{
-		id:       id,
-		key:      key,
-		traceID:  traceID,
-		req:      req,
-		deadline: deadline,
-		enqueued: time.Now(),
-		done:     make(chan struct{}),
-		log:      eventLog{traceID: traceID},
-		state:    StateQueued,
-	}
-	j.publish(Event{Type: "queued"})
+	j := &job{key: key, req: req, deadline: deadline}
+	j.init(id, traceID, nil)
 	return j
 }
 
-// publish appends an event to the job's stream.
-func (j *job) publish(ev Event) { j.log.publish(ev) }
-
-// setRunning transitions queued -> running.
-func (j *job) setRunning() {
-	j.mu.Lock()
-	j.state = StateRunning
-	j.mu.Unlock()
-	j.publish(Event{Type: "started"})
-}
-
-// finish transitions to the terminal state, publishes the final event
-// and wakes every waiter.
+// finish records the job's outcome (the result payload only on
+// success), publishes the terminal event and wakes every waiter.
 func (j *job) finish(summary *Summary, design []byte, err error) {
-	j.mu.Lock()
-	if err != nil {
-		j.state = StateFailed
-		j.err = err
-	} else {
-		j.state = StateDone
-		j.summary = summary
-		j.design = design
-	}
-	j.mu.Unlock()
-	if err != nil {
-		j.publish(Event{Type: "failed", Error: err.Error()})
-	} else {
-		j.publish(Event{Type: "done"})
-	}
-	close(j.done)
+	j.run.finish(err, nil, func() {
+		if err == nil {
+			j.summary, j.design = summary, design
+		}
+	})
 }
 
-// snapshot returns the job's state for the status endpoint.
-func (j *job) snapshot() (state JobState, events int, summary *Summary, err error) {
-	events = j.log.count()
+// snapshot returns the job's state and result so far.
+func (j *job) snapshot() (state JobState, summary *Summary, design []byte, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state, events, j.summary, j.err
+	return j.state, j.summary, j.design, j.err
 }
 
-// terminal reports whether the job has finished.
-func (j *job) terminal() bool {
-	select {
-	case <-j.done:
-		return true
-	default:
-		return false
+func (j *job) statusBody() any {
+	events := j.log.count()
+	state, summary, _, err := j.snapshot()
+	st := &JobStatus{JobID: j.id, Key: j.key, TraceID: j.traceID, State: state, Events: events, Summary: summary}
+	if err != nil {
+		st.Error = err.Error()
 	}
-}
-
-// attach counts a deduplicated waiter.
-func (j *job) attach() {
-	j.mu.Lock()
-	j.dedupWaiters++
-	j.mu.Unlock()
+	return st
 }
 
 // markPeerFilled records that the job was served by cluster peer-fill.

@@ -40,7 +40,6 @@ var (
 	mJobsDone        = obs.NewCounter("service.jobs.done")
 	mJobsFailed      = obs.NewCounter("service.jobs.failed")
 	mEventsPublished = obs.NewCounter("service.events.published")
-	mEventsDropped   = obs.NewCounter("service.events.dropped")
 	mJobDurationMS   = obs.NewHistogram("service.job.duration_ms", "ms", jobDurationBounds)
 
 	// Outcome-split duration histograms (ok / degraded / timeout /

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strings"
@@ -137,9 +138,9 @@ func (e *StageTimeoutError) Error() string {
 // progress bridge, synthesis (panics contained), serialization, cache
 // fill (memory and disk tiers), singleflight release.
 func (s *Server) run(j *job) {
-	queueWait := time.Since(j.enqueued)
+	queueWait := time.Since(j.started)
 	mQueueWaitMS.Observe(float64(queueWait.Microseconds()) / 1000)
-	j.setRunning()
+	j.start()
 	mInflight.Add(1)
 	s.running.Add(1)
 	defer func() {
@@ -193,7 +194,7 @@ func (s *Server) run(j *job) {
 		stageMu.Lock()
 		stages = append(stages, obs.StageTiming{Name: rec.Name, DurMS: float64(rec.DurNS) / 1e6})
 		stageMu.Unlock()
-		j.publish(Event{
+		j.log.publish(Event{
 			Type:  "stage",
 			Stage: rec.Name,
 			DurMS: float64(rec.DurNS) / 1e6,
@@ -390,17 +391,17 @@ func (s *Server) countCacheServe(tier string) {
 func (s *Server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/synthesize", s.handleSynthesize)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
+	mux.HandleFunc("GET /v1/jobs/{id}", s.jobs.handleStatus)
+	mux.HandleFunc("GET /v1/jobs/{id}/events", s.jobs.handleEvents)
 	mux.HandleFunc("GET /v1/jobs/{id}/design", s.handleJobDesign)
 	mux.HandleFunc("GET /v1/designs/{key}", s.handleDesignByKey)
 	mux.HandleFunc("POST /v1/explore", s.handleExplore)
-	mux.HandleFunc("GET /v1/explore/{id}", s.handleExploreStatus)
-	mux.HandleFunc("GET /v1/explore/{id}/events", s.handleExploreEvents)
+	mux.HandleFunc("GET /v1/explore/{id}", s.explores.handleStatus)
+	mux.HandleFunc("GET /v1/explore/{id}/events", s.explores.handleEvents)
 	mux.HandleFunc("GET /v1/explore/{id}/frontier", s.handleExploreFrontier)
 	mux.HandleFunc("POST /v1/whatif", s.handleWhatif)
-	mux.HandleFunc("GET /v1/whatif/{id}", s.handleWhatifStatus)
-	mux.HandleFunc("GET /v1/whatif/{id}/events", s.handleWhatifEvents)
+	mux.HandleFunc("GET /v1/whatif/{id}", s.whatifs.handleStatus)
+	mux.HandleFunc("GET /v1/whatif/{id}/events", s.whatifs.handleEvents)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -454,17 +455,46 @@ func requestTraceID(r *http.Request) obs.TraceID {
 	return obs.NewTraceID()
 }
 
+// rejectDraining answers a request that arrived after Drain began.
+func (s *Server) rejectDraining(w http.ResponseWriter, traceID string) {
+	s.st.drained.Add(1)
+	mRejectedDrain.Inc()
+	w.Header().Set("Retry-After", "5")
+	writeErrorTraced(w, http.StatusServiceUnavailable, errors.New("server is draining"), traceID)
+}
+
+// traceRequest resolves the request's trace ID and echoes it in the
+// X-Trace-Id response header.
+func traceRequest(w http.ResponseWriter, r *http.Request) string {
+	traceID := string(requestTraceID(r))
+	w.Header().Set("X-Trace-Id", traceID)
+	return traceID
+}
+
+// decodeStrict decodes one JSON value, rejecting unknown fields.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+// decodeBody strictly decodes a POST body of at most maxRequestBody
+// bytes, answering 400 when it does not parse.
+func decodeBody(w http.ResponseWriter, r *http.Request, traceID string, v any) bool {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxRequestBody), v); err != nil {
+		mRequestsInvalid.Inc()
+		writeErrorTraced(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err), traceID)
+		return false
+	}
+	return true
+}
+
 func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	s.st.requests.Add(1)
 	mRequests.Inc()
-	traceID := string(requestTraceID(r))
-	w.Header().Set("X-Trace-Id", traceID)
+	traceID := traceRequest(w, r)
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		mRequestsInvalid.Inc()
-		writeErrorTraced(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err), traceID)
+	if !decodeBody(w, r, traceID, &req) {
 		return
 	}
 	rr, err := req.resolve()
@@ -499,20 +529,18 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	j, attached := s.inflight[key]
 	attached = attached && !j.terminal()
 	if attached {
-		j.attach()
 		s.mu.Unlock()
 		s.st.dedupHits.Add(1)
 		mDedupHits.Inc()
 	} else {
+		// Drain closes the queue under s.mu, so this check must share
+		// the enqueue's critical section: a send on it would panic.
 		if s.draining.Load() {
 			s.mu.Unlock()
-			s.st.drained.Add(1)
-			mRejectedDrain.Inc()
-			w.Header().Set("Retry-After", "5")
-			writeErrorTraced(w, http.StatusServiceUnavailable, errors.New("server is draining"), traceID)
+			s.rejectDraining(w, traceID)
 			return
 		}
-		j = newJob(jobID(s.seq.Add(1), key), key, traceID, rr, deadline)
+		j = newJob(jobID(s.jobs.next(), key), key, traceID, rr, deadline)
 		select {
 		case s.queue <- j:
 		default:
@@ -526,7 +554,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		}
 		mQueueDepth.Set(int64(len(s.queue)))
 		s.inflight[key] = j
-		s.retainJobLocked(j)
+		s.jobs.add(j)
 		s.mu.Unlock()
 	}
 
@@ -534,18 +562,11 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	if attached {
 		source = "dedup"
 	}
-	if req.Async {
-		w.Header().Set("Location", "/v1/jobs/"+j.id)
-		writeJSON(w, http.StatusAccepted, &Response{JobID: j.id, Key: key, TraceID: traceID, Source: source})
-		return
-	}
-
 	t0 := time.Now()
-	select {
-	case <-j.done:
-	case <-r.Context().Done():
-		// Client gone; the job keeps running and fills the cache.
-		return
+	if !s.jobs.await(w, r, j, req.Async, func() any {
+		return &Response{JobID: j.id, Key: key, TraceID: traceID, Source: source}
+	}) {
+		return // accepted, or the client is gone and the job fills the cache
 	}
 	if _, _, _, jerr := j.snapshot(); jerr != nil {
 		status := http.StatusUnprocessableEntity
@@ -573,131 +594,16 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// retainJobLocked registers a job record and evicts the oldest
-// finished records beyond the retention cap. Callers hold s.mu.
-func (s *Server) retainJobLocked(j *job) {
-	s.jobs[j.id] = j
-	s.jobOrder = append(s.jobOrder, j.id)
-	for len(s.jobOrder) > s.cfg.MaxJobs {
-		evicted := false
-		for i, id := range s.jobOrder {
-			if old, ok := s.jobs[id]; ok && old.terminal() {
-				delete(s.jobs, id)
-				s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			break // every retained job is still live; retain them all
-		}
-	}
-}
-
-func (s *Server) lookup(id string) *job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id]
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, errors.New("unknown job"))
-		return
-	}
-	state, events, summary, jerr := j.snapshot()
-	st := &JobStatus{JobID: j.id, Key: j.key, TraceID: j.traceID, State: state, Events: events, Summary: summary}
-	if jerr != nil {
-		st.Error = jerr.Error()
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-// handleEvents streams the job's progress as Server-Sent Events:
-// a gapless replay of everything published so far, then live events
-// until the job finishes or the client disconnects.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, errors.New("unknown job"))
-		return
-	}
-	streamLog(w, r, &j.log)
-}
-
-// streamLog is the SSE loop shared by job and exploration event
-// endpoints: gapless replay of the log's history, then live events,
-// until a terminal event ("done"/"failed") or client disconnect.
-func streamLog(w http.ResponseWriter, r *http.Request, l *eventLog) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	replay, ch := l.subscribe()
-	defer l.unsubscribe(ch)
-	lastSeq := -1
-	for _, ev := range replay {
-		if writeSSE(w, ev) != nil {
-			return
-		}
-		lastSeq = ev.Seq
-		if ev.Type == "done" || ev.Type == "failed" {
-			flusher.Flush()
-			return
-		}
-	}
-	flusher.Flush()
-	for {
-		select {
-		case ev := <-ch:
-			if ev.Seq <= lastSeq {
-				continue // replay/live overlap
-			}
-			if writeSSE(w, ev) != nil {
-				return
-			}
-			lastSeq = ev.Seq
-			flusher.Flush()
-			if ev.Type == "done" || ev.Type == "failed" {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// writeSSE emits one event in SSE framing: the event name is the
-// lifecycle type, the data line its JSON body.
-func writeSSE(w http.ResponseWriter, ev Event) error {
-	body, err := json.Marshal(ev)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, body)
-	return err
-}
-
 // handleJobDesign serves the job result's exact designio.Save bytes —
 // byte-identical to running the same request through the library.
 func (s *Server) handleJobDesign(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, errors.New("unknown job"))
+	j, ok := s.jobs.lookup(w, r)
+	if !ok {
 		return
 	}
-	state, _, _, jerr := j.snapshot()
+	state, _, design, jerr := j.snapshot()
 	switch state {
 	case StateDone:
-		j.mu.Lock()
-		design := j.design
-		j.mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Design-Key", j.key)
 		_, _ = w.Write(design)

@@ -85,20 +85,11 @@ type Config struct {
 	// DefaultDeadline applies when a request sets no deadlineMS
 	// (default none).
 	DefaultDeadline time.Duration
-	// MaxJobs bounds retained job records for status/event queries;
-	// the oldest finished jobs are evicted beyond it (default 1024).
-	MaxJobs int
 	// ExploreCellConcurrency bounds concurrently running cells within
 	// one /v1/explore study; 0 (the default) fans cells over the shared
 	// internal/parallel worker budget, so cross-cell and engine-internal
 	// parallelism are bounded together.
 	ExploreCellConcurrency int
-	// MaxExplorations bounds retained exploration records; the oldest
-	// finished studies are evicted beyond it (default 64).
-	MaxExplorations int
-	// MaxWhatifs bounds retained fault-replay records; the oldest
-	// finished replays are evicted beyond it (default 64).
-	MaxWhatifs int
 	// Synth overrides the engine call (tests only).
 	Synth SynthFunc
 
@@ -157,15 +148,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries < 0 {
 		c.CacheEntries = 0
 	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 1024
-	}
-	if c.MaxExplorations <= 0 {
-		c.MaxExplorations = 64
-	}
-	if c.MaxWhatifs <= 0 {
-		c.MaxWhatifs = 64
-	}
 	if c.Synth == nil {
 		c.Synth = engineSynth
 	}
@@ -197,16 +179,11 @@ type Server struct {
 
 	mu       sync.Mutex
 	inflight map[string]*job // content key -> running/queued job (singleflight)
-	jobs     map[string]*job // job id -> record
-	jobOrder []string        // admission order, for bounded retention
 
-	explorations map[string]*exploration // study id -> record
-	exploreOrder []string                // admission order, for bounded retention
-	exploreSeq   atomic.Uint64
-
-	whatifs     map[string]*whatifRun // replay id -> record
-	whatifOrder []string              // admission order, for bounded retention
-	whatifSeq   atomic.Uint64
+	// Retained runs of each kind, for status and event queries.
+	jobs     *registry[*job]
+	explores *registry[*exploration]
+	whatifs  *registry[*whatifRun]
 
 	cache    *resultCache
 	persist  *persistStore // nil unless Config.PersistDir is set
@@ -214,7 +191,6 @@ type Server struct {
 	flight   *obs.FlightRecorder
 	draining atomic.Bool
 	running  atomic.Int64 // jobs currently executing on a worker (readyz)
-	seq      atomic.Uint64
 	wg       sync.WaitGroup
 	st       stats
 
@@ -235,16 +211,16 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{
-		cfg:          cfg,
-		queue:        make(chan *job, cfg.QueueDepth),
-		inflight:     map[string]*job{},
-		jobs:         map[string]*job{},
-		explorations: map[string]*exploration{},
-		whatifs:      map[string]*whatifRun{},
-		cache:        newResultCache(cfg.CacheEntries),
-		inj:          inj,
-		flight:       obs.NewFlightRecorder(cfg.FlightRecords),
-		startedAt:    time.Now(),
+		cfg:       cfg,
+		queue:     make(chan *job, cfg.QueueDepth),
+		inflight:  map[string]*job{},
+		jobs:      newRegistry[*job]("/v1/jobs/", "job", jobRetention),
+		explores:  newRegistry[*exploration]("/v1/explore/", "exploration", exploreRetention),
+		whatifs:   newRegistry[*whatifRun]("/v1/whatif/", "whatif", whatifRetention),
+		cache:     newResultCache(cfg.CacheEntries),
+		inj:       inj,
+		flight:    obs.NewFlightRecorder(cfg.FlightRecords),
+		startedAt: time.Now(),
 	}
 	if cfg.PersistDir != "" {
 		store, entries, err := newPersistStore(cfg.PersistDir, cfg.PersistEntries, inj, &s.st)

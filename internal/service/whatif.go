@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"xring/internal/designio"
@@ -103,15 +102,10 @@ type WhatifStatus struct {
 
 // whatifRun is the server-side record of one fault replay.
 type whatifRun struct {
-	id      string
-	traceID string
-	key     string
-	started time.Time
-	log     eventLog
-	done    chan struct{}
+	run
+	key string
 
-	mu             sync.Mutex
-	state          JobState
+	// Guarded by run.mu.
 	universe       int
 	scenarios      int
 	completed      int
@@ -119,7 +113,6 @@ type whatifRun struct {
 	degraded       bool
 	degradedReason string
 	report         *faults.Report
-	err            error
 }
 
 func (wr *whatifRun) status() *WhatifStatus {
@@ -139,14 +132,7 @@ func (wr *whatifRun) status() *WhatifStatus {
 	return st
 }
 
-func (wr *whatifRun) terminal() bool {
-	select {
-	case <-wr.done:
-		return true
-	default:
-		return false
-	}
-}
+func (wr *whatifRun) statusBody() any { return wr.status() }
 
 // whatifID builds a stable replay identifier: an admission sequence
 // number plus a digest of the design key and the fault spec (the
@@ -301,21 +287,15 @@ func expandScenarios(d *router.Design, spec *WhatifFaults) ([]faults.Scenario, i
 }
 
 func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
-	traceID := string(requestTraceID(r))
-	w.Header().Set("X-Trace-Id", traceID)
+	traceID := traceRequest(w, r)
+	// A draining server refuses before the cache read; admit re-checks
+	// under s.mu.
 	if s.draining.Load() {
-		s.st.drained.Add(1)
-		mRejectedDrain.Inc()
-		w.Header().Set("Retry-After", "5")
-		writeErrorTraced(w, http.StatusServiceUnavailable, errors.New("server is draining"), traceID)
+		s.rejectDraining(w, traceID)
 		return
 	}
 	var req WhatifRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		mRequestsInvalid.Inc()
-		writeErrorTraced(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err), traceID)
+	if !decodeBody(w, r, traceID, &req) {
 		return
 	}
 	c, tier, ok := s.cacheGet(req.Key)
@@ -337,85 +317,55 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec, _ := json.Marshal(&req.Faults)
-	wr := &whatifRun{
-		id:        whatifID(s.whatifSeq.Add(1), req.Key, spec),
-		traceID:   traceID,
-		key:       req.Key,
-		started:   time.Now(),
-		log:       eventLog{traceID: traceID},
-		done:      make(chan struct{}),
-		state:     StateQueued,
-		universe:  universe,
-		scenarios: len(scenarios),
-	}
+	wr := &whatifRun{key: req.Key, universe: universe, scenarios: len(scenarios)}
 	if c.summary != nil {
 		wr.degraded = c.summary.Degraded
 		wr.degradedReason = c.summary.DegradedReason
 	}
-	wr.log.publish(Event{Type: "queued", Attrs: map[string]any{
+	wr.init(whatifID(s.whatifs.next(), req.Key, spec), traceID, map[string]any{
 		"key": req.Key, "universe": universe, "scenarios": len(scenarios),
-	}})
-
-	s.mu.Lock()
-	s.retainWhatifLocked(wr)
-	s.mu.Unlock()
+	})
 	// Runs count on admission (the replay is registered and will
 	// execute), not on handler entry: 404s and malformed bodies are not
 	// runs.
-	s.st.whatifRuns.Add(1)
-	mWhatifRuns.Inc()
-	s.st.whatifScenarios.Add(int64(len(scenarios)))
-	mWhatifScenarios.Add(int64(len(scenarios)))
-	s.wg.Add(1)
+	if !s.admit(w, traceID, func() {
+		s.whatifs.add(wr)
+		s.st.whatifRuns.Add(1)
+		mWhatifRuns.Inc()
+		s.st.whatifScenarios.Add(int64(len(scenarios)))
+		mWhatifScenarios.Add(int64(len(scenarios)))
+	}) {
+		return
+	}
 	go s.runWhatif(wr, d, scenarios, req.Serial)
 
-	if req.Async {
-		w.Header().Set("Location", "/v1/whatif/"+wr.id)
-		writeJSON(w, http.StatusAccepted, wr.status())
-		return
+	if s.whatifs.await(w, r, wr, req.Async, wr.statusBody) {
+		writeJSON(w, http.StatusOK, wr.status())
 	}
-	select {
-	case <-wr.done:
-	case <-r.Context().Done():
-		// Client gone; the replay finishes and stays queryable by id.
-		return
-	}
-	writeJSON(w, http.StatusOK, wr.status())
 }
 
 // runWhatif is the replay controller, on its own goroutine (accounted
 // in s.wg, so Drain waits for running replays like it waits for jobs).
 func (s *Server) runWhatif(wr *whatifRun, d *router.Design, scenarios []faults.Scenario, serial bool) {
 	defer s.wg.Done()
-	wr.mu.Lock()
-	wr.state = StateRunning
-	wr.mu.Unlock()
-	wr.log.publish(Event{Type: "started"})
+	wr.start()
 
 	rep, err := s.replayIsolated(wr, d, scenarios, serial)
 
-	elapsed := time.Since(wr.started)
-	wr.mu.Lock()
-	wr.elapsedMS = float64(elapsed.Microseconds()) / 1000
-	wr.report = rep
-	wr.err = err
-	if err != nil {
-		wr.state = StateFailed
-	} else {
-		wr.state = StateDone
-	}
-	wr.mu.Unlock()
-	mWhatifMS.Observe(float64(elapsed.Microseconds()) / 1000)
-	if err != nil {
-		wr.log.publish(Event{Type: "failed", Error: err.Error()})
-	} else {
-		wr.log.publish(Event{Type: "done", Attrs: map[string]any{
+	elapsedMS := float64(time.Since(wr.started).Microseconds()) / 1000
+	mWhatifMS.Observe(elapsedMS)
+	var verdict map[string]any
+	if err == nil {
+		verdict = map[string]any{
 			"fullSetSurvives": rep.FullSetSurvives,
 			"minSurvived":     rep.MinSurvived,
 			"maxLost":         rep.MaxLost,
-		}})
+		}
 	}
-	close(wr.done)
+	wr.finish(err, verdict, func() {
+		wr.elapsedMS = elapsedMS
+		wr.report = rep
+	})
 }
 
 // replayIsolated runs the analyzer with panic containment and publishes
@@ -473,49 +423,4 @@ func designHasOpenings(d *router.Design) bool {
 		some = true
 	}
 	return some
-}
-
-// retainWhatifLocked registers a replay and evicts the oldest finished
-// replays beyond the retention cap. Callers hold s.mu.
-func (s *Server) retainWhatifLocked(wr *whatifRun) {
-	s.whatifs[wr.id] = wr
-	s.whatifOrder = append(s.whatifOrder, wr.id)
-	for len(s.whatifOrder) > s.cfg.MaxWhatifs {
-		evicted := false
-		for i, id := range s.whatifOrder {
-			if old, ok := s.whatifs[id]; ok && old.terminal() {
-				delete(s.whatifs, id)
-				s.whatifOrder = append(s.whatifOrder[:i], s.whatifOrder[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			break // every retained replay is still live; retain them all
-		}
-	}
-}
-
-func (s *Server) lookupWhatif(id string) *whatifRun {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.whatifs[id]
-}
-
-func (s *Server) handleWhatifStatus(w http.ResponseWriter, r *http.Request) {
-	wr := s.lookupWhatif(r.PathValue("id"))
-	if wr == nil {
-		writeError(w, http.StatusNotFound, errors.New("unknown whatif"))
-		return
-	}
-	writeJSON(w, http.StatusOK, wr.status())
-}
-
-func (s *Server) handleWhatifEvents(w http.ResponseWriter, r *http.Request) {
-	wr := s.lookupWhatif(r.PathValue("id"))
-	if wr == nil {
-		writeError(w, http.StatusNotFound, errors.New("unknown whatif"))
-		return
-	}
-	streamLog(w, r, &wr.log)
 }
