@@ -221,6 +221,23 @@ func LPath(a, b Point, order LOrder) Polyline {
 	return Polyline{a, corner, b}
 }
 
+// LShape summarises LPath(a, b, order) without building it: segs and
+// bends are len(Segments()) and Bends() of that path, and firstH and
+// lastH report whether its first and last segments are horizontal. When
+// a and b coincide segs is 0 and the orientations mean nothing.
+func LShape(a, b Point, order LOrder) (segs, bends int, firstH, lastH bool) {
+	flatY := math.Abs(a.Y-b.Y) <= Eps
+	if math.Abs(a.X-b.X) <= Eps || flatY {
+		if a.Eq(b) {
+			return 0, 0, false, false
+		}
+		return 1, 0, flatY, flatY
+	}
+	// A true L: VH runs vertical then horizontal, HV the reverse.
+	h := order != VH
+	return 2, 1, h, !h
+}
+
 // LOptions returns both L-shaped routing options for the edge a→b.
 // For straight edges the two options coincide.
 func LOptions(a, b Point) [2]Polyline {

@@ -92,21 +92,24 @@ func Analyze(d *router.Design, plan *pdn.Plan) (*Report, error) {
 // (senders) and receiver MRRs each node carries on each ring waveguide.
 // The counts are structural — they depend on the channel assignment
 // only, never on node positions — so the incremental evaluator caches
-// one Banks across a whole placement search.
+// one Banks across a whole placement search. Both are indexed
+// [waveguide][node ID].
 type Banks struct {
-	Senders   []map[int]int
-	Receivers []map[int]int
+	Senders   [][]int
+	Receivers [][]int
 }
 
 // NewBanks tallies the MRR inventory of a design.
 func NewBanks(d *router.Design) *Banks {
+	nw, n := len(d.Waveguides), d.N()
+	counts := make([]int, 2*nw*n)
 	b := &Banks{
-		Senders:   make([]map[int]int, len(d.Waveguides)),
-		Receivers: make([]map[int]int, len(d.Waveguides)),
+		Senders:   make([][]int, nw),
+		Receivers: make([][]int, nw),
 	}
 	for i, w := range d.Waveguides {
-		b.Senders[i] = map[int]int{}
-		b.Receivers[i] = map[int]int{}
+		b.Senders[i] = counts[2*i*n : (2*i+1)*n : (2*i+1)*n]
+		b.Receivers[i] = counts[(2*i+1)*n : (2*i+2)*n : (2*i+2)*n]
 		for _, c := range w.Channels {
 			b.Senders[i][c.Sig.Src]++
 			b.Receivers[i][c.Sig.Dst]++
@@ -313,9 +316,9 @@ func RingThroughs(d *router.Design, b *Banks, sig noc.Signal, r *router.Route) i
 	w := d.Waveguides[r.WG]
 	senders, receivers := b.Senders[r.WG], b.Receivers[r.WG]
 	throughs := senders[sig.Src] - 1 // other modulators of the source bank
-	for _, k := range d.GapNodes(sig.Src, sig.Dst, w.Dir) {
+	d.ForEachGapNode(sig.Src, sig.Dst, w.Dir, func(k int) {
 		throughs += senders[k] + receivers[k]
-	}
+	})
 	throughs += receivers[sig.Dst] - 1 // other receivers at the destination
 	return throughs
 }

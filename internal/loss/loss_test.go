@@ -367,3 +367,32 @@ func TestCSERouteLoss(t *testing.T) {
 		}
 	}
 }
+
+// TestRingThroughsAllocatesNothing guards the per-signal loss walk: the
+// through count of a ring signal must not touch the heap.
+func TestRingThroughsAllocatesNothing(t *testing.T) {
+	d := synth(t, noc.Floorplan16(), true, true)
+	banks := NewBanks(d)
+	var sig noc.Signal
+	var r *router.Route
+	for _, s := range CanonicalSignals(d) {
+		rr := d.Routes[s]
+		if rr.Kind != router.OnRing {
+			continue
+		}
+		gaps := 0
+		d.ForEachGapNode(s.Src, s.Dst, d.Waveguides[rr.WG].Dir, func(int) { gaps++ })
+		if gaps > 0 {
+			sig, r = s, rr
+			break
+		}
+	}
+	if r == nil {
+		t.Fatal("no ring-routed signal passes a node")
+	}
+	sink := 0
+	allocs := testing.AllocsPerRun(100, func() { sink += RingThroughs(d, banks, sig, r) })
+	if allocs != 0 {
+		t.Fatalf("RingThroughs: %v allocs, want 0 (%d)", allocs, sink)
+	}
+}

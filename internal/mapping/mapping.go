@@ -89,7 +89,7 @@ type Options struct {
 	FaultTolerance int
 }
 
-// placement mode for placeOnRings.
+// placement mode for firstFit.
 type placeMode int
 
 const (
@@ -97,6 +97,102 @@ const (
 	freshThenShare                  // prefer fresh, fall back to reuse
 	shareFirst                      // first fit in wavelength order (reuse-greedy)
 )
+
+// slotPass says which (waveguide, wavelength) slots one first-fit pass
+// over the waveguides admits: fresh slots (no channel on that wavelength
+// yet) and/or shared ones.
+type slotPass struct{ fresh, shared bool }
+
+// modePasses lists each mode's passes in probe order.
+var modePasses = [...][]slotPass{
+	freshOnly:      {{fresh: true}},
+	freshThenShare: {{fresh: true}, {shared: true}},
+	shareFirst:     {{fresh: true, shared: true}},
+}
+
+// wlIndex buckets every ring waveguide's channels by wavelength:
+// byWG[w.ID][λ] holds w's channels on λ in w.Channels order. Only
+// same-wavelength channels can collide (router.Design.ChannelsCollide),
+// so a first-fit probe of slot (w, λ) checks that bucket alone, and
+// probing all of w's slots costs O(#wl + w's channels) instead of
+// O(#wl × w's channels). "λ is in use on w" is the bucket's length, not
+// a set built per probe. Every change Step 3 makes to a waveguide's
+// channel list goes through add, newWaveguide or resync, so the buckets
+// never go stale.
+type wlIndex struct {
+	byWG [][][]router.Channel
+}
+
+// newWLIndex indexes the waveguides a design already has.
+func newWLIndex(d *router.Design) *wlIndex {
+	x := &wlIndex{}
+	for _, w := range d.Waveguides {
+		x.resync(w)
+	}
+	return x
+}
+
+// buckets returns w's wavelength buckets, growing the index to w.ID.
+func (x *wlIndex) buckets(w *router.Waveguide) [][]router.Channel {
+	for len(x.byWG) <= w.ID {
+		x.byWG = append(x.byWG, nil)
+	}
+	return x.byWG[w.ID]
+}
+
+// add appends a channel to w and to its wavelength bucket.
+func (x *wlIndex) add(w *router.Waveguide, c router.Channel) {
+	w.Channels = append(w.Channels, c)
+	x.index(w, c)
+}
+
+// index appends a channel of w to its wavelength bucket.
+func (x *wlIndex) index(w *router.Waveguide, c router.Channel) {
+	b := x.buckets(w)
+	for len(b) <= c.WL {
+		b = append(b, nil)
+	}
+	b[c.WL] = append(b[c.WL], c)
+	x.byWG[w.ID] = b
+}
+
+// resync rebuilds w's buckets from w.Channels after the list was
+// filtered or rewritten, reusing the buckets' storage.
+func (x *wlIndex) resync(w *router.Waveguide) {
+	b := x.buckets(w)
+	for wl := range b {
+		b[wl] = b[wl][:0]
+	}
+	for _, c := range w.Channels {
+		x.index(w, c)
+	}
+}
+
+// distinct returns how many wavelengths w carries.
+func (x *wlIndex) distinct(w *router.Waveguide) int {
+	n := 0
+	for _, on := range x.buckets(w) {
+		if len(on) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// place records sig on slot (w, wl) in w's channels and the route table.
+func (x *wlIndex) place(routes map[noc.Signal]*router.Route, w *router.Waveguide, sig noc.Signal, wl int) {
+	x.add(w, router.Channel{Sig: sig, WL: wl})
+	routes[sig] = &router.Route{Sig: sig, Kind: router.OnRing, WG: w.ID, WL: wl}
+}
+
+// newWaveguide appends a fresh waveguide of direction dir to the design
+// and places sig on it at λ0.
+func (x *wlIndex) newWaveguide(d *router.Design, routes map[noc.Signal]*router.Route, sig noc.Signal, dir router.Direction) {
+	w := &router.Waveguide{ID: len(d.Waveguides), Dir: dir, Opening: -1}
+	d.Waveguides = append(d.Waveguides, w)
+	x.resync(w) // the ID may index buckets of a waveguide a repack dropped
+	x.place(routes, w, sig, 0)
+}
 
 // Stats reports what Step 3 did.
 type Stats struct {
@@ -171,6 +267,7 @@ func Run(d *router.Design, opt Options) (*Stats, error) {
 	}
 	d.MaxWL = opt.MaxWL
 	stats := &Stats{}
+	idx := newWLIndex(d)
 
 	supported, err := assignShortcutChannels(d, opt.Traffic)
 	if err != nil {
@@ -178,22 +275,22 @@ func Run(d *router.Design, opt Options) (*Stats, error) {
 	}
 	stats.ShortcutSignals = len(supported)
 
-	if err := mapRingSignals(d, supported, opt, stats); err != nil {
+	if err := mapRingSignals(d, idx, supported, opt, stats); err != nil {
 		return nil, err
 	}
 	if !opt.NoOpenings {
-		if err := openWaveguides(d, opt, stats); err != nil {
+		if err := openWaveguidesIn(d, idx, d.Routes, 0, opt, stats); err != nil {
 			return nil, err
 		}
 	}
 	if opt.FaultTolerance > 0 {
-		if err := addSpareLayer(d, opt, stats); err != nil {
+		if err := addSpareLayer(d, idx, opt, stats); err != nil {
 			return nil, err
 		}
 	}
 	assignRadials(d)
 	stats.ChannelLowerBound = channelLowerBound(d)
-	recordMappingMetrics(d, stats)
+	recordMappingMetrics(d, idx, stats)
 	return stats, nil
 }
 
@@ -207,16 +304,12 @@ var (
 	mExtraWGs  = obs.NewCounter("mapping.extra_waveguides")
 )
 
-func recordMappingMetrics(d *router.Design, stats *Stats) {
+func recordMappingMetrics(d *router.Design, idx *wlIndex, stats *Stats) {
 	if !obs.MetricsEnabled() {
 		return
 	}
 	for _, w := range d.Waveguides {
-		distinct := map[int]bool{}
-		for _, c := range w.Channels {
-			distinct[c.WL] = true
-		}
-		mWLPerWG.Observe(float64(len(distinct)))
+		mWLPerWG.Observe(float64(idx.distinct(w)))
 	}
 	mRelocated.Add(int64(stats.Relocated))
 	mExtraWGs.Add(int64(stats.ExtraWGs))
@@ -256,7 +349,7 @@ func assignShortcutChannels(d *router.Design, traffic []noc.Signal) (map[noc.Sig
 // mapRingSignals places every remaining signal onto a ring waveguide in
 // its shortest direction, first-fit with wavelength reuse, creating
 // waveguides on demand.
-func mapRingSignals(d *router.Design, owned map[noc.Signal]bool, opt Options, stats *Stats) error {
+func mapRingSignals(d *router.Design, idx *wlIndex, owned map[noc.Signal]bool, opt Options, stats *Stats) error {
 	traffic := opt.Traffic
 	if traffic == nil {
 		traffic = noc.AllToAll(d.N())
@@ -308,21 +401,21 @@ func mapRingSignals(d *router.Design, owned map[noc.Signal]bool, opt Options, st
 	underCap := func() bool {
 		return opt.MaxWaveguides == 0 || len(d.Waveguides) < opt.MaxWaveguides
 	}
+	place := func(sig noc.Signal, dir router.Direction, mode placeMode) bool {
+		return idx.placeFirstFit(d, d.Routes, 0, sig, dir, opt.MaxWL, mode)
+	}
 	for _, jb := range jobs {
-		placed := placeOnRings(d, jb.sig, jb.dir, opt.MaxWL, mode)
+		placed := place(jb.sig, jb.dir, mode)
 		if !placed && opt.AllowDetour {
-			placed = placeOnRings(d, jb.sig, 1-jb.dir, opt.MaxWL, mode)
+			placed = place(jb.sig, 1-jb.dir, mode)
 		}
 		if !placed && underCap() {
-			w := &router.Waveguide{ID: len(d.Waveguides), Dir: jb.dir, Opening: -1}
-			w.Channels = append(w.Channels, router.Channel{Sig: jb.sig, WL: 0})
-			d.Waveguides = append(d.Waveguides, w)
-			d.Routes[jb.sig] = &router.Route{Sig: jb.sig, Kind: router.OnRing, WG: w.ID, WL: 0}
+			idx.newWaveguide(d, d.Routes, jb.sig, jb.dir)
 			placed = true
 		}
 		if !placed && mode == freshOnly {
 			// The die is full: fall back to wavelength sharing.
-			placed = placeOnRings(d, jb.sig, jb.dir, opt.MaxWL, freshThenShare)
+			placed = place(jb.sig, jb.dir, freshThenShare)
 		}
 		if !placed {
 			return fmt.Errorf("mapping: signal %v does not fit: #wl=%d with at most %d waveguides is infeasible",
@@ -333,33 +426,19 @@ func mapRingSignals(d *router.Design, owned map[noc.Signal]bool, opt Options, st
 	return nil
 }
 
-// placeOnRings places a signal onto an existing waveguide of the given
-// direction under the selected mode. Fresh (unused) wavelength slots
-// avoid the drop-leakage noise that wavelength-reuse chains leave at
-// the next same-wavelength receiver (Sec. II-B). It returns false when
-// no admissible (waveguide, wavelength) slot exists.
-func placeOnRings(d *router.Design, sig noc.Signal, dir router.Direction, maxWL int, mode placeMode) bool {
-	return placeOnRingsIn(d, d.Routes, 0, sig, dir, maxWL, mode)
-}
-
-// placeOnRingsIn is placeOnRings restricted to one routing layer: only
-// waveguides with ID >= minWG are considered and the realized route is
-// recorded in the given route table. The primary pass uses the whole
-// design and d.Routes; the fault-tolerance spare pass uses the
-// protection waveguides and d.SpareRoutes, which keeps the two layers
-// waveguide-disjoint by construction.
-func placeOnRingsIn(d *router.Design, routes map[noc.Signal]*router.Route, minWG int,
-	sig noc.Signal, dir router.Direction, maxWL int, mode placeMode) bool {
-	var passes [][2]bool // (allowFresh, allowShared) per pass
-	switch mode {
-	case freshOnly:
-		passes = [][2]bool{{true, false}}
-	case freshThenShare:
-		passes = [][2]bool{{true, false}, {false, true}}
-	case shareFirst:
-		passes = [][2]bool{{true, true}}
-	}
-	for _, pass := range passes {
+// firstFit returns the first admissible (waveguide, wavelength) slot for
+// sig in direction dir, or nil when there is none. Only waveguides with
+// ID >= minWG are probed: the primary pass uses the whole design, the
+// fault-tolerance spare pass its protection waveguides only, which keeps
+// the two layers waveguide-disjoint by construction. Fresh (unused)
+// wavelength slots avoid the drop-leakage noise that wavelength-reuse
+// chains leave at the next same-wavelength receiver (Sec. II-B); mode
+// says whether fresh or shared slots are admitted, and in which pass.
+// Within a pass the probe order is waveguide ID, then ascending
+// wavelength. The probe allocates nothing.
+func (x *wlIndex) firstFit(d *router.Design, minWG int, sig noc.Signal, dir router.Direction,
+	maxWL int, mode placeMode) (*router.Waveguide, int) {
+	for _, pass := range modePasses[mode] {
 		for _, w := range d.Waveguides[minWG:] {
 			if w.Dir != dir {
 				continue
@@ -367,65 +446,65 @@ func placeOnRingsIn(d *router.Design, routes map[noc.Signal]*router.Route, minWG
 			if w.Opening >= 0 && d.PassesNode(sig.Src, sig.Dst, w.Opening, dir) {
 				continue
 			}
-			used := map[int]bool{}
-			for _, c := range w.Channels {
-				used[c.WL] = true
-			}
+			buckets := x.buckets(w)
 			for wl := 0; wl < maxWL; wl++ {
-				if used[wl] && !pass[1] {
+				var on []router.Channel
+				if wl < len(buckets) {
+					on = buckets[wl]
+				}
+				if len(on) > 0 && !pass.shared || len(on) == 0 && !pass.fresh {
 					continue
 				}
-				if !used[wl] && !pass[0] {
-					continue
-				}
-				cand := router.Channel{Sig: sig, WL: wl}
-				ok := true
-				for _, c := range w.Channels {
-					if d.ChannelsCollide(dir, cand, c) {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					w.Channels = append(w.Channels, cand)
-					routes[sig] = &router.Route{Sig: sig, Kind: router.OnRing, WG: w.ID, WL: wl}
-					return true
+				if !collidesAny(d, dir, router.Channel{Sig: sig, WL: wl}, on) {
+					return w, wl
 				}
 			}
+		}
+	}
+	return nil, 0
+}
+
+// collidesAny reports whether cand collides with any of the channels.
+func collidesAny(d *router.Design, dir router.Direction, cand router.Channel, chans []router.Channel) bool {
+	for _, c := range chans {
+		if d.ChannelsCollide(dir, cand, c) {
+			return true
 		}
 	}
 	return false
 }
 
+// placeFirstFit places sig on the firstFit slot, recording the route in
+// routes. It returns false when no admissible slot exists.
+func (x *wlIndex) placeFirstFit(d *router.Design, routes map[noc.Signal]*router.Route, minWG int,
+	sig noc.Signal, dir router.Direction, maxWL int, mode placeMode) bool {
+	w, wl := x.firstFit(d, minWG, sig, dir, maxWL, mode)
+	if w == nil {
+		return false
+	}
+	x.place(routes, w, sig, wl)
+	return true
+}
+
 // passerCounts returns, per node ID, how many channels of w traverse
 // that node's sender/receiver gap.
-func passerCounts(d *router.Design, w *router.Waveguide) map[int]int {
-	counts := make(map[int]int, d.N())
-	for _, node := range d.Net.Nodes {
-		counts[node.ID] = 0
-	}
+func passerCounts(d *router.Design, w *router.Waveguide) []int {
+	counts := make([]int, d.N())
 	for _, c := range w.Channels {
-		for _, g := range d.GapNodes(c.Sig.Src, c.Sig.Dst, w.Dir) {
-			counts[g]++
-		}
+		d.ForEachGapNode(c.Sig.Src, c.Sig.Dst, w.Dir, func(k int) { counts[k]++ })
 	}
 	return counts
 }
 
-// openWaveguides chooses an opening per ring waveguide and relocates the
-// channels that pass it (Sec. III-C, second half).
-func openWaveguides(d *router.Design, opt Options, stats *Stats) error {
-	return openWaveguidesIn(d, d.Routes, 0, opt, stats)
-}
-
-// openWaveguidesIn is the opening phase restricted to one routing layer:
-// waveguides with ID >= start are opened, and relocated channels stay in
-// that layer (placeOnRingsIn with the same floor, routes recorded in the
-// given table). Openings already chosen on earlier waveguides seed the
-// alignment preference.
-func openWaveguidesIn(d *router.Design, routes map[noc.Signal]*router.Route, start int,
+// openWaveguidesIn chooses an opening per ring waveguide and relocates
+// the channels that pass it (Sec. III-C, second half), restricted to one
+// routing layer: waveguides with ID >= start are opened, and relocated
+// channels stay in that layer (firstFit with the same floor, routes
+// recorded in the given table). Openings already chosen on earlier
+// waveguides seed the alignment preference.
+func openWaveguidesIn(d *router.Design, idx *wlIndex, routes map[noc.Signal]*router.Route, start int,
 	opt Options, stats *Stats) error {
-	openingUsed := map[int]bool{}
+	openingUsed := make([]bool, d.N())
 	for _, w := range d.Waveguides[:start] {
 		if w.Opening >= 0 {
 			openingUsed[w.Opening] = true
@@ -441,13 +520,7 @@ func openWaveguidesIn(d *router.Design, routes map[noc.Signal]*router.Route, sta
 		// Candidate: least-passed node; prefer nodes already used as
 		// openings elsewhere, then smallest ID.
 		best, bestCount, bestAligned := -1, int(^uint(0)>>1), false
-		ids := make([]int, 0, len(counts))
-		for id := range counts {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			cnt := counts[id]
+		for id, cnt := range counts {
 			aligned := opt.AlignOpenings && openingUsed[id]
 			better := false
 			switch {
@@ -471,6 +544,7 @@ func openWaveguidesIn(d *router.Design, routes map[noc.Signal]*router.Route, sta
 			}
 		}
 		w.Channels = keep
+		idx.resync(w)
 		w.Opening = best
 		openingUsed[best] = true
 		mode := freshThenShare
@@ -478,15 +552,11 @@ func openWaveguidesIn(d *router.Design, routes map[noc.Signal]*router.Route, sta
 			mode = shareFirst
 		}
 		for _, c := range move {
-			if placeOnRingsIn(d, routes, start, c.Sig, w.Dir, d.MaxWL, mode) {
-				stats.Relocated++
+			stats.Relocated++
+			if idx.placeFirstFit(d, routes, start, c.Sig, w.Dir, d.MaxWL, mode) {
 				continue
 			}
-			nw := &router.Waveguide{ID: len(d.Waveguides), Dir: w.Dir, Opening: -1}
-			nw.Channels = append(nw.Channels, router.Channel{Sig: c.Sig, WL: 0})
-			d.Waveguides = append(d.Waveguides, nw)
-			routes[c.Sig] = &router.Route{Sig: c.Sig, Kind: router.OnRing, WG: nw.ID, WL: 0}
-			stats.Relocated++
+			idx.newWaveguide(d, routes, c.Sig, w.Dir)
 			stats.ExtraWGs++
 		}
 	}

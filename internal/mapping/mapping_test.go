@@ -253,3 +253,87 @@ func TestMaxWLSweepStaysValid(t *testing.T) {
 		}
 	}
 }
+
+// refFirstFit is the reference first-fit probe the wavelength buckets
+// replaced: per waveguide it builds the set of used wavelengths and
+// checks a candidate slot against every channel of the waveguide.
+func refFirstFit(d *router.Design, minWG int, sig noc.Signal, dir router.Direction,
+	maxWL int, mode placeMode) (*router.Waveguide, int) {
+	for _, pass := range modePasses[mode] {
+		for _, w := range d.Waveguides[minWG:] {
+			if w.Dir != dir {
+				continue
+			}
+			if w.Opening >= 0 && d.PassesNode(sig.Src, sig.Dst, w.Opening, dir) {
+				continue
+			}
+			used := map[int]bool{}
+			for _, c := range w.Channels {
+				used[c.WL] = true
+			}
+			for wl := 0; wl < maxWL; wl++ {
+				if used[wl] && !pass.shared || !used[wl] && !pass.fresh {
+					continue
+				}
+				ok := true
+				for _, c := range w.Channels {
+					if d.ChannelsCollide(dir, router.Channel{Sig: sig, WL: wl}, c) {
+						ok = false
+						break
+					}
+				}
+				if ok {
+					return w, wl
+				}
+			}
+		}
+	}
+	return nil, 0
+}
+
+// TestFirstFitMatchesReference probes every signal, in both directions
+// and under every placement mode and a range of floors, on finished
+// designs, and demands the bucketed probe pick the same slot as the
+// reference scan.
+func TestFirstFitMatchesReference(t *testing.T) {
+	for _, net := range []*noc.Network{noc.Floorplan8(), noc.Irregular(12, 12, 12, 2.0, 5)} {
+		for _, wl := range []int{1, 2, 4, net.N()} {
+			for _, share := range []bool{false, true} {
+				d, _ := synth(t, net, Options{MaxWL: wl, PreferSharing: share, AlignOpenings: true})
+				idx := newWLIndex(d)
+				for _, sig := range noc.AllToAll(net.N()) {
+					for _, dir := range []router.Direction{router.CW, router.CCW} {
+						for _, mode := range []placeMode{freshOnly, freshThenShare, shareFirst} {
+							for _, minWG := range []int{0, len(d.Waveguides) / 2} {
+								gw, gwl := idx.firstFit(d, minWG, sig, dir, wl+1, mode)
+								rw, rwl := refFirstFit(d, minWG, sig, dir, wl+1, mode)
+								if gw != rw || (gw != nil && gwl != rwl) {
+									t.Fatalf("#wl=%d share=%v %v %v mode %d floor %d: firstFit (%v, %d), reference (%v, %d)",
+										wl, share, sig, dir, mode, minWG, gw, gwl, rw, rwl)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFirstFitProbeAllocatesNothing guards the Step-3 hot loop: probing
+// a warm waveguide for a slot must not touch the heap.
+func TestFirstFitProbeAllocatesNothing(t *testing.T) {
+	d, _ := synth(t, noc.Floorplan16(), Options{MaxWL: 4, PreferSharing: true})
+	idx := newWLIndex(d)
+	w := d.Waveguides[0]
+	if len(w.Channels) < 2 {
+		t.Fatalf("waveguide 0 carries %d channels, want a warm one", len(w.Channels))
+	}
+	sig := w.Channels[0].Sig
+	allocs := testing.AllocsPerRun(100, func() {
+		idx.firstFit(d, 0, sig, w.Dir, d.MaxWL, freshThenShare)
+	})
+	if allocs != 0 {
+		t.Fatalf("first-fit probe: %v allocs, want 0", allocs)
+	}
+}

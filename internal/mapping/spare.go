@@ -38,7 +38,7 @@ var mSpareRepacks = obs.NewCounter("mapping.spare_repacks")
 // addSpareLayer runs after the primary mapping + opening phases and
 // gives every routed signal (ring- or shortcut-carried) a spare route on
 // protection waveguides appended after the primaries.
-func addSpareLayer(d *router.Design, opt Options, stats *Stats) error {
+func addSpareLayer(d *router.Design, idx *wlIndex, opt Options, stats *Stats) error {
 	firstSpare := len(d.Waveguides)
 	d.SpareRoutes = map[noc.Signal]*router.Route{}
 
@@ -73,25 +73,27 @@ func addSpareLayer(d *router.Design, opt Options, stats *Stats) error {
 		return opt.MaxWaveguides == 0 || len(d.Waveguides) < opt.MaxWaveguides
 	}
 	for _, jb := range jobs {
-		if placeOnRingsIn(d, d.SpareRoutes, firstSpare, jb.sig, jb.dir, opt.MaxWL, freshThenShare) {
+		if idx.placeFirstFit(d, d.SpareRoutes, firstSpare, jb.sig, jb.dir, opt.MaxWL, freshThenShare) {
 			continue
 		}
 		if !underCap() {
 			return fmt.Errorf("mapping: fault-tolerant spare for %v does not fit: #wl=%d with at most %d waveguides",
 				jb.sig, opt.MaxWL, opt.MaxWaveguides)
 		}
-		w := &router.Waveguide{ID: len(d.Waveguides), Dir: jb.dir, Opening: -1}
-		w.Channels = append(w.Channels, router.Channel{Sig: jb.sig, WL: 0})
-		d.Waveguides = append(d.Waveguides, w)
-		d.SpareRoutes[jb.sig] = &router.Route{Sig: jb.sig, Kind: router.OnRing, WG: w.ID, WL: 0}
+		idx.newWaveguide(d, d.SpareRoutes, jb.sig, jb.dir)
 	}
 
-	repackSpares(d, firstSpare, opt, stats)
+	if repackSpares(d, firstSpare, opt, stats) {
+		// The repack rewrote and renumbered the protection waveguides.
+		for _, w := range d.Waveguides[firstSpare:] {
+			idx.resync(w)
+		}
+	}
 
 	// Open the protection waveguides too: with a tree PDN every
 	// sender-bearing waveguide needs an opening for its feeds.
 	if !opt.NoOpenings {
-		if err := openWaveguidesIn(d, d.SpareRoutes, firstSpare, opt, stats); err != nil {
+		if err := openWaveguidesIn(d, idx, d.SpareRoutes, firstSpare, opt, stats); err != nil {
 			return err
 		}
 	}
@@ -106,8 +108,9 @@ func addSpareLayer(d *router.Design, opt Options, stats *Stats) error {
 // and the objective minimizes the number of protection waveguides. The
 // greedy assignment primes the incumbent (Options.IncumbentHint), so a
 // budget-limited solve degrades to "keep greedy" instead of failing.
-// Best-effort by design: any error keeps the greedy packing.
-func repackSpares(d *router.Design, firstSpare int, opt Options, stats *Stats) {
+// Best-effort by design: any error keeps the greedy packing. It reports
+// whether it replaced the greedy packing.
+func repackSpares(d *router.Design, firstSpare int, opt Options, stats *Stats) bool {
 	type dirPack struct {
 		wgs  []*router.Waveguide // greedy protection waveguides, ID order
 		sigs []noc.Signal        // spare signals in canonical order
@@ -225,7 +228,7 @@ func repackSpares(d *router.Design, firstSpare int, opt Options, stats *Stats) {
 		improved = true
 	}
 	if !improved {
-		return
+		return false
 	}
 	// Drop emptied protection waveguides, renumber the spare section, and
 	// re-derive the spare route table from the surviving channels.
@@ -243,4 +246,5 @@ func repackSpares(d *router.Design, firstSpare int, opt Options, stats *Stats) {
 	}
 	stats.SpareRepacked = true
 	mSpareRepacks.Add(1)
+	return true
 }

@@ -57,6 +57,12 @@ var (
 	tokens  chan struct{}
 )
 
+// stopHook, when non-nil, runs each time a fan-out records a task
+// failure or cancellation, after no worker can claim another task
+// without first seeing the stop. Tests use it to count the tasks issued
+// after a stop without depending on scheduling.
+var stopHook func()
+
 func init() {
 	SetWorkers(runtime.GOMAXPROCS(0))
 	resilience.RegisterFaultPoint("parallel.task")
@@ -130,12 +136,15 @@ func ForEach(ctx context.Context, n int, fn func(i int) error) error {
 		firstE  error
 	)
 	fail := func(i int, err error) {
+		stopped.Store(true)
+		if stopHook != nil {
+			stopHook()
+		}
 		mu.Lock()
 		if i < firstI {
 			firstI, firstE = i, err
 		}
 		mu.Unlock()
-		stopped.Store(true)
 	}
 	// call isolates one task: a panicking fn surfaces as a
 	// *resilience.PanicError task failure (stack captured) instead of

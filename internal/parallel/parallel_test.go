@@ -13,6 +13,7 @@ import (
 )
 
 func TestMapOrdered(t *testing.T) {
+	defer SetWorkers(Workers())
 	for _, workers := range []int{1, 2, 8} {
 		SetWorkers(workers)
 		out, err := Map(context.Background(), 100, func(i int) (int, error) {
@@ -27,12 +28,11 @@ func TestMapOrdered(t *testing.T) {
 			}
 		}
 	}
-	SetWorkers(4)
 }
 
 func TestForEachFirstErrorInTaskOrder(t *testing.T) {
+	defer SetWorkers(Workers())
 	SetWorkers(8)
-	defer SetWorkers(4)
 	errAt := func(bad map[int]bool) error {
 		return ForEach(nil, 50, func(i int) error {
 			if bad[i] {
@@ -47,27 +47,39 @@ func TestForEachFirstErrorInTaskOrder(t *testing.T) {
 	}
 }
 
+// TestForEachStopsIssuingAfterError counts only the tasks that start
+// after the pool has recorded task 0's error. How many start before that
+// depends on scheduling alone: a worker that claims task 0 and is then
+// descheduled lets the other worker run any number of tasks, none of
+// which the pool could have skipped. Once the error is recorded, each
+// other worker can start at most the one task it was already claiming.
 func TestForEachStopsIssuingAfterError(t *testing.T) {
+	defer SetWorkers(Workers())
 	SetWorkers(2)
-	defer SetWorkers(4)
-	var ran atomic.Int64
-	_ = ForEach(nil, 1000, func(i int) error {
-		ran.Add(1)
+	var recorded atomic.Bool
+	stopHook = func() { recorded.Store(true) }
+	defer func() { stopHook = nil }()
+	var late atomic.Int64
+	err := ForEach(nil, 1000, func(i int) error {
 		if i == 0 {
 			return errors.New("boom")
 		}
+		if recorded.Load() {
+			late.Add(1)
+		}
 		return nil
 	})
-	// With 2 workers at most a handful of tasks can have started before
-	// the error is observed.
-	if n := ran.Load(); n > 10 {
+	if err == nil || err.Error() != "boom" {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if n := late.Load(); n > 10 {
 		t.Fatalf("%d tasks ran after early error", n)
 	}
 }
 
 func TestForEachCancellationDrainsPromptly(t *testing.T) {
+	defer SetWorkers(Workers())
 	SetWorkers(4)
-	defer SetWorkers(4)
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int64
 	done := make(chan error, 1)
@@ -102,8 +114,8 @@ func TestForEachCancellationDrainsPromptly(t *testing.T) {
 }
 
 func TestNestedForEachNoDeadlock(t *testing.T) {
+	defer SetWorkers(Workers())
 	SetWorkers(2) // tight budget: inner fan-outs find no spare tokens
-	defer SetWorkers(4)
 	var sum atomic.Int64
 	err := ForEach(nil, 8, func(i int) error {
 		return ForEach(nil, 8, func(j int) error {

@@ -286,35 +286,48 @@ func (d *Design) ArcLen(src, dst int, dir Direction) float64 {
 	return d.perimeter - cwLen
 }
 
-// GapNodes returns the node IDs whose sender/receiver gap a signal
-// src->dst traverses in direction dir: the nodes strictly between src
-// and dst along the travel direction.
-func (d *Design) GapNodes(src, dst int, dir Direction) []int {
+// arcSteps returns how many tour steps a walk from src to dst takes in
+// direction dir (n for a full lap when src == dst).
+func (d *Design) arcSteps(src, dst int, dir Direction) int {
 	n := d.N()
-	si, di := d.tourIndex[src], d.tourIndex[dst]
-	var out []int
+	off := d.tourIndex[dst] - d.tourIndex[src]
+	if dir == CCW {
+		off = -off
+	}
+	if off <= 0 {
+		off += n
+	}
+	return off
+}
+
+// ForEachGapNode calls fn, in travel order, with every node whose
+// sender/receiver gap a signal src->dst in direction dir traverses: the
+// nodes strictly between src and dst along the travel direction. It
+// allocates nothing.
+func (d *Design) ForEachGapNode(src, dst int, dir Direction, fn func(k int)) {
+	n := d.N()
 	step := 1
 	if dir == CCW {
 		step = n - 1 // -1 mod n
 	}
-	for i := (si + step) % n; i != di; i = (i + step) % n {
-		out = append(out, d.Tour[i])
+	i := d.tourIndex[src]
+	for j := d.arcSteps(src, dst, dir) - 1; j > 0; j-- {
+		i += step
+		if i >= n {
+			i -= n
+		}
+		fn(d.Tour[i])
 	}
-	return out
 }
 
 // PassesNode reports whether signal src->dst in direction dir traverses
-// the sender/receiver gap of node k.
+// the sender/receiver gap of node k. It is O(1): k is passed exactly
+// when it lies fewer tour steps from src than dst does.
 func (d *Design) PassesNode(src, dst, k int, dir Direction) bool {
-	if k == src || k == dst {
+	if k == src || k == dst || k < 0 || k >= d.N() {
 		return false
 	}
-	for _, g := range d.GapNodes(src, dst, dir) {
-		if g == k {
-			return true
-		}
-	}
-	return false
+	return d.arcSteps(src, k, dir) < d.arcSteps(src, dst, dir)
 }
 
 // ArcInterval returns the [from, to) arc coordinates (CW orientation) a
@@ -355,43 +368,35 @@ func (d *Design) CrossingsOnArc(w *Waveguide, src, dst int) int {
 }
 
 // BendsOnArc counts 90-degree bends traversed by a channel from src to
-// dst in direction dir.
+// dst in direction dir: the bends inside every tour edge the arc
+// covers, plus one at each intermediate node joint where the incoming
+// and outgoing orientations differ. A zero-length edge has no
+// orientation, so the joints on either side of it count nothing. It
+// allocates nothing.
 func (d *Design) BendsOnArc(src, dst int, dir Direction) int {
-	// Walk tour edges covered by the arc; each edge contributes its own
-	// bends plus one bend at each intermediate node joint where the
-	// incoming and outgoing directions differ. For simplicity each
-	// intermediate joint counts as one bend when orientation changes.
 	n := d.N()
-	si, di := d.tourIndex[src], d.tourIndex[dst]
-	step := 1
-	if dir == CCW {
-		step = n - 1
-	}
+	i, di := d.tourIndex[src], d.tourIndex[dst]
 	bends := 0
-	var prev geom.Polyline
-	for i := si; i != di; i = (i + step) % n {
-		ei := i
+	prevSegs, prevOutH := 0, false
+	for i != di {
+		ei, next := i, i+1
 		if dir == CCW {
 			ei = (i + n - 1) % n
+			next = ei
 		}
-		p := d.EdgePath(ei)
-		bends += p.Bends()
-		if prev != nil {
-			a := prev.Segments()
-			b := p.Segments()
-			if len(a) > 0 && len(b) > 0 {
-				lastH := a[len(a)-1].Horizontal()
-				firstH := b[0].Horizontal()
-				if dir == CCW {
-					lastH = a[0].Horizontal()
-					firstH = b[len(b)-1].Horizontal()
-				}
-				if lastH != firstH {
-					bends++
-				}
-			}
+		a := d.Net.Nodes[d.Tour[ei]].Pos
+		b := d.Net.Nodes[d.Tour[(ei+1)%n]].Pos
+		segs, eb, firstH, lastH := geom.LShape(a, b, d.EdgeOrders[ei])
+		bends += eb
+		inH, outH := firstH, lastH
+		if dir == CCW {
+			inH, outH = lastH, firstH
 		}
-		prev = p
+		if prevSegs > 0 && segs > 0 && prevOutH != inH {
+			bends++
+		}
+		prevSegs, prevOutH = segs, outH
+		i = next % n
 	}
 	return bends
 }

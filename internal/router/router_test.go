@@ -2,6 +2,7 @@ package router
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -101,21 +102,28 @@ func TestPerimeterAndArcLen(t *testing.T) {
 	}
 }
 
+// gapNodes collects ForEachGapNode's walk into a slice.
+func gapNodes(d *Design, src, dst int, dir Direction) []int {
+	var out []int
+	d.ForEachGapNode(src, dst, dir, func(k int) { out = append(out, k) })
+	return out
+}
+
 func TestGapNodesAndPasses(t *testing.T) {
 	d := grid8(t) // tour 0,1,2,3,7,6,5,4
-	gaps := d.GapNodes(1, 7, CW)
+	gaps := gapNodes(d, 1, 7, CW)
 	want := []int{2, 3}
 	if len(gaps) != 2 || gaps[0] != want[0] || gaps[1] != want[1] {
-		t.Fatalf("GapNodes(1,7,CW) = %v, want %v", gaps, want)
+		t.Fatalf("gap walk 1->7 CW = %v, want %v", gaps, want)
 	}
-	gapsR := d.GapNodes(1, 7, CCW)
+	gapsR := gapNodes(d, 1, 7, CCW)
 	wantR := []int{0, 4, 5, 6}
 	if len(gapsR) != len(wantR) {
-		t.Fatalf("GapNodes(1,7,CCW) = %v, want %v", gapsR, wantR)
+		t.Fatalf("gap walk 1->7 CCW = %v, want %v", gapsR, wantR)
 	}
 	for i := range wantR {
 		if gapsR[i] != wantR[i] {
-			t.Fatalf("GapNodes(1,7,CCW) = %v, want %v", gapsR, wantR)
+			t.Fatalf("gap walk 1->7 CCW = %v, want %v", gapsR, wantR)
 		}
 	}
 	if !d.PassesNode(1, 7, 3, CW) {
@@ -461,8 +469,8 @@ func TestArcArithmeticProperties(t *testing.T) {
 		}
 		// Gap node counts match index distance - 1, and both directions
 		// partition the other nodes.
-		g1 := len(d.GapNodes(src, dst, CW))
-		g2 := len(d.GapNodes(src, dst, CCW))
+		g1 := len(gapNodes(d, src, dst, CW))
+		g2 := len(gapNodes(d, src, dst, CCW))
 		if g1+g2 != 11-2 {
 			return false
 		}
@@ -514,5 +522,171 @@ func TestCoordInArcProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refGapNodes is the reference gap walk the allocation-free kernels
+// replaced: it materialises the nodes strictly between src and dst
+// along the travel direction.
+func refGapNodes(d *Design, src, dst int, dir Direction) []int {
+	n := d.N()
+	si, di := d.tourIndex[src], d.tourIndex[dst]
+	var out []int
+	step := 1
+	if dir == CCW {
+		step = n - 1 // -1 mod n
+	}
+	for i := (si + step) % n; i != di; i = (i + step) % n {
+		out = append(out, d.Tour[i])
+	}
+	return out
+}
+
+// refPassesNode is the reference PassesNode: a scan of refGapNodes.
+func refPassesNode(d *Design, src, dst, k int, dir Direction) bool {
+	if k == src || k == dst {
+		return false
+	}
+	for _, g := range refGapNodes(d, src, dst, dir) {
+		if g == k {
+			return true
+		}
+	}
+	return false
+}
+
+// refBendsOnArc is the reference BendsOnArc: it builds every covered
+// edge's polyline and compares the segments meeting at each joint.
+func refBendsOnArc(d *Design, src, dst int, dir Direction) int {
+	n := d.N()
+	si, di := d.tourIndex[src], d.tourIndex[dst]
+	step := 1
+	if dir == CCW {
+		step = n - 1
+	}
+	bends := 0
+	var prev geom.Polyline
+	for i := si; i != di; i = (i + step) % n {
+		ei := i
+		if dir == CCW {
+			ei = (i + n - 1) % n
+		}
+		p := d.EdgePath(ei)
+		bends += p.Bends()
+		if prev != nil {
+			a := prev.Segments()
+			b := p.Segments()
+			if len(a) > 0 && len(b) > 0 {
+				lastH := a[len(a)-1].Horizontal()
+				firstH := b[0].Horizontal()
+				if dir == CCW {
+					lastH = a[0].Horizontal()
+					firstH = b[len(b)-1].Horizontal()
+				}
+				if lastH != firstH {
+					bends++
+				}
+			}
+		}
+		prev = p
+	}
+	return bends
+}
+
+// kernelDesign builds a design on a seeded irregular floorplan with a
+// random tour and random L-orders, then bends the geometry so the tour
+// holds straight edges (exactly and within geom.Eps) and zero-length
+// edges between coincident nodes. The arc kernels never look at
+// crossings, so the tour need not be a valid ring.
+func kernelDesign(t *testing.T, seed int64) *Design {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	n := 8 + rng.Intn(25) // 8..32 nodes
+	side := 10 + float64(n)/2
+	net := noc.Irregular(n, side, side, 1.0, seed)
+	tour := rng.Perm(n)
+	orders := make([]geom.LOrder, n)
+	for i := range orders {
+		orders[i] = geom.LOrder(rng.Intn(2))
+	}
+	for i := 0; i < n; i++ {
+		a := &net.Nodes[tour[i]].Pos
+		b := &net.Nodes[tour[(i+1)%n]].Pos
+		switch rng.Intn(6) {
+		case 0:
+			b.X = a.X // vertical edge
+		case 1:
+			b.Y = a.Y // horizontal edge
+		case 2:
+			b.X = a.X + geom.Eps/2 // vertical within Eps
+		case 3:
+			if i+1 < n {
+				*b = *a // zero-length edge
+			}
+		}
+	}
+	d, err := NewDesign(net, phys.Default(), tour, orders)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestArcKernelsMatchReference compares the O(1) PassesNode, the
+// allocation-free gap walk and the LShape-based BendsOnArc with their
+// polyline/slice references on every (src, dst, k) triple, in both
+// directions, of seeded irregular floorplans of 8 to 32 nodes.
+func TestArcKernelsMatchReference(t *testing.T) {
+	for seed := int64(1); seed <= 16; seed++ {
+		d := kernelDesign(t, seed)
+		n := d.N()
+		for _, dir := range []Direction{CW, CCW} {
+			for src := 0; src < n; src++ {
+				for dst := 0; dst < n; dst++ {
+					ref := refGapNodes(d, src, dst, dir)
+					got := gapNodes(d, src, dst, dir)
+					if len(got) != len(ref) {
+						t.Fatalf("seed %d: gap walk %d->%d %v = %v, want %v", seed, src, dst, dir, got, ref)
+					}
+					for i := range ref {
+						if got[i] != ref[i] {
+							t.Fatalf("seed %d: gap walk %d->%d %v = %v, want %v", seed, src, dst, dir, got, ref)
+						}
+					}
+					if got, want := d.BendsOnArc(src, dst, dir), refBendsOnArc(d, src, dst, dir); got != want {
+						t.Fatalf("seed %d: BendsOnArc(%d,%d,%v) = %d, want %d", seed, src, dst, dir, got, want)
+					}
+					for k := -1; k <= n; k++ {
+						if got, want := d.PassesNode(src, dst, k, dir), refPassesNode(d, src, dst, k, dir); got != want {
+							t.Fatalf("seed %d: PassesNode(%d,%d,%d,%v) = %v, want %v", seed, src, dst, k, dir, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestArcKernelsAllocateNothing guards the mapping and loss hot paths:
+// the arc predicates and the gap walk must not touch the heap.
+func TestArcKernelsAllocateNothing(t *testing.T) {
+	d := kernelDesign(t, 3)
+	n := d.N()
+	sink := 0
+	cases := map[string]func(){
+		"PassesNode": func() {
+			if d.PassesNode(0, n/2, n/4, CCW) {
+				sink++
+			}
+		},
+		"BendsOnArc": func() { sink += d.BendsOnArc(1, n-1, CW) + d.BendsOnArc(1, n-1, CCW) },
+		"ForEachGapNode": func() {
+			d.ForEachGapNode(0, n-1, CW, func(k int) { sink += k })
+		},
+	}
+	for name, fn := range cases {
+		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", name, allocs)
+		}
 	}
 }
