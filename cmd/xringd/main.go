@@ -47,7 +47,6 @@ import (
 	"time"
 
 	"xring/internal/cluster"
-	"xring/internal/core"
 	"xring/internal/obs"
 	"xring/internal/service"
 )
@@ -140,8 +139,7 @@ func run(addr string, peers *cluster.Peers, cfg service.Config, drainTimeout tim
 		// GET /v1/cluster reports this shard's membership view.
 		cfg.PeerFetch = peers.Fetch
 		cfg.ClusterInfo = peers.Info
-		core.SetRingDelegate(peers.Delegate)
-		defer core.SetRingDelegate(nil)
+		cfg.RingDelegate = peers.Delegate
 		peers.Start()
 		defer peers.Stop()
 		fmt.Fprintf(os.Stderr, "xringd: cluster mode, %d members\n", peers.Ring().Size())

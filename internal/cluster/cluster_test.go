@@ -17,11 +17,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"xring/internal/geom"
 	"xring/internal/noc"
+	"xring/internal/obs"
 	"xring/internal/ring"
 	"xring/internal/service"
 )
@@ -477,6 +479,100 @@ func TestDelegateMatchesLocalConstruct(t *testing.T) {
 	}
 	if _, ok := peers.Delegate(context.Background(), nw, opt, selfKey); ok {
 		t.Error("delegate forwarded a self-owned floorplan")
+	}
+}
+
+// A ring-cache miss on shard A for a floorplan shard B owns travels
+// through A's engine delegate to B's /v1/cluster/construct, and the
+// design A serves is byte-identical to a single instance's. Each shard
+// owns its engine, so B's solve cannot leak into A any other way.
+func TestRingMissDelegatesToOwnerShard(t *testing.T) {
+	prev := obs.MetricsEnabled()
+	obs.EnableMetrics(true)
+	t.Cleanup(func() { obs.EnableMetrics(prev) })
+
+	var lns []net.Listener
+	var urls []string
+	for i := 0; i < 2; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns = append(lns, ln)
+		urls = append(urls, "http://"+ln.Addr().String())
+	}
+	var (
+		fleet   []*Peers
+		servers []*service.Server
+		lastKey atomic.Value // string: floorplan key of shard A's latest ring miss
+	)
+	for i, ln := range lns {
+		peers, err := NewPeers(PeersConfig{Self: urls[i], Members: urls})
+		if err != nil {
+			t.Fatal(err)
+		}
+		delegate := peers.Delegate
+		if i == 0 {
+			delegate = func(ctx context.Context, nw *noc.Network, opt ring.Options, fkey string) (*ring.Result, bool) {
+				lastKey.Store(fkey)
+				return peers.Delegate(ctx, nw, opt, fkey)
+			}
+		}
+		s, err := service.New(service.Config{Workers: 1, RingDelegate: delegate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := &httptest.Server{Listener: ln, Config: &http.Server{Handler: s.Handler()}}
+		ts.Start()
+		t.Cleanup(func() {
+			ts.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := s.Drain(ctx); err != nil {
+				t.Errorf("drain: %v", err)
+			}
+		})
+		fleet = append(fleet, peers)
+		servers = append(servers, s)
+	}
+	for _, p := range fleet {
+		p.health.ProbeAll(context.Background())
+	}
+
+	// Synthesize variants on A until one's floorplan is owned by B.
+	var req *service.Request
+	var delegated int64
+	for v := 0; v < 64 && req == nil; v++ {
+		cand := quadReq(v)
+		before := mConstructDelegated.Value()
+		lastKey.Store("")
+		if resp, data := postSynthesize(t, urls[0], cand); resp.StatusCode != http.StatusOK {
+			t.Fatalf("synthesize on A: HTTP %d: %s", resp.StatusCode, data)
+		}
+		if fkey := lastKey.Load().(string); fkey != "" && fleet[0].Ring().Owner("construct!"+fkey) == urls[1] {
+			req, delegated = cand, mConstructDelegated.Value()-before
+		}
+	}
+	if req == nil {
+		t.Fatal("no variant's floorplan hashed to shard B in 64 tries")
+	}
+	if got := servers[1].Stats().ClusterConstructs; got != 1 {
+		t.Errorf("shard B served %d constructs, want 1", got)
+	}
+	if delegated != 1 {
+		t.Errorf("cluster.construct.delegated rose by %d, want 1", delegated)
+	}
+
+	key, err := service.CanonicalKey(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, single := newShard(t, service.Config{})
+	if resp, data := postSynthesize(t, single.URL, req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("single-instance synthesize: HTTP %d: %s", resp.StatusCode, data)
+	}
+	if !bytes.Equal(fetchRaw(t, urls[0]+"/v1/designs/"+key), fetchRaw(t, single.URL+"/v1/designs/"+key)) {
+		t.Error("design built on a delegated ring differs from the single-instance design")
 	}
 }
 

@@ -7,8 +7,9 @@ package cluster
 // two hooks the service and engine take:
 //
 //   - Fetch       -> service.Config.PeerFetch (cache peer-fill)
-//   - Delegate    -> core.SetRingDelegate (cross-instance batching of
-//                    Step-1 ring constructions on the floorplan owner)
+//   - Delegate    -> service.Config.RingDelegate (cross-instance
+//                    batching of Step-1 ring constructions on the
+//                    floorplan owner)
 //   - Info        -> service.Config.ClusterInfo (GET /v1/cluster)
 
 import (
@@ -170,10 +171,10 @@ func (p *Peers) fillCandidates(key string) []string {
 	return out
 }
 
-// Delegate is the core.SetRingDelegate hook: a ring-cache miss for a
-// floorplan another shard owns is forwarded there, so N shards racing
-// on one floorplan produce one solve cluster-wide (the owner's ring
-// cache + singleflight coalesce every forwarded call). Declines —
+// Delegate is the service.Config.RingDelegate hook: a ring-cache miss
+// for a floorplan another shard owns is forwarded there, so N shards
+// racing on one floorplan produce one solve cluster-wide (the owner's
+// ring cache + singleflight coalesce every forwarded call). Declines —
 // self-owned floorplans, unhealthy owner, any RPC failure — mean
 // "solve locally".
 func (p *Peers) Delegate(ctx context.Context, net *noc.Network, opt ring.Options, fkey string) (*ring.Result, bool) {

@@ -13,6 +13,7 @@ package core
 // working set of incumbents, so a hit touches its entry to the front
 // and the entry that has gone unused longest is evicted at the cap.
 // Hit/miss/evict counts are exported through the obs metrics registry.
+// The cache, like the rest of the Step-1 state, belongs to an Engine.
 
 import (
 	"container/list"
@@ -22,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"xring/internal/milp"
@@ -32,9 +32,17 @@ import (
 	"xring/internal/ring"
 )
 
-// ringCacheCap bounds the cache.
-const ringCacheCap = 256
+// The Step-1 cache caps: ringCacheCap bounds the ring cache, and
+// hintCacheCap the warm-start hint cache. Hints are tiny (one []int
+// tour per degraded floorplan) but the set of floorplans that ever
+// degrade is also small, so a modest cap suffices.
+const (
+	ringCacheCap = 256
+	hintCacheCap = 128
+)
 
+// The ring-cache counters are process-wide sums over every Engine; the
+// size gauge reports the engine that changed last.
 var (
 	mRingCacheHits      = obs.NewCounter("core.ringcache.hits")
 	mRingCacheMisses    = obs.NewCounter("core.ringcache.misses")
@@ -45,22 +53,121 @@ var (
 	mHintUsed           = obs.NewCounter("core.ringhint.used")
 )
 
-type ringCacheEntry struct {
-	key string
-	res *ring.Result
+// lru is a bounded least-recently-used map from string keys, safe for
+// concurrent use. The front of the list is the most recently used entry.
+type lru[V any] struct {
+	mu  sync.Mutex
+	cap int
+	m   map[string]*list.Element // value: *lruEntry[V]
+	ll  *list.List
 }
 
-var ringCache = struct {
-	sync.Mutex
-	m   map[string]*list.Element // value: *ringCacheEntry
-	lru *list.List               // front = most recently used
-}{m: map[string]*list.Element{}, lru: list.New()}
+type lruEntry[V any] struct {
+	key string
+	val V
+}
+
+func newLRU[V any](capacity int) *lru[V] {
+	return &lru[V]{cap: capacity, m: map[string]*list.Element{}, ll: list.New()}
+}
+
+// get returns key's value, touching the entry to the front on a hit.
+func (c *lru[V]) get(key string) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.m[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	c.ll.MoveToFront(el)
+	return el.Value.(*lruEntry[V]).val, true
+}
+
+// put stores v under key at the front, evicting from the back at the
+// cap. If key is already present, its entry moves to the front and
+// keeps its value unless replace is set. put returns the value now
+// stored, the number of entries evicted and the resulting length.
+func (c *lru[V]) put(key string, v V, replace bool) (stored V, evicted, size int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.m[key]; ok {
+		c.ll.MoveToFront(el)
+		e := el.Value.(*lruEntry[V])
+		if replace {
+			e.val = v
+		}
+		return e.val, 0, c.ll.Len()
+	}
+	for c.ll.Len() >= c.cap {
+		back := c.ll.Back()
+		c.ll.Remove(back)
+		delete(c.m, back.Value.(*lruEntry[V]).key)
+		evicted++
+	}
+	c.m[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: v})
+	return v, evicted, c.ll.Len()
+}
+
+// reset empties the cache.
+func (c *lru[V]) reset() {
+	c.mu.Lock()
+	c.m = map[string]*list.Element{}
+	c.ll = list.New()
+	c.mu.Unlock()
+}
+
+// Engine runs the synthesis flow over its own Step-1 state: the ring
+// cache, the warm-start hint cache, the singleflight table of
+// in-flight solves and an optional cluster delegate. Engines share
+// nothing, so two engines in one process behave like two processes.
+// Each service.Server owns one; the package-level functions use a
+// default engine.
+type Engine struct {
+	// rings caches Step-1 results; see the file comment.
+	rings *lru[*ring.Result]
+	// hints remembers the heuristic tour served for a floorplan whose
+	// exact solve fell back (budget or deadline). A later exact attempt
+	// on the same floorplan passes the tour as
+	// ring.Options.IncumbentHint: the solver starts with a
+	// proven-feasible incumbent instead of an infinite bound, which
+	// prunes harder and often turns a formerly budget-exhausted solve
+	// into a completed one. Only fallback tours are stored — exact
+	// results live in the ring cache and never need re-solving.
+	hints *lru[[]int]
+
+	// flights coalesces concurrent misses on the same floorplan key:
+	// the first miss becomes the leader and solves; later misses wait
+	// for the leader's flight to land and then re-check the cache.
+	// Exploration grids fan many cells over one floorplan concurrently,
+	// so without this every cell would pay the same branch-and-bound.
+	flightMu sync.Mutex
+	flights  map[string]chan struct{}
+
+	delegate RingDelegateFunc
+}
+
+// NewEngine returns an engine with empty caches. A non-nil delegate is
+// consulted by singleflight leaders on a ring-cache miss (see
+// RingDelegateFunc).
+func NewEngine(delegate RingDelegateFunc) *Engine {
+	return &Engine{
+		rings:    newLRU[*ring.Result](ringCacheCap),
+		hints:    newLRU[[]int](hintCacheCap),
+		flights:  map[string]chan struct{}{},
+		delegate: delegate,
+	}
+}
+
+// defaultEngine serves the package-level Synthesize, Sweep and
+// ConstructRingShared functions.
+var defaultEngine = NewEngine(nil)
 
 // floorplanKey serializes everything ring.Construct reads — except
 // Options.IncumbentHint, deliberately: a warm-start hint only narrows
 // the search, it cannot change the optimum, so hinted and hint-less
 // solves of the same floorplan must share one cache slot (and the hint
-// cache below must be addressable by the key of the retry it serves).
+// cache must be addressable by the key of the retry it serves).
 func floorplanKey(net *noc.Network, opt ring.Options) string {
 	buf := make([]byte, 0, 16*(len(net.Nodes)+2))
 	put := func(f float64) {
@@ -87,52 +194,25 @@ func floorplanKey(net *noc.Network, opt ring.Options) string {
 
 // cacheLookup returns the cached Step-1 result for key, touching the
 // entry to the LRU front on a hit.
-func cacheLookup(key string) (*ring.Result, bool) {
-	ringCache.Lock()
-	el, ok := ringCache.m[key]
-	if !ok {
-		ringCache.Unlock()
+func (e *Engine) cacheLookup(key string) (*ring.Result, bool) {
+	r, ok := e.rings.get(key)
+	if ok {
+		mRingCacheHits.Inc()
+	} else {
 		mRingCacheMisses.Inc()
-		return nil, false
 	}
-	ringCache.lru.MoveToFront(el) // LRU touch
-	r := el.Value.(*ringCacheEntry).res
-	ringCache.Unlock()
-	mRingCacheHits.Inc()
-	return r, true
+	return r, ok
 }
 
 // cacheInsert stores r under key, evicting from the LRU back at the
 // cap. If a concurrent miss already inserted the key, its (identical)
 // result is adopted and returned instead.
-func cacheInsert(key string, r *ring.Result) *ring.Result {
-	ringCache.Lock()
-	if el, ok := ringCache.m[key]; ok {
-		ringCache.lru.MoveToFront(el)
-		r = el.Value.(*ringCacheEntry).res
-	} else {
-		for ringCache.lru.Len() >= ringCacheCap {
-			back := ringCache.lru.Back()
-			ringCache.lru.Remove(back)
-			delete(ringCache.m, back.Value.(*ringCacheEntry).key)
-			mRingCacheEvicts.Inc()
-		}
-		ringCache.m[key] = ringCache.lru.PushFront(&ringCacheEntry{key: key, res: r})
-	}
-	mRingCacheSize.Set(int64(ringCache.lru.Len()))
-	ringCache.Unlock()
+func (e *Engine) cacheInsert(key string, r *ring.Result) *ring.Result {
+	r, evicted, size := e.rings.put(key, r, false)
+	mRingCacheEvicts.Add(int64(evicted))
+	mRingCacheSize.Set(int64(size))
 	return r
 }
-
-// ringFlights coalesces concurrent misses on the same floorplan key:
-// the first miss becomes the leader and solves; later misses wait for
-// the leader's flight to land and then re-check the cache. Exploration
-// grids fan many cells over one floorplan concurrently, so without
-// this every cell would pay the same branch-and-bound.
-var ringFlights = struct {
-	sync.Mutex
-	m map[string]chan struct{}
-}{m: map[string]chan struct{}{}}
 
 // RingDelegateFunc lets a cluster layer take over a ring-construction
 // miss: given the floorplan and its cache key, it may return the
@@ -144,74 +224,41 @@ var ringFlights = struct {
 // to a local one.
 type RingDelegateFunc func(ctx context.Context, net *noc.Network, opt ring.Options, key string) (*ring.Result, bool)
 
-var ringDelegate struct {
-	sync.RWMutex
-	fn RingDelegateFunc
-}
-
-// SetRingDelegate installs (or, with nil, removes) the cluster
-// delegate consulted by singleflight leaders on a ring-cache miss.
-func SetRingDelegate(fn RingDelegateFunc) {
-	ringDelegate.Lock()
-	ringDelegate.fn = fn
-	ringDelegate.Unlock()
-}
-
-func loadRingDelegate() RingDelegateFunc {
-	ringDelegate.RLock()
-	defer ringDelegate.RUnlock()
-	return ringDelegate.fn
-}
-
-// constructRing is ring.Construct behind the cache, with singleflight
-// miss coalescing. The solve is deterministic, so an adopted leader
-// result is bit-identical to a private solve. A leader that fails
-// (cancellation, solver budget) fills nothing; each waiter then retries
-// on its own — one request's deadline must not poison identical
-// requests that still have budget.
-func constructRing(ctx context.Context, net *noc.Network, opt ring.Options) (*ring.Result, error) {
-	return constructRingShared(ctx, net, opt, true)
-}
-
 // ConstructRingShared runs Step-1 ring construction through the
-// process-wide cache and singleflight WITHOUT consulting the cluster
+// engine's cache and singleflight WITHOUT consulting the cluster
 // delegate: the entry point for a shard serving a construct RPC, where
 // delegating again could ping-pong between shards that disagree about
 // ownership during a topology change. Concurrent identical requests
 // (local or forwarded by every other shard) coalesce onto one solve.
-func ConstructRingShared(ctx context.Context, net *noc.Network, opt ring.Options) (*ring.Result, error) {
-	return constructRingShared(ctx, net, opt, false)
+func (e *Engine) ConstructRingShared(ctx context.Context, net *noc.Network, opt ring.Options) (*ring.Result, error) {
+	return e.constructRing(ctx, net, opt, false)
 }
 
-// cacheIsolation, when set, makes Step-1 construction bypass the
-// process-global ring cache, hint cache, singleflight and delegate
-// entirely. In-process multi-instance benchmarks flip it on so three
-// "independent daemons" sharing one process behave like the three
-// separate processes they model — without it, instance B would warm-hit
-// the rings instance A constructed, which no real deployment of
-// independent daemons ever does.
-var cacheIsolation atomic.Bool
+// ConstructRingShared is Engine.ConstructRingShared on the default engine.
+func ConstructRingShared(ctx context.Context, net *noc.Network, opt ring.Options) (*ring.Result, error) {
+	return defaultEngine.ConstructRingShared(ctx, net, opt)
+}
 
-// SetCacheIsolation toggles benchmark cache isolation (see
-// cacheIsolation). Production never sets this.
-func SetCacheIsolation(v bool) { cacheIsolation.Store(v) }
-
-func constructRingShared(ctx context.Context, net *noc.Network, opt ring.Options, delegate bool) (*ring.Result, error) {
-	if cacheIsolation.Load() {
-		return ring.ConstructCtx(ctx, net, opt)
-	}
+// constructRing is ring.Construct behind the cache, with singleflight
+// miss coalescing; delegate lets a leader consult the cluster delegate.
+// The solve is deterministic, so an adopted leader result is
+// bit-identical to a private solve. A leader that fails (cancellation,
+// solver budget) fills nothing; each waiter then retries on its own —
+// one request's deadline must not poison identical requests that still
+// have budget.
+func (e *Engine) constructRing(ctx context.Context, net *noc.Network, opt ring.Options, delegate bool) (*ring.Result, error) {
 	key := floorplanKey(net, opt)
 	for {
-		if r, ok := cacheLookup(key); ok {
+		if r, ok := e.cacheLookup(key); ok {
 			return r, nil
 		}
-		ringFlights.Lock()
-		ch, inFlight := ringFlights.m[key]
+		e.flightMu.Lock()
+		ch, inFlight := e.flights[key]
 		if !inFlight {
 			ch = make(chan struct{})
-			ringFlights.m[key] = ch
+			e.flights[key] = ch
 		}
-		ringFlights.Unlock()
+		e.flightMu.Unlock()
 		if inFlight {
 			mRingCacheCoalesced.Inc()
 			if ctx == nil {
@@ -228,25 +275,25 @@ func constructRingShared(ctx context.Context, net *noc.Network, opt ring.Options
 		// This goroutine is the leader. The cluster delegate (when
 		// installed) gets the first shot: the floorplan's owner shard
 		// solves once for the whole fleet, and the local singleflight
-		// above makes this process send at most one RPC per floorplan.
+		// above makes this engine send at most one RPC per floorplan.
 		var r *ring.Result
 		var err error
-		if d := loadRingDelegate(); delegate && d != nil {
-			if dr, ok := d(ctx, net, opt, key); ok {
+		if delegate && e.delegate != nil {
+			if dr, ok := e.delegate(ctx, net, opt, key); ok {
 				r = dr
 			}
 		}
 		if r == nil {
 			r, err = ring.ConstructCtx(ctx, net, opt)
 		}
-		ringFlights.Lock()
-		delete(ringFlights.m, key)
-		ringFlights.Unlock()
+		e.flightMu.Lock()
+		delete(e.flights, key)
+		e.flightMu.Unlock()
 		close(ch)
 		if err != nil {
 			return nil, err
 		}
-		return cacheInsert(key, r), nil
+		return e.cacheInsert(key, r), nil
 	}
 }
 
@@ -276,12 +323,12 @@ const (
 // Heuristic results are NOT inserted into the ring cache — a later
 // un-degraded request for the same floorplan must still get the exact
 // tour. With noFallback set the original error is returned instead.
-func constructRingResilient(ctx context.Context, net *noc.Network, opt ring.Options, noFallback bool) (*ring.Result, string, error) {
+func (e *Engine) constructRingResilient(ctx context.Context, net *noc.Network, opt ring.Options, noFallback bool) (*ring.Result, string, error) {
 	key := floorplanKey(net, opt)
 	// Retry amnesty: if a previous request for this floorplan degraded,
 	// its heuristic tour warm-starts this attempt at the exact solve.
 	if len(opt.IncumbentHint) == 0 {
-		if tour, ok := hintLookup(key); ok {
+		if tour, ok := e.hints.get(key); ok {
 			opt.IncumbentHint = tour
 			mHintUsed.Inc()
 		}
@@ -295,14 +342,14 @@ func constructRingResilient(ctx context.Context, net *noc.Network, opt ring.Opti
 		if herr != nil {
 			return nil, "", fmt.Errorf("core: heuristic fallback after %v: %w", err, herr)
 		}
-		hintStore(key, res.Tour)
+		e.hintStore(key, res.Tour)
 		return res, DegradedReasonBudget, nil
 	}
 	if !noFallback && ctx != nil {
 		if dl, ok := ctx.Deadline(); ok && time.Until(dl) < ringDeadlineSlack {
 			// Serve what the remaining budget can afford. A warm cache
 			// entry is still preferred: it is both exact and free.
-			if r, ok := cacheLookup(key); ok {
+			if r, ok := e.cacheLookup(key); ok {
 				return r, "", nil
 			}
 			mFallbackDeadline.Inc()
@@ -310,11 +357,11 @@ func constructRingResilient(ctx context.Context, net *noc.Network, opt ring.Opti
 			if herr != nil {
 				return nil, "", herr
 			}
-			hintStore(key, res.Tour)
+			e.hintStore(key, res.Tour)
 			return res, DegradedReasonDeadline, nil
 		}
 	}
-	res, err := constructRing(ctx, net, opt)
+	res, err := e.constructRing(ctx, net, opt, true)
 	if err == nil {
 		return res, "", nil
 	}
@@ -326,90 +373,28 @@ func constructRingResilient(ctx context.Context, net *noc.Network, opt ring.Opti
 	if herr != nil {
 		return nil, "", fmt.Errorf("core: heuristic fallback after %v: %w", err, herr)
 	}
-	hintStore(key, hres.Tour)
+	e.hintStore(key, hres.Tour)
 	return hres, DegradedReasonBudget, nil
 }
 
-// ResetRingCache empties the Step-1 result cache. Benchmarks call it
-// between timed passes so a warm cache cannot masquerade as a speedup.
-func ResetRingCache() {
-	ringCache.Lock()
-	ringCache.m = map[string]*list.Element{}
-	ringCache.lru = list.New()
-	mRingCacheSize.Set(0)
-	ringCache.Unlock()
-}
-
-// ---------------------------------------------------------------------
-// Warm-start hint cache
-// ---------------------------------------------------------------------
-
-// hintCacheCap bounds the warm-start hint cache. Hints are tiny (one
-// []int tour per degraded floorplan) but the set of floorplans that ever
-// degrade is also small, so a modest cap suffices.
-const hintCacheCap = 128
-
-// hintCache remembers the heuristic tour served for a floorplan whose
-// exact solve fell back (budget or deadline). A later exact attempt on
-// the same floorplan passes the tour as ring.Options.IncumbentHint: the
-// solver starts with a proven-feasible incumbent instead of an infinite
-// bound, which prunes harder and often turns a formerly budget-exhausted
-// solve into a completed one. Only fallback tours are stored — exact
-// results live in the ring cache and never need re-solving.
-var hintCache = struct {
-	sync.Mutex
-	m   map[string]*list.Element // value: *hintCacheEntry
-	lru *list.List
-}{m: map[string]*list.Element{}, lru: list.New()}
-
-type hintCacheEntry struct {
-	key  string
-	tour []int
-}
-
-func hintStore(key string, tour []int) {
-	if cacheIsolation.Load() {
-		return
-	}
+// hintStore records a fallback tour for key (copied: the caller's
+// design keeps its own).
+func (e *Engine) hintStore(key string, tour []int) {
 	if len(tour) == 0 {
 		return
 	}
-	cp := append([]int(nil), tour...)
-	hintCache.Lock()
-	if el, ok := hintCache.m[key]; ok {
-		el.Value.(*hintCacheEntry).tour = cp
-		hintCache.lru.MoveToFront(el)
-	} else {
-		for hintCache.lru.Len() >= hintCacheCap {
-			back := hintCache.lru.Back()
-			hintCache.lru.Remove(back)
-			delete(hintCache.m, back.Value.(*hintCacheEntry).key)
-		}
-		hintCache.m[key] = hintCache.lru.PushFront(&hintCacheEntry{key: key, tour: cp})
-	}
-	hintCache.Unlock()
+	e.hints.put(key, append([]int(nil), tour...), true)
 	mHintStored.Inc()
 }
 
-func hintLookup(key string) ([]int, bool) {
-	if cacheIsolation.Load() {
-		return nil, false
-	}
-	hintCache.Lock()
-	defer hintCache.Unlock()
-	el, ok := hintCache.m[key]
-	if !ok {
-		return nil, false
-	}
-	hintCache.lru.MoveToFront(el)
-	return el.Value.(*hintCacheEntry).tour, true
+// ResetRingCache empties the default engine's Step-1 result cache.
+// Benchmarks call it between timed passes so a warm cache cannot
+// masquerade as a speedup.
+func ResetRingCache() {
+	defaultEngine.rings.reset()
+	mRingCacheSize.Set(0)
 }
 
-// ResetHintCache empties the warm-start hint cache (tests and
-// benchmarks, alongside ResetRingCache).
-func ResetHintCache() {
-	hintCache.Lock()
-	hintCache.m = map[string]*list.Element{}
-	hintCache.lru = list.New()
-	hintCache.Unlock()
-}
+// ResetHintCache empties the default engine's warm-start hint cache
+// (benchmarks, alongside ResetRingCache).
+func ResetHintCache() { defaultEngine.hints.reset() }

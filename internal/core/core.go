@@ -124,23 +124,29 @@ type Result struct {
 	DegradedReason string
 }
 
-// Synthesize runs the full flow on a network. Step 1 results are
-// served from the floorplan-keyed ring cache when the same geometry
-// was synthesized before.
+// Synthesize runs the full flow on a network with the default engine.
+// Step 1 results are served from the floorplan-keyed ring cache when
+// the same geometry was synthesized before.
 func Synthesize(net *noc.Network, opt Options) (*Result, error) {
 	return SynthesizeCtx(context.Background(), net, opt)
 }
 
-// SynthesizeCtx is Synthesize under a context: trace spans nest beneath
-// the caller's span, and cancellation is honoured between the pipeline
-// stages and inside the analysis fan-outs.
+// SynthesizeCtx is Engine.SynthesizeCtx on the default engine.
 func SynthesizeCtx(ctx context.Context, net *noc.Network, opt Options) (*Result, error) {
+	return defaultEngine.SynthesizeCtx(ctx, net, opt)
+}
+
+// SynthesizeCtx runs the full flow on a network under a context: trace
+// spans nest beneath the caller's span, and cancellation is honoured
+// between the pipeline stages and inside the analysis fan-outs. Step 1
+// goes through the engine's ring cache.
+func (e *Engine) SynthesizeCtx(ctx context.Context, net *noc.Network, opt Options) (*Result, error) {
 	ctx, span := obs.Start(ctx, "core.synthesize",
 		obs.Int("nodes", net.N()), obs.Int("max_wl", opt.MaxWL),
 		obs.Bool("share", opt.ShareWavelengths), obs.Bool("pdn", opt.WithPDN))
 	defer span.End()
 	t0 := time.Now()
-	rres, degradedReason, err := constructRingResilient(ctx, net, ring.Options{
+	rres, degradedReason, err := e.constructRingResilient(ctx, net, ring.Options{
 		MaxNodes:         opt.RingMaxNodes,
 		DisableConflicts: opt.DisableConflicts,
 	}, opt.NoFallback)
@@ -486,12 +492,12 @@ func compareResults(objective Objective, a, b *Result) (better bool, decidedBy s
 	return !a.Opt.ShareWavelengths && b.Opt.ShareWavelengths, "policy"
 }
 
-// Sweep synthesizes the network once per (#wl, sharing-policy)
-// candidate and returns the best result under the objective, with ties
-// broken by lower laser power, then lower #wl, then the fresh
-// wavelength policy. Candidates may be nil, selecting 1..N; the list
-// is deduplicated and evaluated in canonical order, so shuffled or
-// repeated candidate lists select the same winner.
+// Sweep synthesizes the network on the default engine once per (#wl,
+// sharing-policy) candidate and returns the best result under the
+// objective, with ties broken by lower laser power, then lower #wl,
+// then the fresh wavelength policy. Candidates may be nil, selecting
+// 1..N; the list is deduplicated and evaluated in canonical order, so
+// shuffled or repeated candidate lists select the same winner.
 //
 // Candidates are dispatched to the shared worker pool and reduced
 // deterministically; Options.Serial keeps the sequential path, which
@@ -500,11 +506,16 @@ func Sweep(net *noc.Network, opt Options, objective Objective, candidates []int)
 	return SweepCtx(context.Background(), net, opt, objective, candidates)
 }
 
-// SweepCtx is Sweep under a context. Cancellation stops the sweep
-// between candidates (no new candidate starts once ctx is done; the
-// context error is returned) and propagates into each candidate's
-// analysis fan-outs.
+// SweepCtx is Engine.SweepCtx on the default engine.
 func SweepCtx(ctx context.Context, net *noc.Network, opt Options, objective Objective, candidates []int) (*Result, int, error) {
+	return defaultEngine.SweepCtx(ctx, net, opt, objective, candidates)
+}
+
+// SweepCtx is Sweep under a context on this engine. Cancellation stops
+// the sweep between candidates (no new candidate starts once ctx is
+// done; the context error is returned) and propagates into each
+// candidate's analysis fan-outs.
+func (e *Engine) SweepCtx(ctx context.Context, net *noc.Network, opt Options, objective Objective, candidates []int) (*Result, int, error) {
 	cands := sweepCandidates(net, candidates)
 	if len(cands) == 0 {
 		return nil, 0, fmt.Errorf("core: empty #wl candidate list")
@@ -512,7 +523,7 @@ func SweepCtx(ctx context.Context, net *noc.Network, opt Options, objective Obje
 	ctx, span := obs.Start(ctx, "core.sweep",
 		obs.String("objective", objective.String()), obs.Int("candidates", len(cands)))
 	defer span.End()
-	rres, degradedReason, err := constructRingResilient(ctx, net, ring.Options{
+	rres, degradedReason, err := e.constructRingResilient(ctx, net, ring.Options{
 		MaxNodes:         opt.RingMaxNodes,
 		DisableConflicts: opt.DisableConflicts,
 	}, opt.NoFallback)

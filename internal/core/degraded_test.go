@@ -57,14 +57,13 @@ func TestSynthesizeFallsBackOnBudget(t *testing.T) {
 // back un-degraded AND report the warm start — the degraded rate across
 // the two runs drops from 1/1 to 1/2.
 func TestDegradedRetryWarmStarts(t *testing.T) {
-	ResetRingCache()
-	ResetHintCache()
+	e := NewEngine(nil)
 	net := noc.Floorplan8()
 	in := resilience.NewInjector(1,
 		resilience.Rule{Point: "core.ring", Err: milp.ErrBudget, Times: 1})
 	ctx := resilience.WithInjector(context.Background(), in)
 
-	first, err := SynthesizeCtx(ctx, net, Options{MaxWL: 7})
+	first, err := e.SynthesizeCtx(ctx, net, Options{MaxWL: 7})
 	if err != nil {
 		t.Fatalf("first (degraded) synthesis failed: %v", err)
 	}
@@ -77,7 +76,7 @@ func TestDegradedRetryWarmStarts(t *testing.T) {
 
 	// Same injector context, but the rule is spent (Times: 1): the exact
 	// solver runs this time, seeded with the stored heuristic tour.
-	second, err := SynthesizeCtx(ctx, net, Options{MaxWL: 7})
+	second, err := e.SynthesizeCtx(ctx, net, Options{MaxWL: 7})
 	if err != nil {
 		t.Fatalf("retry failed: %v", err)
 	}
@@ -104,11 +103,12 @@ func TestNoFallbackSurfacesBudgetError(t *testing.T) {
 }
 
 func TestSynthesizeFallsBackNearDeadline(t *testing.T) {
-	ResetRingCache() // a warm exact entry would (correctly) dodge the fallback
+	// A fresh engine: a warm exact entry would (correctly) dodge the fallback.
+	e := NewEngine(nil)
 	net := noc.Floorplan8()
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	res, err := SynthesizeCtx(ctx, net, Options{MaxWL: 7})
+	res, err := e.SynthesizeCtx(ctx, net, Options{MaxWL: 7})
 	if err != nil {
 		t.Fatalf("near-deadline synthesis failed: %v", err)
 	}

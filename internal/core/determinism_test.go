@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -39,15 +40,13 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	for name, net := range nets {
 		for _, objective := range []Objective{MinWorstIL, MinPower, MaxSNR} {
 			parallel.SetWorkers(1)
-			ResetRingCache()
-			serial, wlS, err := Sweep(net, Options{WithPDN: true, Serial: true}, objective, nil)
+			serial, wlS, err := NewEngine(nil).SweepCtx(context.Background(), net, Options{WithPDN: true, Serial: true}, objective, nil)
 			if err != nil {
 				t.Fatalf("%s/%v serial: %v", name, objective, err)
 			}
 			for _, workers := range []int{2, 8} {
 				parallel.SetWorkers(workers)
-				ResetRingCache()
-				par, wlP, err := Sweep(net, Options{WithPDN: true}, objective, nil)
+				par, wlP, err := NewEngine(nil).SweepCtx(context.Background(), net, Options{WithPDN: true}, objective, nil)
 				if err != nil {
 					t.Fatalf("%s/%v parallel(%d): %v", name, objective, workers, err)
 				}
@@ -128,13 +127,13 @@ func TestSweepTieBreakPrefersLowerPower(t *testing.T) {
 // TestRingCacheHit checks that a second synthesis of the same floorplan
 // reuses the Step-1 result (pointer identity of the cached ring).
 func TestRingCacheHit(t *testing.T) {
-	ResetRingCache()
+	e := NewEngine(nil)
 	net := noc.Floorplan8()
-	a, err := Synthesize(net, Options{MaxWL: 8})
+	a, err := e.SynthesizeCtx(context.Background(), net, Options{MaxWL: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Synthesize(net, Options{MaxWL: 4})
+	b, err := e.SynthesizeCtx(context.Background(), net, Options{MaxWL: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,29 +111,28 @@ func TestSynthesizeCancelledContext(t *testing.T) {
 // LRU front, changing which entry the next insert evicts.
 func TestRingCacheLRUTouch(t *testing.T) {
 	withMetrics(t)
-	ResetRingCache()
-	t.Cleanup(ResetRingCache)
+	e := NewEngine(nil)
 	key := func(i int) string { return fmt.Sprintf("lru-test-%04d", i) }
 	res := &ring.Result{}
 
 	for i := 0; i < ringCacheCap; i++ {
-		cacheInsert(key(i), res)
+		e.cacheInsert(key(i), res)
 	}
 	hits0, misses0, evicts0 := mRingCacheHits.Value(), mRingCacheMisses.Value(), mRingCacheEvicts.Value()
 
 	// key(0) is at the LRU back; a hit must move it to the front...
-	if _, ok := cacheLookup(key(0)); !ok {
+	if _, ok := e.cacheLookup(key(0)); !ok {
 		t.Fatal("key 0 missing from a full cache")
 	}
 	// ...so the insert at the cap evicts key(1), the new LRU victim.
-	cacheInsert(key(ringCacheCap), res)
-	if _, ok := cacheLookup(key(0)); !ok {
+	e.cacheInsert(key(ringCacheCap), res)
+	if _, ok := e.cacheLookup(key(0)); !ok {
 		t.Fatal("touched entry was evicted: hit did not refresh LRU position")
 	}
-	if _, ok := cacheLookup(key(1)); ok {
+	if _, ok := e.cacheLookup(key(1)); ok {
 		t.Fatal("untouched LRU victim survived the eviction")
 	}
-	if _, ok := cacheLookup(key(ringCacheCap)); !ok {
+	if _, ok := e.cacheLookup(key(ringCacheCap)); !ok {
 		t.Fatal("entry inserted at the cap is missing")
 	}
 
@@ -168,9 +167,8 @@ func benchmarkSynthesize16(b *testing.B, trace, metrics bool) {
 	net := noc.Floorplan16()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ResetRingCache()
 		obs.ResetTrace()
-		if _, err := Synthesize(net, Options{MaxWL: 16, WithPDN: true}); err != nil {
+		if _, err := NewEngine(nil).SynthesizeCtx(context.Background(), net, Options{MaxWL: 16, WithPDN: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -192,8 +190,7 @@ func TestTelemetryDoesNotAlterResults(t *testing.T) {
 	})
 	net := noc.Floorplan8()
 	run := func() *Result {
-		ResetRingCache()
-		res, _, err := Sweep(net, Options{WithPDN: true}, MinPower, []int{2, 4, 6, 8})
+		res, _, err := NewEngine(nil).SweepCtx(context.Background(), net, Options{WithPDN: true}, MinPower, []int{2, 4, 6, 8})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,7 @@ package core
 // Ring-cache singleflight tests: concurrent misses on one floorplan
 // key collapse to a single Step-1 solve (the exploration grid's
 // cross-cell sharing), a failed leader does not poison its waiters,
-// and waiter cancellation is honored.
+// and waiter cancellation is honored. Each test runs on a fresh engine.
 
 import (
 	"context"
@@ -17,7 +17,7 @@ import (
 )
 
 func TestConstructRingCoalescesConcurrentMisses(t *testing.T) {
-	ResetRingCache()
+	e := NewEngine(nil)
 	net := noc.Irregular(8, 12, 12, 2.0, 11)
 	before := mRingCacheMisses.Value()
 
@@ -28,7 +28,7 @@ func TestConstructRingCoalescesConcurrentMisses(t *testing.T) {
 	for i := 0; i < callers; i++ {
 		go func(i int) {
 			defer wg.Done()
-			r, err := constructRing(context.Background(), net, ring.Options{})
+			r, err := e.constructRing(context.Background(), net, ring.Options{}, true)
 			if err != nil {
 				t.Errorf("caller %d: %v", i, err)
 				return
@@ -47,15 +47,14 @@ func TestConstructRingCoalescesConcurrentMisses(t *testing.T) {
 	// the cache the leader filled; only the leader's lookup plus any
 	// pre-flight-registration races count as misses, and after the
 	// leader lands there can be no further ones.
-	if after, err := constructRing(context.Background(), net, ring.Options{}); err != nil || after != results[0] {
+	if after, err := e.constructRing(context.Background(), net, ring.Options{}, true); err != nil || after != results[0] {
 		t.Fatalf("post-flight lookup: %v (shared=%v)", err, after == results[0])
 	}
 	t.Logf("misses during coalesced burst: %d", mRingCacheMisses.Value()-before)
 }
 
 func TestConstructRingLeaderFailureDoesNotPoisonWaiters(t *testing.T) {
-	ResetRingCache()
-	ResetHintCache()
+	e := NewEngine(nil)
 	net := noc.Irregular(8, 12, 12, 2.0, 13)
 
 	// One caller runs with an already-cancelled context: if it leads, its
@@ -76,7 +75,7 @@ func TestConstructRingLeaderFailureDoesNotPoisonWaiters(t *testing.T) {
 		}
 		go func(ctx context.Context) {
 			defer wg.Done()
-			if _, err := constructRing(ctx, net, ring.Options{}); err != nil {
+			if _, err := e.constructRing(ctx, net, ring.Options{}, true); err != nil {
 				failures.Add(1)
 			}
 		}(ctx)
@@ -87,32 +86,32 @@ func TestConstructRingLeaderFailureDoesNotPoisonWaiters(t *testing.T) {
 	if n := failures.Load(); n > 1 {
 		t.Errorf("%d callers failed, want at most the cancelled one", n)
 	}
-	if _, err := constructRing(context.Background(), net, ring.Options{}); err != nil {
+	if _, err := e.constructRing(context.Background(), net, ring.Options{}, true); err != nil {
 		t.Errorf("post-failure solve: %v", err)
 	}
 }
 
 func TestConstructRingWaiterHonorsCancellation(t *testing.T) {
-	ResetRingCache()
+	e := NewEngine(nil)
 	net := noc.Floorplan8()
 	key := floorplanKey(net, ring.Options{})
 
 	// Occupy the flight slot so the caller becomes a waiter, then cancel it.
-	ringFlights.Lock()
+	e.flightMu.Lock()
 	ch := make(chan struct{})
-	ringFlights.m[key] = ch
-	ringFlights.Unlock()
+	e.flights[key] = ch
+	e.flightMu.Unlock()
 	defer func() {
-		ringFlights.Lock()
-		delete(ringFlights.m, key)
-		ringFlights.Unlock()
+		e.flightMu.Lock()
+		delete(e.flights, key)
+		e.flightMu.Unlock()
 		close(ch)
 	}()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := constructRing(ctx, net, ring.Options{})
+		_, err := e.constructRing(ctx, net, ring.Options{}, true)
 		done <- err
 	}()
 	cancel()

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"xring/internal/core"
 	"xring/internal/geom"
 	"xring/internal/noc"
 	"xring/internal/ring"
@@ -153,15 +152,11 @@ type ConstructResponse struct {
 	Result *ring.Result `json:"result"`
 }
 
-// maxConstructNodes bounds a construct RPC's floorplan size; the
-// largest floorplan any synthesize request can produce is far smaller.
-const maxConstructNodes = 1024
-
 // handleClusterConstruct solves one ring construction on behalf of the
 // fleet: every shard forwards misses for floorplans this shard owns, so
-// the process-wide ring cache plus singleflight here turn N concurrent
-// cluster-wide misses into one solve. It answers 503 while draining
-// (peers fall back to their local solver).
+// the server engine's ring cache plus singleflight here turn N
+// concurrent cluster-wide misses into one solve. It answers 503 while
+// draining (peers fall back to their local solver).
 func (s *Server) handleClusterConstruct(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.rejectDraining(w, "")
@@ -173,9 +168,9 @@ func (s *Server) handleClusterConstruct(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding construct request: %w", err))
 		return
 	}
-	if len(req.Nodes) < 3 || len(req.Nodes) > maxConstructNodes {
+	if len(req.Nodes) < 3 || len(req.Nodes) > maxRequestNodes {
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("construct needs 3..%d nodes, got %d", maxConstructNodes, len(req.Nodes)))
+			fmt.Errorf("construct needs 3..%d nodes, got %d", maxRequestNodes, len(req.Nodes)))
 		return
 	}
 	net := &noc.Network{DieW: req.DieW, DieH: req.DieH}
@@ -190,7 +185,7 @@ func (s *Server) handleClusterConstruct(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	res, err := core.ConstructRingShared(r.Context(), net,
+	res, err := s.engine.ConstructRingShared(r.Context(), net,
 		ring.Options{MaxNodes: req.MaxNodes, DisableConflicts: req.DisableConflicts})
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)

@@ -182,6 +182,13 @@ func (r *Request) resolve() (*resolved, error) {
 	return out, nil
 }
 
+// maxRequestNodes bounds the floorplan size of every request, checked
+// before any node is built: validation is O(N^2) and a Step-1 solve's
+// conflict scan O(N^4), so the 8 MiB body limit alone would admit
+// floorplans no worker could finish. It is twice the paper's largest
+// floorplan (32 nodes).
+const maxRequestNodes = 64
+
 // toNetwork builds the validated floorplan. Nodes are sorted by ID, so
 // listing order never matters.
 func (ns *NetworkSpec) toNetwork() (*noc.Network, error) {
@@ -193,6 +200,9 @@ func (ns *NetworkSpec) toNetwork() (*noc.Network, error) {
 	}
 	if len(ns.Nodes) == 0 {
 		return nil, fmt.Errorf("network: no nodes (set standard or nodes)")
+	}
+	if len(ns.Nodes) > maxRequestNodes {
+		return nil, fmt.Errorf("network: %d nodes exceeds the limit of %d", len(ns.Nodes), maxRequestNodes)
 	}
 	net := &noc.Network{DieW: ns.DieW, DieH: ns.DieH}
 	for i, n := range ns.Nodes {

@@ -71,8 +71,6 @@ func TestDegradedSynthesisOverHTTP(t *testing.T) {
 // from the stored heuristic tour, the summary carries warmStart, and
 // /v1/stats counts it under warmStartUsed.
 func TestWarmStartSurfacedOverHTTP(t *testing.T) {
-	core.ResetRingCache()
-	core.ResetHintCache()
 	inj := resilience.NewInjector(1,
 		resilience.Rule{Point: "core.ring", Err: milp.ErrBudget, Times: 1})
 	s, ts := newTestServer(t, Config{Workers: 1, Injector: inj})
@@ -171,11 +169,12 @@ func TestNoFallbackOverHTTP(t *testing.T) {
 
 func TestJobPanicIsolated(t *testing.T) {
 	var calls atomic.Int64
+	solve := engineSynth(core.NewEngine(nil))
 	boom := func(ctx context.Context, r *resolved) (*core.Result, error) {
 		if calls.Add(1) == 1 {
 			panic("synthesis exploded")
 		}
-		return engineSynth(ctx, r)
+		return solve(ctx, r)
 	}
 	s, ts := newTestServer(t, Config{Workers: 1, Synth: boom})
 
@@ -255,13 +254,14 @@ func TestCacheEvictionRacesSingleflight(t *testing.T) {
 		// quadRequest(v) sets node 3 x = 2.5 + 0.25*(v+1).
 		return int((r.net.Nodes[3].Pos.X-2.5)/0.25) - 1
 	}
+	solve := engineSynth(core.NewEngine(nil))
 	guarded := func(ctx context.Context, r *resolved) (*core.Result, error) {
 		v := variantOf(r)
 		if inflight[v].Add(1) > 1 {
 			t.Errorf("variant %d: two concurrent engine runs for one key (singleflight broken)", v)
 		}
 		defer inflight[v].Add(-1)
-		return engineSynth(ctx, r)
+		return solve(ctx, r)
 	}
 	_, ts := newTestServer(t, Config{QueueDepth: 64, Workers: 4, CacheEntries: 2, Synth: guarded})
 

@@ -45,10 +45,12 @@ type gate struct {
 	started chan string // one content-free token per synth entry
 	release chan struct{}
 	calls   atomic.Int64
+	solve   SynthFunc
 }
 
 func newGate() *gate {
-	return &gate{started: make(chan string, 64), release: make(chan struct{})}
+	return &gate{started: make(chan string, 64), release: make(chan struct{}),
+		solve: engineSynth(core.NewEngine(nil))}
 }
 
 func (g *gate) synth(ctx context.Context, r *resolved) (*core.Result, error) {
@@ -59,7 +61,7 @@ func (g *gate) synth(ctx context.Context, r *resolved) (*core.Result, error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	return engineSynth(ctx, r)
+	return g.solve(ctx, r)
 }
 
 func (g *gate) open() { close(g.release) }
@@ -129,6 +131,54 @@ func TestSynthesizeRejectsBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
 		}
+	}
+}
+
+// TestSynthesizeBoundsFloorplanSize: a floorplan past 64 nodes is a 400
+// that names the bound, and it never reaches the engine; the construct
+// RPC enforces the same bound.
+func TestSynthesizeBoundsFloorplanSize(t *testing.T) {
+	var calls atomic.Int64
+	stub := func(context.Context, *resolved) (*core.Result, error) {
+		calls.Add(1)
+		return nil, fmt.Errorf("stub engine")
+	}
+	_, ts := newTestServer(t, Config{Workers: 1, Synth: stub})
+	row := func(n int) []NodeSpec {
+		nodes := make([]NodeSpec, n)
+		for i := range nodes {
+			nodes[i].X = 2.5 * float64(i)
+		}
+		return nodes
+	}
+
+	resp, data := postSynth(t, ts.URL, &Request{Network: NetworkSpec{Nodes: row(65)}})
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(data, []byte("limit of 64")) {
+		t.Errorf("65 nodes: status %d, body %s; want 400 naming the 64-node limit", resp.StatusCode, data)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("65-node request reached the engine %d times", n)
+	}
+
+	resp, data = postSynth(t, ts.URL, &Request{Network: NetworkSpec{Nodes: row(64)}})
+	if resp.StatusCode == http.StatusBadRequest {
+		t.Errorf("64 nodes rejected: %s", data)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("64-node request reached the engine %d times, want 1", n)
+	}
+
+	body, err := json.Marshal(&ConstructRequest{DieW: 200, DieH: 1, Nodes: row(65)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cresp, err := http.Post(ts.URL+"/v1/cluster/construct", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cresp.Body.Close()
+	if cresp.StatusCode != http.StatusBadRequest {
+		t.Errorf("65-node construct: status %d, want 400", cresp.StatusCode)
 	}
 }
 

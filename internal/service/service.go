@@ -65,9 +65,9 @@ func init() {
 		"service.cache.read", "service.cache.write")
 }
 
-// SynthFunc runs one resolved request. The default is the engine
-// (core.SynthesizeCtx / core.SweepCtx); tests substitute stubs to
-// control timing without paying for real synthesis.
+// SynthFunc runs one resolved request. The default runs it on the
+// server's core.Engine; tests substitute stubs to control timing
+// without paying for real synthesis.
 type SynthFunc func(ctx context.Context, r *resolved) (*core.Result, error)
 
 // Config sizes the server. Zero values select the defaults.
@@ -129,6 +129,10 @@ type Config struct {
 	// versions — so a peer can never inject an entry recovery would have
 	// discarded. Any error or missing entry just means "solve locally".
 	PeerFetch func(ctx context.Context, key string) ([]byte, error)
+	// RingDelegate, when set, is the server engine's cluster delegate:
+	// a Step-1 ring-cache miss may be solved by the floorplan's owner
+	// shard instead (see core.RingDelegateFunc).
+	RingDelegate core.RingDelegateFunc
 	// ClusterInfo, when set, is served verbatim at GET /v1/cluster —
 	// the shard's view of cluster membership, key ownership and peer
 	// health. Unset, the endpoint answers 404 (not clustered).
@@ -148,9 +152,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries < 0 {
 		c.CacheEntries = 0
 	}
-	if c.Synth == nil {
-		c.Synth = engineSynth
-	}
 	if c.PersistEntries <= 0 {
 		c.PersistEntries = 1024
 	}
@@ -160,13 +161,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// engineSynth is the production SynthFunc.
-func engineSynth(ctx context.Context, r *resolved) (*core.Result, error) {
-	if r.sweep {
-		res, _, err := core.SweepCtx(ctx, r.net, r.opt, r.objective, r.cands)
-		return res, err
+// engineSynth is the production SynthFunc: it runs requests on e.
+func engineSynth(e *core.Engine) SynthFunc {
+	return func(ctx context.Context, r *resolved) (*core.Result, error) {
+		if r.sweep {
+			res, _, err := e.SweepCtx(ctx, r.net, r.opt, r.objective, r.cands)
+			return res, err
+		}
+		return e.SynthesizeCtx(ctx, r.net, r.opt)
 	}
-	return core.SynthesizeCtx(ctx, r.net, r.opt)
 }
 
 // Server is the synthesis service: admission queue, workers, result
@@ -185,6 +188,7 @@ type Server struct {
 	explores *registry[*exploration]
 	whatifs  *registry[*whatifRun]
 
+	engine   *core.Engine // this server's Step-1 caches
 	cache    *resultCache
 	persist  *persistStore // nil unless Config.PersistDir is set
 	inj      *resilience.Injector
@@ -217,10 +221,14 @@ func New(cfg Config) (*Server, error) {
 		jobs:      newRegistry[*job]("/v1/jobs/", "job", jobRetention),
 		explores:  newRegistry[*exploration]("/v1/explore/", "exploration", exploreRetention),
 		whatifs:   newRegistry[*whatifRun]("/v1/whatif/", "whatif", whatifRetention),
+		engine:    core.NewEngine(cfg.RingDelegate),
 		cache:     newResultCache(cfg.CacheEntries),
 		inj:       inj,
 		flight:    obs.NewFlightRecorder(cfg.FlightRecords),
 		startedAt: time.Now(),
+	}
+	if s.cfg.Synth == nil {
+		s.cfg.Synth = engineSynth(s.engine)
 	}
 	if cfg.PersistDir != "" {
 		store, entries, err := newPersistStore(cfg.PersistDir, cfg.PersistEntries, inj, &s.st)
