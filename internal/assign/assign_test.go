@@ -162,23 +162,227 @@ func TestSolveMatchesBruteForceRandom(t *testing.T) {
 	}
 }
 
-func TestLowerBound(t *testing.T) {
-	cost := [][]float64{{1, 9}, {9, 1}}
-	if lb := LowerBound(cost); lb != 2 {
-		t.Fatalf("LowerBound = %v, want 2", lb)
+// refSolve is the Hungarian algorithm as it stood before it was split
+// into resumable phases: one self-contained O(n³) loop on a [][]float64
+// matrix. Solve must reproduce it bit for bit.
+func refSolve(cost [][]float64) (rowToCol []int, total float64, err error) {
+	n := len(cost)
+	inf := math.Inf(1)
+	u := make([]float64, n+1)
+	v := make([]float64, n+1)
+	p := make([]int, n+1)
+	way := make([]int, n+1)
+	at := func(i, j int) float64 {
+		c := cost[i-1][j-1]
+		if c == Forbidden {
+			return inf
+		}
+		return c
 	}
-	bad := [][]float64{{Forbidden, Forbidden}, {Forbidden, Forbidden}}
-	if lb := LowerBound(bad); !math.IsInf(lb, 1) {
-		t.Fatalf("LowerBound infeasible = %v, want +Inf", lb)
+	for i := 1; i <= n; i++ {
+		p[0] = i
+		j0 := 0
+		minv := make([]float64, n+1)
+		used := make([]bool, n+1)
+		for j := range minv {
+			minv[j] = inf
+		}
+		for {
+			used[j0] = true
+			i0 := p[j0]
+			delta := inf
+			j1 := -1
+			for j := 1; j <= n; j++ {
+				if used[j] {
+					continue
+				}
+				cur := at(i0, j) - u[i0] - v[j]
+				if cur < minv[j] {
+					minv[j] = cur
+					way[j] = j0
+				}
+				if minv[j] < delta {
+					delta = minv[j]
+					j1 = j
+				}
+			}
+			if j1 < 0 || math.IsInf(delta, 1) {
+				return nil, 0, ErrInfeasible
+			}
+			for j := 0; j <= n; j++ {
+				if used[j] {
+					u[p[j]] += delta
+					v[j] -= delta
+				} else {
+					minv[j] -= delta
+				}
+			}
+			j0 = j1
+			if p[j0] == 0 {
+				break
+			}
+		}
+		for j0 != 0 {
+			j1 := way[j0]
+			p[j0] = p[j1]
+			j0 = j1
+		}
+	}
+	rowToCol = make([]int, n)
+	for j := 1; j <= n; j++ {
+		if p[j] == 0 {
+			return nil, 0, ErrInfeasible
+		}
+		rowToCol[p[j]-1] = j - 1
+	}
+	for i := 0; i < n; i++ {
+		c := cost[i][rowToCol[i]]
+		if c == Forbidden {
+			return nil, 0, ErrInfeasible
+		}
+		total += c
+	}
+	return rowToCol, total, nil
+}
+
+// manhattanMatrix is a successor-matrix cost on random lattice points:
+// symmetric, forbidden diagonal and full of ties, like Step 1's.
+func manhattanMatrix(rng *rand.Rand, n int) [][]float64 {
+	xs, ys := make([]float64, n), make([]float64, n)
+	for i := range xs {
+		xs[i], ys[i] = float64(rng.Intn(12))*0.5, float64(rng.Intn(12))*0.5
+	}
+	cost := make([][]float64, n)
+	for i := range cost {
+		cost[i] = make([]float64, n)
+		for j := range cost[i] {
+			if i == j {
+				cost[i][j] = Forbidden
+			} else {
+				cost[i][j] = math.Abs(xs[i]-xs[j]) + math.Abs(ys[i]-ys[j])
+			}
+		}
+	}
+	return cost
+}
+
+func flatten(cost [][]float64) []float64 {
+	var out []float64
+	for _, row := range cost {
+		out = append(out, row...)
+	}
+	return out
+}
+
+func sameSolve(t *testing.T, what string, rc []int, total float64, err error, wrc []int, wtotal float64, werr error) {
+	t.Helper()
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("%s: err %v, want %v", what, err, werr)
+	}
+	if err != nil {
+		return
+	}
+	if math.Float64bits(total) != math.Float64bits(wtotal) {
+		t.Fatalf("%s: total %v, want %v", what, total, wtotal)
+	}
+	for i := range wrc {
+		if rc[i] != wrc[i] {
+			t.Fatalf("%s: rowToCol %v, want %v", what, rc, wrc)
+		}
 	}
 }
 
-func TestClone(t *testing.T) {
-	orig := [][]float64{{1, 2}, {3, 4}}
-	cp := Clone(orig)
-	cp[0][0] = 99
-	if orig[0][0] != 1 {
-		t.Fatal("Clone did not deep-copy")
+// TestSolveMatchesReference pins the phase-split Solve to the original
+// single-loop algorithm on tie-heavy and random matrices.
+func TestSolveMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(14)
+		cost := manhattanMatrix(rng, n)
+		for k := 0; k < rng.Intn(n*n/3+1); k++ {
+			cost[rng.Intn(n)][rng.Intn(n)] = Forbidden
+		}
+		rc, total, err := Solve(cost)
+		wrc, wtotal, werr := refSolve(cost)
+		sameSolve(t, "Solve", rc, total, err, wrc, wtotal, werr)
+	}
+}
+
+// TestSolverResumeAndBound runs a branch-and-bound-like walk: a parent
+// matrix is solved, then random cells (some of them in the parent's
+// assignment) are banned. Resuming the parent's run at the smallest
+// banned row must equal a from-scratch Solve bit for bit, and Bound
+// must agree with Solve on feasibility and, within 1e-9, on the value.
+func TestSolverResumeAndBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	infeasibleSeen := 0
+	for trial := 0; trial < 400; trial++ {
+		n := 3 + rng.Intn(14)
+		cost := manhattanMatrix(rng, n)
+		flat := flatten(cost)
+		parent := NewSolver(n)
+		if !parent.Run(flat, 0) {
+			continue
+		}
+		prc, _, err := parent.Assignment(flat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		child := NewSolver(n)
+		for step := 0; step < 4; step++ {
+			var banned []int
+			for k := 0; k < 1+rng.Intn(2*n); k++ {
+				i := rng.Intn(n)
+				j := rng.Intn(n)
+				if rng.Intn(2) == 0 {
+					j = prc[i] // hit the parent's assignment
+				}
+				if flat[i*n+j] != Forbidden {
+					banned = append(banned, i*n+j)
+				}
+			}
+			if len(banned) == 0 {
+				continue
+			}
+			saved := make([]float64, len(banned))
+			r := n
+			for k, c := range banned {
+				saved[k] = flat[c]
+				flat[c] = Forbidden
+				cost[c/n][c%n] = Forbidden
+				r = min(r, c/n)
+			}
+			wrc, wtotal, werr := refSolve(cost)
+			value, ok := child.Bound(parent, flat, banned)
+			if !ok {
+				infeasibleSeen++
+			}
+			if ok != (werr == nil) {
+				t.Fatalf("trial %d: Bound feasible=%v, Solve err %v", trial, ok, werr)
+			}
+			if ok && math.Abs(value-wtotal) > 1e-9 {
+				t.Fatalf("trial %d: Bound %v, Solve %v", trial, value, wtotal)
+			}
+			// Resume at r, or at any earlier phase: both replay Solve.
+			for _, from := range []int{r, rng.Intn(r + 1)} {
+				child.Resume(parent, from)
+				var rc []int
+				var total float64
+				err := ErrInfeasible
+				if child.Run(flat, from) {
+					rc, total, err = child.Assignment(flat)
+				}
+				sameSolve(t, "resumed", rc, total, err, wrc, wtotal, werr)
+			}
+			for k := len(banned) - 1; k >= 0; k-- { // undo in reverse: a cell may repeat
+				c := banned[k]
+				flat[c] = saved[k]
+				cost[c/n][c%n] = saved[k]
+			}
+		}
+	}
+	if infeasibleSeen == 0 {
+		t.Fatal("no banned matrix was infeasible: the walk does not cover that case")
 	}
 }
 

@@ -5,8 +5,10 @@ import (
 	"testing"
 )
 
-// refEdgesConflict is the pre-bounding-box reference implementation of
-// the conflict test, kept here to pin the pruned fast path to it.
+// refEdgesConflict is the polyline reference of the conflict test: the
+// four LPath option pairs through PathsCross, with no bounding-box
+// rejection. It pins the allocation-free EdgesConflict to the plain
+// definition.
 func refEdgesConflict(a1, b1, a2, b2 Point) bool {
 	if a1.Eq(a2) || a1.Eq(b2) || b1.Eq(a2) || b1.Eq(b2) {
 		return false

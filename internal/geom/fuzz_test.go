@@ -67,3 +67,45 @@ func FuzzLShape(f *testing.F) {
 		}
 	})
 }
+
+// FuzzEdgesConflict pins the allocation-free conflict test to the
+// polyline reference (four LPath pairs through PathsCross). The seed
+// corpus in testdata/fuzz/FuzzEdgesConflict holds collinear,
+// shared-endpoint and T-junction cases; inputs are snapped to a 0.5 mm
+// lattice half the time so such coincidences keep occurring.
+func FuzzEdgesConflict(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ax, ay, bx, by, cx, cy, dx, dy float64, snap bool) {
+		c := func(v float64) float64 {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return 0
+			}
+			v = math.Mod(v, 100)
+			if snap {
+				v = math.Round(v*2) / 2
+			}
+			return v
+		}
+		a1, b1 := Point{c(ax), c(ay)}, Point{c(bx), c(by)}
+		a2, b2 := Point{c(cx), c(cy)}, Point{c(dx), c(dy)}
+		if got, want := EdgesConflict(a1, b1, a2, b2), refEdgesConflict(a1, b1, a2, b2); got != want {
+			t.Fatalf("EdgesConflict(%v,%v,%v,%v) = %v, reference = %v", a1, b1, a2, b2, got, want)
+		}
+	})
+}
+
+// TestEdgesConflictAllocFree guards the Step-1 scan against allocation:
+// the conflict test must build no polyline or segment slice, on
+// separated, touching and overlapping edge pairs alike.
+func TestEdgesConflictAllocFree(t *testing.T) {
+	cases := [][4]Point{
+		{{0, 0}, {4, 3}, {10, 10}, {12, 14}}, // separated boxes
+		{{0, 0}, {4, 0}, {2, 0}, {6, 0}},     // collinear overlap
+		{{0, 0}, {4, 4}, {0, 4}, {4, 0}},     // crossing diagonals
+		{{0, 1}, {4, 1}, {2, 1}, {2, 5}},     // T-junction
+	}
+	for _, c := range cases {
+		if n := testing.AllocsPerRun(100, func() { EdgesConflict(c[0], c[1], c[2], c[3]) }); n != 0 {
+			t.Fatalf("EdgesConflict%v allocates %v times per call", c, n)
+		}
+	}
+}

@@ -260,14 +260,18 @@ type Polyline []Point
 // Segments returns the constituent segments of the polyline.
 // Degenerate (zero-length) segments are skipped.
 func (p Polyline) Segments() []Segment {
-	segs := make([]Segment, 0, len(p)-1)
+	return p.appendSegments(make([]Segment, 0, len(p)-1))
+}
+
+// appendSegments appends the polyline's non-degenerate segments to dst.
+func (p Polyline) appendSegments(dst []Segment) []Segment {
 	for i := 0; i+1 < len(p); i++ {
 		s := Segment{p[i], p[i+1]}
 		if !s.Degenerate() {
-			segs = append(segs, s)
+			dst = append(dst, s)
 		}
 	}
-	return segs
+	return dst
 }
 
 // Length returns the total length of the polyline.
@@ -301,7 +305,9 @@ func (p Polyline) Bends() int {
 // intersections that occur exactly at a shared terminal point of both
 // paths (paths meeting at a common node are joints, not crossings).
 func PathsCross(p, q Polyline) bool {
-	ps, qs := p.Segments(), q.Segments()
+	// L-shaped routes have at most two segments: keep them on the stack.
+	var pbuf, qbuf [4]Segment
+	ps, qs := p.appendSegments(pbuf[:0]), q.appendSegments(qbuf[:0])
 	for _, s := range ps {
 		for _, t := range qs {
 			if !Crosses(s, t) {
@@ -350,27 +356,81 @@ func isTerminal(p Polyline, pt Point) bool {
 // Edges that share an endpoint never conflict: the shared node is a
 // joint on the ring, and the non-shared legs can always be locally
 // spaced apart in a physical design.
+//
+// The test is PathsCross on the four LPath pairs, computed on fixed
+// segment arrays so that it allocates nothing: Step 1 runs it on every
+// pair of candidate edges.
 func EdgesConflict(a1, b1, a2, b2 Point) bool {
 	if a1.Eq(a2) || a1.Eq(b2) || b1.Eq(a2) || b1.Eq(b2) {
 		return false
 	}
 	// Both L-shaped options of an edge stay inside the bounding box of
 	// its endpoints, so edges with separated boxes can never cross under
-	// any option pair — reject before building four polylines.
+	// any option pair — reject before building any segment.
 	if minf(a1.X, b1.X) > maxf(a2.X, b2.X)+Eps ||
 		minf(a2.X, b2.X) > maxf(a1.X, b1.X)+Eps ||
 		minf(a1.Y, b1.Y) > maxf(a2.Y, b2.Y)+Eps ||
 		minf(a2.Y, b2.Y) > maxf(a1.Y, b1.Y)+Eps {
 		return false
 	}
-	for _, p := range LOptions(a1, b1) {
-		for _, q := range LOptions(a2, b2) {
-			if !PathsCross(p, q) {
+	for _, o1 := range [2]LOrder{VH, HV} {
+		ps, np := lSegments(a1, b1, o1)
+		for _, o2 := range [2]LOrder{VH, HV} {
+			qs, nq := lSegments(a2, b2, o2)
+			if !segsCross(ps[:np], a1, b1, qs[:nq], a2, b2) {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// lSegments returns LPath(a, b, order).Segments() in a fixed array: the
+// first n entries are the path's non-degenerate segments.
+func lSegments(a, b Point, order LOrder) (segs [2]Segment, n int) {
+	if math.Abs(a.X-b.X) <= Eps || math.Abs(a.Y-b.Y) <= Eps {
+		if s := (Segment{a, b}); !s.Degenerate() {
+			segs[0], n = s, 1
+		}
+		return segs, n
+	}
+	corner := Point{b.X, a.Y}
+	if order == VH {
+		corner = Point{a.X, b.Y}
+	}
+	for _, s := range [2]Segment{{a, corner}, {corner, b}} {
+		if !s.Degenerate() {
+			segs[n] = s
+			n++
+		}
+	}
+	return segs, n
+}
+
+// segsCross is PathsCross for two L paths given by their segments and
+// terminals (pa, pb) and (qa, qb): a perpendicular crossing at a
+// terminal of both paths is a joint, any other crossing or collinear
+// overlap counts.
+func segsCross(ps []Segment, pa, pb Point, qs []Segment, qa, qb Point) bool {
+	for _, s := range ps {
+		for _, t := range qs {
+			if !Crosses(s, t) {
+				continue
+			}
+			if s.Horizontal() != t.Horizontal() {
+				h, v := s, t
+				if !s.Horizontal() {
+					h, v = t, s
+				}
+				x := Point{v.A.X, h.A.Y}
+				if (pa.Eq(x) || pb.Eq(x)) && (qa.Eq(x) || qb.Eq(x)) {
+					continue // shared node endpoint
+				}
+			}
+			return true
+		}
+	}
+	return false
 }
 
 // CompatibleOptions returns the pairs of L-orders (for edge 1 and edge 2

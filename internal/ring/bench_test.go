@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"slices"
 	"testing"
 
 	"xring/internal/noc"
@@ -9,9 +10,9 @@ import (
 
 // TestBuildConflictsWorkerInvariant pins the sharded conflict scan to
 // the single-worker result: the table is a set, so any stripe count and
-// completion order must produce the identical map.
+// completion order must produce the identical bitset.
 func TestBuildConflictsWorkerInvariant(t *testing.T) {
-	defer parallel.SetWorkers(4)
+	defer parallel.SetWorkers(0)
 	for _, net := range []*noc.Network{
 		noc.Floorplan16(),
 		noc.Irregular(20, 20, 20, 1.5, 11),
@@ -20,14 +21,11 @@ func TestBuildConflictsWorkerInvariant(t *testing.T) {
 		serial := buildConflicts(net)
 		parallel.SetWorkers(8)
 		par := buildConflicts(net)
-		if len(serial.conflict) != len(par.conflict) {
-			t.Fatalf("conflict count differs: %d serial vs %d parallel",
-				len(serial.conflict), len(par.conflict))
+		if serial.pairs == 0 || serial.pairs != par.pairs {
+			t.Fatalf("conflict count: %d serial vs %d parallel", serial.pairs, par.pairs)
 		}
-		for k := range serial.conflict {
-			if !par.conflict[k] {
-				t.Fatalf("parallel table missing conflict %v", k)
-			}
+		if !slices.Equal(serial.bits, par.bits) {
+			t.Fatal("parallel conflict bitset differs from the serial one")
 		}
 	}
 }

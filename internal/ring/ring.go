@@ -18,6 +18,17 @@
 //     relaxation (the production path, replacing Gurobi);
 //   - ConstructMILP: the literal Eq. (1)-(4) model on the generic
 //     internal/milp solver (used for cross-validation and small cases).
+//
+// Both share one Eq. (3) conflict table: a dense bitset over pairs of
+// undirected edges, filled by an allocation-free geom.EdgesConflict scan
+// sharded over the worker pool (skipped under DisableConflicts). The
+// branch-and-bound keeps one cost matrix and bans cells in place. Each
+// child is first bounded from its parent's final duals with an O(N²)
+// re-augmentation (assign.Solver.Bound), which prunes most children;
+// a child that survives resumes its parent's Hungarian run at the first
+// row it changed (assign.Solver.Resume). The resumed run replays a
+// from-scratch solve bit for bit, so the search visits, prunes and
+// returns exactly what a search that re-solved every node would.
 package ring
 
 import (
@@ -95,11 +106,69 @@ func mkEdge(i, j int) edgeKey {
 	return edgeKey{i, j}
 }
 
-// conflictTable precomputes, for all undirected node pairs, which pairs
-// conflict per the paper's four-option test.
+// conflictTable holds the paper's four-option conflict test for every
+// pair of undirected candidate edges. Edge (a, b), a < b, has index
+// a(2n−a−1)/2 + b−a−1, which numbers the pairs in the order the loops
+// i < j enumerate them; the table is a dense symmetric bitset over
+// index pairs (E = n(n−1)/2 edges, E² bits: 9.5 KB at n = 24). A table
+// with nil bits (the DisableConflicts ablation) has no conflicts.
 type conflictTable struct {
-	n        int
-	conflict map[[2]edgeKey]bool
+	n     int
+	edges []edgeKey // by index
+	bits  []uint64  // bit x·E+y set when edges x and y conflict
+	pairs int       // conflicting unordered pairs
+}
+
+// edge returns the index of the undirected edge {i, j}.
+func (ct *conflictTable) edge(i, j int) int {
+	if i > j {
+		i, j = j, i
+	}
+	return i*(2*ct.n-i-1)/2 + j - i - 1
+}
+
+// has reports whether the edges with indices x and y conflict.
+func (ct *conflictTable) has(x, y int) bool {
+	if ct.bits == nil {
+		return false
+	}
+	k := x*len(ct.edges) + y
+	return ct.bits[k>>6]&(1<<(k&63)) != 0
+}
+
+// set records that the edges with indices x and y conflict.
+func (ct *conflictTable) set(x, y int) {
+	e := len(ct.edges)
+	for _, k := range [2]int{x*e + y, y*e + x} {
+		ct.bits[k>>6] |= 1 << (k & 63)
+	}
+}
+
+func (ct *conflictTable) conflicts(e, f edgeKey) bool {
+	return ct.has(ct.edge(e.a, e.b), ct.edge(f.a, f.b))
+}
+
+// pairList returns every conflicting unordered pair once, in ascending
+// order of (first, second) edge index.
+func (ct *conflictTable) pairList() [][2]edgeKey {
+	out := make([][2]edgeKey, 0, ct.pairs)
+	for x := range ct.edges {
+		for y := x + 1; y < len(ct.edges); y++ {
+			if ct.has(x, y) {
+				out = append(out, [2]edgeKey{ct.edges[x], ct.edges[y]})
+			}
+		}
+	}
+	return out
+}
+
+// conflictsFor returns the Eq. (3) conflict table, or an empty one
+// without running the O(N⁴) scan when the ablation drops Eq. (3).
+func conflictsFor(net *noc.Network, opt Options) *conflictTable {
+	if opt.DisableConflicts {
+		return &conflictTable{n: net.N()}
+	}
+	return buildConflicts(net)
 }
 
 // buildConflicts runs the paper's four-option conflict test over every
@@ -109,13 +178,14 @@ type conflictTable struct {
 // afterwards, so the result is the same set for any worker count.
 func buildConflicts(net *noc.Network) *conflictTable {
 	n := net.N()
-	ct := &conflictTable{n: n, conflict: map[[2]edgeKey]bool{}}
-	var edges []edgeKey
+	ct := &conflictTable{n: n}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			edges = append(edges, edgeKey{i, j})
+			ct.edges = append(ct.edges, edgeKey{i, j})
 		}
 	}
+	edges := ct.edges
+	ct.bits = make([]uint64, (len(edges)*len(edges)+63)/64)
 	pos := net.Positions()
 	stripes := parallel.Workers() * 4
 	if stripes > len(edges) {
@@ -124,15 +194,16 @@ func buildConflicts(net *noc.Network) *conflictTable {
 	if stripes == 0 {
 		return ct
 	}
-	found, ferr := parallel.Map(nil, stripes, func(s int) ([][2]edgeKey, error) {
-		var local [][2]edgeKey
+	found, ferr := parallel.Map(nil, stripes, func(s int) ([][2]int32, error) {
+		var local [][2]int32
 		// Stripe s owns first-edge indices x ≡ s (mod stripes), which
 		// balances the triangular workload across stripes.
 		for x := s; x < len(edges); x += stripes {
+			e := edges[x]
 			for y := x + 1; y < len(edges); y++ {
-				e, f := edges[x], edges[y]
+				f := edges[y]
 				if geom.EdgesConflict(pos[e.a], pos[e.b], pos[f.a], pos[f.b]) {
-					local = append(local, [2]edgeKey{e, f})
+					local = append(local, [2]int32{int32(x), int32(y)})
 				}
 			}
 		}
@@ -144,20 +215,14 @@ func buildConflicts(net *noc.Network) *conflictTable {
 		// produce wrong rings, so fail loudly instead.
 		panic(ferr)
 	}
-	pairs := 0
 	for _, local := range found {
-		pairs += len(local)
+		ct.pairs += len(local)
 		for _, p := range local {
-			ct.conflict[[2]edgeKey{p[0], p[1]}] = true
-			ct.conflict[[2]edgeKey{p[1], p[0]}] = true
+			ct.set(int(p[0]), int(p[1]))
 		}
 	}
-	mConflictPairs.Add(int64(pairs))
+	mConflictPairs.Add(int64(ct.pairs))
 	return ct
-}
-
-func (ct *conflictTable) conflicts(e, f edgeKey) bool {
-	return ct.conflict[[2]edgeKey{e, f}]
 }
 
 // Construct synthesizes the ring for a network using the assignment
@@ -182,12 +247,9 @@ func ConstructCtx(ctx context.Context, net *noc.Network, opt Options) (*Result, 
 	defer span.End()
 
 	_, cspan := obs.Start(ctx, "ring.conflicts")
-	ct := buildConflicts(net)
-	cspan.Set(obs.Int("pairs", len(ct.conflict)/2))
+	ct := conflictsFor(net, opt)
+	cspan.Set(obs.Int("pairs", ct.pairs))
 	cspan.End()
-	if opt.DisableConflicts {
-		ct.conflict = map[[2]edgeKey]bool{}
-	}
 
 	_, sspan := obs.Start(ctx, "ring.solve")
 	succ, objective, nodes, optimal, warm, err := solveAssignmentBB(net, ct, opt)
@@ -241,12 +303,9 @@ func ConstructHeuristic(ctx context.Context, net *noc.Network, opt Options) (*Re
 	defer span.End()
 
 	_, cspan := obs.Start(ctx, "ring.conflicts")
-	ct := buildConflicts(net)
-	cspan.Set(obs.Int("pairs", len(ct.conflict)/2))
+	ct := conflictsFor(net, opt)
+	cspan.Set(obs.Int("pairs", ct.pairs))
 	cspan.End()
-	if opt.DisableConflicts {
-		ct.conflict = map[[2]edgeKey]bool{}
-	}
 	tour, err := HeuristicTour(net, ct)
 	if err != nil {
 		return nil, err
@@ -303,10 +362,7 @@ func NewMILPInstance(net *noc.Network, opt Options) (*MILPInstance, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("ring: need at least 3 nodes, have %d", n)
 	}
-	ct := buildConflicts(net)
-	if opt.DisableConflicts {
-		ct.conflict = map[[2]edgeKey]bool{}
-	}
+	ct := conflictsFor(net, opt)
 	pos := net.Positions()
 
 	m := milp.NewModel()
@@ -342,11 +398,8 @@ func NewMILPInstance(net *noc.Network, opt Options) (*MILPInstance, error) {
 	}
 	// Eq. (3): conflicting edge pairs (undirected conflicts expanded to
 	// all four directed combinations).
-	for pair := range ct.conflict {
+	for _, pair := range ct.pairList() {
 		e, f := pair[0], pair[1]
-		if e.a > f.a || (e.a == f.a && e.b > f.b) {
-			continue // each unordered pair once
-		}
 		for _, de := range []dedge{{e.a, e.b}, {e.b, e.a}} {
 			for _, df := range []dedge{{f.a, f.b}, {f.b, f.a}} {
 				m.AtMostOne("conflict", vars[de], vars[df])
@@ -472,9 +525,17 @@ func tourLength(net *noc.Network, tour []int) float64 {
 // ---------------------------------------------------------------------
 
 type bbState struct {
-	net      *noc.Network
-	ct       *conflictTable
-	n        int
+	net *noc.Network
+	ct  *conflictTable
+	n   int
+	// cost is the flat n×n successor-cost matrix of the node being
+	// searched: branching bans cells in place and restores them on the
+	// way back up, so the whole search shares one matrix.
+	cost []float64
+	// solvers[d] is the Hungarian workspace of the node at depth d; a
+	// child resumes its parent's run from it.
+	solvers  []*assign.Solver
+	selected []edgeKey // firstViolation scratch
 	best     float64
 	bestSucc []int
 	nodes    int
@@ -509,20 +570,32 @@ func tourSucc(tour []int) []int {
 }
 
 func solveAssignmentBB(net *noc.Network, ct *conflictTable, opt Options) (succ []int, objective float64, nodes int, optimal, warmStarted bool, err error) {
+	st, warmStarted := newBBState(net, ct, opt)
+	st.search(0, nil, 0)
+	mBBNodes.Add(int64(st.nodes))
+	mBBPruned.Add(int64(st.pruned))
+	mBBIncumbents.Add(int64(st.incumbents))
+	succ, objective, optimal, err = st.outcome()
+	return succ, objective, st.nodes, optimal, warmStarted, err
+}
+
+// newBBState sets up the search: the cost matrix and the incumbent from
+// the heuristic warm start or the caller's hint, whichever is better.
+// warmStarted reports whether the hint was usable.
+func newBBState(net *noc.Network, ct *conflictTable, opt Options) (st *bbState, warmStarted bool) {
 	n := net.N()
 	pos := net.Positions()
-	cost := make([][]float64, n)
-	for i := range cost {
-		cost[i] = make([]float64, n)
-		for j := range cost[i] {
+	cost := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
 			if i == j {
-				cost[i][j] = assign.Forbidden
+				cost[i*n+j] = assign.Forbidden
 			} else {
-				cost[i][j] = geom.Manhattan(pos[i], pos[j])
+				cost[i*n+j] = geom.Manhattan(pos[i], pos[j])
 			}
 		}
 	}
-	st := &bbState{net: net, ct: ct, n: n, best: math.Inf(1), maxNodes: opt.MaxNodes}
+	st = &bbState{net: net, ct: ct, n: n, cost: cost, best: math.Inf(1), maxNodes: opt.MaxNodes}
 	if st.maxNodes == 0 {
 		st.maxNodes = 500_000
 	}
@@ -553,28 +626,32 @@ func solveAssignmentBB(net *noc.Network, ct *conflictTable, opt Options) (succ [
 			}
 		}
 	}
-	st.search(cost)
-	mBBNodes.Add(int64(st.nodes))
-	mBBPruned.Add(int64(st.pruned))
-	mBBIncumbents.Add(int64(st.incumbents))
+	return st, warmStarted
+}
+
+// outcome reports the finished search: the best assignment, its cost
+// and whether the search completed within the node budget.
+func (st *bbState) outcome() (succ []int, objective float64, optimal bool, err error) {
 	if st.bestSucc == nil {
 		if st.nodes >= st.maxNodes {
 			// The search stopped on the node budget, not on a proof of
 			// infeasibility: report it as a budget exhaustion so callers
 			// can fall back to the heuristic constructor (errors.Is
 			// against milp.ErrBudget).
-			return nil, 0, st.nodes, false, warmStarted,
+			return nil, 0, false,
 				fmt.Errorf("ring: %w (assignment B&B explored %d of %d nodes)", milp.ErrBudget, st.nodes, st.maxNodes)
 		}
-		return nil, 0, st.nodes, false, warmStarted, errors.New("ring: no feasible assignment found (conflict constraints unsatisfiable)")
+		return nil, 0, false, errors.New("ring: no feasible assignment found (conflict constraints unsatisfiable)")
 	}
-	return st.bestSucc, st.best, st.nodes, st.nodes < st.maxNodes, warmStarted, nil
+	return st.bestSucc, st.best, st.nodes < st.maxNodes, nil
 }
 
-func succCost(cost [][]float64, succ []int) float64 {
+// succCost sums the flat n×n cost of an assignment in row order.
+func succCost(cost []float64, succ []int) float64 {
+	n := len(succ)
 	total := 0.0
 	for i, j := range succ {
-		total += cost[i][j]
+		total += cost[i*n+j]
 	}
 	return total
 }
@@ -597,12 +674,13 @@ func (st *bbState) firstViolation(succ []int) (kind int, data [4]int, ok bool) {
 			}
 		}
 	}
-	selected := make([]edgeKey, 0, st.n)
+	selected := st.selected[:0]
 	for i, j := range succ {
 		if j >= 0 {
 			selected = append(selected, mkEdge(i, j))
 		}
 	}
+	st.selected = selected
 	for x := 0; x < len(selected); x++ {
 		for y := x + 1; y < len(selected); y++ {
 			if selected[x] != selected[y] && st.ct.conflicts(selected[x], selected[y]) {
@@ -613,19 +691,44 @@ func (st *bbState) firstViolation(succ []int) (kind int, data [4]int, ok bool) {
 	return 0, [4]int{}, true
 }
 
-func banDirected(cost [][]float64, i, j int) { cost[i][j] = assign.Forbidden }
+// boundSlack widens the bound-first prune so that it only cuts nodes the
+// full solve would cut too: Solver.Bound and a from-scratch solve reach
+// the same optimum, but may sum it over different tied assignments and
+// so differ in the last bits.
+const boundSlack = 1e-7
 
-func banUndirected(cost [][]float64, e edgeKey) {
-	cost[e.a][e.b] = assign.Forbidden
-	cost[e.b][e.a] = assign.Forbidden
-}
-
-func (st *bbState) search(cost [][]float64) {
+// search visits the B&B node at depth d. The root solves st.cost from
+// scratch. A child's matrix is its parent's (depth d-1) with the cells
+// in banned raised to Forbidden, all in rows ≥ r. Its optimum is
+// bounded first from the parent's final duals (Solver.Bound, O(n²) per
+// banned matched cell), which prunes most children. A child that
+// survives resumes the parent's Hungarian run at phase r: phases before
+// r read only rows < r, so the resumed run replays a from-scratch solve
+// of the child's matrix bit for bit, and the node is decided exactly as
+// a from-scratch search would decide it.
+func (st *bbState) search(d int, banned []int, r int) {
 	st.nodes++
 	if st.nodes >= st.maxNodes {
 		return
 	}
-	succ, total, err := assign.Solve(cost)
+	if d == len(st.solvers) {
+		st.solvers = append(st.solvers, assign.NewSolver(st.n))
+	}
+	s := st.solvers[d]
+	if d > 0 {
+		parent := st.solvers[d-1]
+		if v, ok := s.Bound(parent, st.cost, banned); !ok || v >= st.best-milp.Eps+boundSlack {
+			st.pruned++
+			return // infeasible branch, or bound
+		}
+		s.Resume(parent, r)
+	}
+	var succ []int
+	var total float64
+	err := assign.ErrInfeasible
+	if s.Run(st.cost, r) {
+		succ, total, err = s.Assignment(st.cost)
+	}
 	if err != nil {
 		st.pruned++
 		return // infeasible branch
@@ -641,24 +744,38 @@ func (st *bbState) search(cost [][]float64) {
 		st.incumbents++
 		return
 	}
+	n := st.n
 	switch kind {
 	case 0: // 2-cycle between data[0] and data[1]
 		i, j := data[0], data[1]
-		c1 := assign.Clone(cost)
-		banDirected(c1, i, j)
-		st.search(c1)
-		c2 := assign.Clone(cost)
-		banDirected(c2, j, i)
-		st.search(c2)
+		st.branch(d, [2]int{i*n + j, -1})
+		st.branch(d, [2]int{j*n + i, -1})
 	case 1: // conflict between undirected edges
 		e := edgeKey{data[0], data[1]}
 		f := edgeKey{data[2], data[3]}
-		c1 := assign.Clone(cost)
-		banUndirected(c1, e)
-		st.search(c1)
-		c2 := assign.Clone(cost)
-		banUndirected(c2, f)
-		st.search(c2)
+		st.branch(d, [2]int{e.a*n + e.b, e.b*n + e.a})
+		st.branch(d, [2]int{f.a*n + f.b, f.b*n + f.a})
+	}
+}
+
+// branch searches the child of the depth-d node that bans the given flat
+// cells (-1 = unused), then restores the matrix.
+func (st *bbState) branch(d int, cells [2]int) {
+	var banned [2]int
+	var saved [2]float64
+	nb, r := 0, st.n
+	for _, c := range cells {
+		if c < 0 || st.cost[c] == assign.Forbidden {
+			continue
+		}
+		banned[nb], saved[nb] = c, st.cost[c]
+		st.cost[c] = assign.Forbidden
+		nb++
+		r = min(r, c/st.n)
+	}
+	st.search(d+1, banned[:nb], r)
+	for k := nb - 1; k >= 0; k-- {
+		st.cost[banned[k]] = saved[k]
 	}
 }
 

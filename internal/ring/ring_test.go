@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"xring/internal/geom"
 	"xring/internal/milp"
 	"xring/internal/noc"
 	"xring/internal/phys"
@@ -147,6 +148,18 @@ func TestDisableConflictsAblation(t *testing.T) {
 	}
 }
 
+// TestDisableConflictsSkipsScan: the Eq. (3) ablation must not pay for
+// the O(N⁴) conflict scan it then ignores.
+func TestDisableConflictsSkipsScan(t *testing.T) {
+	ct := conflictsFor(noc.Floorplan16(), Options{DisableConflicts: true})
+	if ct.bits != nil || ct.pairs != 0 || ct.conflicts(edgeKey{0, 5}, edgeKey{1, 4}) {
+		t.Fatalf("ablation table ran the scan: %d pairs", ct.pairs)
+	}
+	if ct := conflictsFor(noc.Floorplan16(), Options{}); ct.pairs == 0 {
+		t.Fatal("the default table has no conflicts on the 16-node grid")
+	}
+}
+
 func TestExtractCycles(t *testing.T) {
 	succ := []int{1, 0, 3, 4, 2} // cycles (0,1) and (2,3,4)
 	cycles := extractCycles(succ)
@@ -222,15 +235,37 @@ func TestHeuristicTour(t *testing.T) {
 	}
 }
 
+// TestBuildConflictsSymmetricAndIrreflexive checks the bitset against
+// the geometric test itself: bit (x, y) is set exactly when edges x and
+// y conflict, for both orders, never for x = y, and pairs counts the
+// unordered pairs.
 func TestBuildConflictsSymmetricAndIrreflexive(t *testing.T) {
-	net := noc.Floorplan8()
-	ct := buildConflicts(net)
-	for pair := range ct.conflict {
-		if pair[0] == pair[1] {
-			t.Fatal("edge conflicts with itself")
+	for _, net := range []*noc.Network{noc.Floorplan8(), noc.Irregular(12, 10, 10, 1.0, 3)} {
+		ct := buildConflicts(net)
+		pos := net.Positions()
+		pairs := 0
+		for x, e := range ct.edges {
+			if ct.edge(e.a, e.b) != x || ct.edge(e.b, e.a) != x {
+				t.Fatalf("edge %v has index %d, want %d", e, ct.edge(e.a, e.b), x)
+			}
+			if ct.has(x, x) {
+				t.Fatal("edge conflicts with itself")
+			}
+			for y, f := range ct.edges {
+				if y == x {
+					continue
+				}
+				want := geom.EdgesConflict(pos[e.a], pos[e.b], pos[f.a], pos[f.b])
+				if ct.has(x, y) != want || ct.has(y, x) != want {
+					t.Fatalf("edges %v, %v: bits %v/%v, conflict test %v", e, f, ct.has(x, y), ct.has(y, x), want)
+				}
+				if want && x < y {
+					pairs++
+				}
+			}
 		}
-		if !ct.conflicts(pair[1], pair[0]) {
-			t.Fatal("conflict table not symmetric")
+		if pairs != ct.pairs || len(ct.pairList()) != pairs {
+			t.Fatalf("pairs %d, pairList %d, want %d", ct.pairs, len(ct.pairList()), pairs)
 		}
 	}
 }
@@ -294,17 +329,9 @@ func TestBudgetExhaustionWrapsErrBudget(t *testing.T) {
 	// anything — the error must match milp.ErrBudget via errors.Is.
 	net := noc.Floorplan8()
 	ct := buildConflicts(net)
-	n := net.N()
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			for k := 0; k < n; k++ {
-				for l := k + 1; l < n; l++ {
-					e, f := edgeKey{i, j}, edgeKey{k, l}
-					if e != f {
-						ct.conflict[[2]edgeKey{e, f}] = true
-					}
-				}
-			}
+	for x := range ct.edges {
+		for y := x + 1; y < len(ct.edges); y++ {
+			ct.set(x, y)
 		}
 	}
 	_, _, _, _, _, err := solveAssignmentBB(net, ct, Options{MaxNodes: 1})

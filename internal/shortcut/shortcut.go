@@ -22,6 +22,7 @@ package shortcut
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"xring/internal/geom"
@@ -76,29 +77,32 @@ func trafficSet(traffic []noc.Signal, n int) map[noc.Signal]bool {
 	return set
 }
 
+// ringPaths returns the physical polyline of every ring edge.
+func ringPaths(d *router.Design) []geom.Polyline {
+	out := make([]geom.Polyline, d.N())
+	for i := range out {
+		out[i] = d.EdgePath(i)
+	}
+	return out
+}
+
 // feasiblePaths returns the L-shaped routes between nodes a and b that
-// cross no ring edge. Routes through a third node's position are
-// rejected by the crossing test, because the ring waveguide passes
-// through every node.
-func feasiblePaths(d *router.Design, a, b int) []geom.Polyline {
+// cross no ring edge (ring holds the ring-edge polylines). Routes
+// through a third node's position are rejected by the crossing test,
+// because the ring waveguide passes through every node. A straight pair
+// has one route: both leg orders give the same polyline.
+func feasiblePaths(d *router.Design, ring []geom.Polyline, a, b int) []geom.Polyline {
 	pa := d.Net.Nodes[a].Pos
 	pb := d.Net.Nodes[b].Pos
-	n := d.N()
-	ringEdges := make([]geom.Polyline, n)
-	for i := range ringEdges {
-		ringEdges[i] = d.EdgePath(i)
+	vh, hv := geom.LPath(pa, pb, geom.VH), geom.LPath(pa, pb, geom.HV)
+	routes := []geom.Polyline{vh, hv}
+	if slices.Equal(vh, hv) {
+		routes = routes[:1]
 	}
 	var out []geom.Polyline
-	seen := map[string]bool{}
-	for _, order := range [2]geom.LOrder{geom.VH, geom.HV} {
-		p := geom.LPath(pa, pb, order)
-		key := fmt.Sprint(p)
-		if seen[key] {
-			continue // straight paths produce the same polyline twice
-		}
-		seen[key] = true
+	for _, p := range routes {
 		ok := true
-		for _, re := range ringEdges {
+		for _, re := range ring {
 			if geom.PathsCross(p, re) {
 				ok = false
 				break
@@ -127,6 +131,7 @@ func ringGain(d *router.Design, a, b int) float64 {
 func Collect(d *router.Design, traffic []noc.Signal) []Candidate {
 	n := d.N()
 	want := trafficSet(traffic, n)
+	ring := ringPaths(d)
 	var out []Candidate
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
@@ -137,7 +142,7 @@ func Collect(d *router.Design, traffic []noc.Signal) []Candidate {
 			if gain <= 1e-9 {
 				continue
 			}
-			paths := feasiblePaths(d, a, b)
+			paths := feasiblePaths(d, ring, a, b)
 			if len(paths) == 0 {
 				continue
 			}

@@ -50,12 +50,41 @@ func uShapeDesign(t *testing.T) *router.Design {
 func TestFeasiblePaths(t *testing.T) {
 	d := grid8Design(t)
 	// 1<->5 is a straight vertical chord: feasible.
-	if paths := feasiblePaths(d, 1, 5); len(paths) != 1 {
+	if paths := feasiblePaths(d, ringPaths(d), 1, 5); len(paths) != 1 {
 		t.Fatalf("feasiblePaths(1,5) = %d paths, want 1", len(paths))
 	}
 	// 1<->6 must route through node 2's or node 5's position: infeasible.
-	if paths := feasiblePaths(d, 1, 6); len(paths) != 0 {
+	if paths := feasiblePaths(d, ringPaths(d), 1, 6); len(paths) != 0 {
 		t.Fatalf("feasiblePaths(1,6) = %d paths, want 0", len(paths))
+	}
+}
+
+// TestFeasiblePathsNearPair: two nodes 1e-4 mm apart in both axes are
+// a valid floorplan (positions need only differ by more than 1e-9), and
+// their two L routes are different polylines; both are feasible on this
+// pinwheel ring. A straight pair still yields a single route.
+func TestFeasiblePathsNearPair(t *testing.T) {
+	pos := []geom.Point{{X: 5, Y: 5}, {X: 10, Y: 0}, {X: 5.0001, Y: 5.0001}, {X: 0, Y: 10}}
+	net := &noc.Network{DieW: 10, DieH: 10}
+	for i, p := range pos {
+		net.Nodes = append(net.Nodes, noc.Node{ID: i, Name: "n", Pos: p})
+	}
+	if err := net.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := router.NewDesign(net, phys.Default(), []int{0, 1, 2, 3}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if paths := feasiblePaths(d, ringPaths(d), 0, 2); len(paths) != 2 {
+		t.Fatalf("feasiblePaths(0,2) = %v, want both L routes", paths)
+	}
+	g := grid8Design(t)
+	if paths := feasiblePaths(g, ringPaths(g), 1, 5); len(paths) != 1 {
+		t.Fatalf("straight chord: feasiblePaths(1,5) = %v, want one route", paths)
 	}
 }
 
