@@ -450,39 +450,22 @@ func runClusterBench(out, checkPath string) error {
 // BENCH_cluster.json: workload shape and solve counts are deterministic
 // (exact), the amplification ratio is machine-independent (25% slack).
 func checkClusterReport(got clusterReport, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("cluster check: %w", err)
-	}
 	var want clusterReport
-	if err := json.Unmarshal(data, &want); err != nil {
-		return fmt.Errorf("cluster check: parse %s: %w", path, err)
-	}
-	var failures []string
-	if got.Shards != want.Shards || got.Requests != want.Requests || got.DistinctKeys != want.DistinctKeys {
-		failures = append(failures, fmt.Sprintf(
-			"workload shape changed: %d shards/%d reqs/%d keys -> %d/%d/%d (regenerate %s)",
-			want.Shards, want.Requests, want.DistinctKeys,
-			got.Shards, got.Requests, got.DistinctKeys, path))
-	}
-	if got.ClusterSolves > want.ClusterSolves {
-		failures = append(failures, fmt.Sprintf(
-			"cluster solves grew %d -> %d: keys are being re-solved", want.ClusterSolves, got.ClusterSolves))
-	}
-	if got.PeerFills < 1 {
-		failures = append(failures, "peer-fill count fell to zero")
-	}
-	const slack = 1.25 // 25%
-	if want.Amplification > 0 && got.Amplification < want.Amplification/slack {
-		failures = append(failures, fmt.Sprintf(
-			"amplification fell %.2fx -> %.2fx (>25%%)", want.Amplification, got.Amplification))
-	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "cluster check FAIL:", f)
+	return checkAgainst("cluster", path, &want, func() []string {
+		var failures []string
+		if got.Shards != want.Shards || got.Requests != want.Requests || got.DistinctKeys != want.DistinctKeys {
+			failures = append(failures, fmt.Sprintf(
+				"workload shape changed: %d shards/%d reqs/%d keys -> %d/%d/%d (regenerate %s)",
+				want.Shards, want.Requests, want.DistinctKeys,
+				got.Shards, got.Requests, got.DistinctKeys, path))
 		}
-		return fmt.Errorf("cluster check: %d regression(s) against %s", len(failures), path)
-	}
-	fmt.Fprintln(os.Stderr, "cluster check OK against", path)
-	return nil
+		if got.ClusterSolves > want.ClusterSolves {
+			failures = append(failures, fmt.Sprintf(
+				"cluster solves grew %d -> %d: keys are being re-solved", want.ClusterSolves, got.ClusterSolves))
+		}
+		if got.PeerFills < 1 {
+			failures = append(failures, "peer-fill count fell to zero")
+		}
+		return append(failures, checkRatio("amplification", want.Amplification, got.Amplification)...)
+	})
 }

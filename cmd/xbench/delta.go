@@ -222,20 +222,8 @@ func runDeltaBench(out string, checkPath string) error {
 // machine away, so losing more than 25% of it means the engine (not the
 // hardware) got slower relative to full synthesis.
 func checkDeltaReport(got deltaReport, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("delta check: %w", err)
-	}
 	var want deltaReport
-	if err := json.Unmarshal(data, &want); err != nil {
-		return fmt.Errorf("delta check: parse %s: %w", path, err)
-	}
-	const slack = 1.25 // 25%
-	if want.Speedup > 0 && got.Speedup < want.Speedup/slack {
-		fmt.Fprintf(os.Stderr, "delta check FAIL: speedup fell %.0fx -> %.0fx (>25%%)\n",
-			want.Speedup, got.Speedup)
-		return fmt.Errorf("delta check: regression against %s", path)
-	}
-	fmt.Fprintln(os.Stderr, "delta check OK against", path)
-	return nil
+	return checkAgainst("delta", path, &want, func() []string {
+		return checkRatio("speedup", want.Speedup, got.Speedup)
+	})
 }

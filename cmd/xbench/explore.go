@@ -288,39 +288,22 @@ func standaloneRequest(g *explore.Grid, c explore.Cell) *service.Request {
 // BENCH_explore.json: the frontier is deterministic (exact match), and
 // the amplification ratio is machine-independent (25% slack).
 func checkExploreReport(got exploreReport, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("explore check: %w", err)
-	}
 	var want exploreReport
-	if err := json.Unmarshal(data, &want); err != nil {
-		return fmt.Errorf("explore check: parse %s: %w", path, err)
-	}
-	var failures []string
-	if got.Cells != want.Cells || got.DistinctKeys != want.DistinctKeys {
-		failures = append(failures, fmt.Sprintf(
-			"grid shape changed: %d cells/%d keys -> %d cells/%d keys (regenerate %s)",
-			want.Cells, want.DistinctKeys, got.Cells, got.DistinctKeys, path))
-	}
-	if got.FrontierSize != want.FrontierSize {
-		failures = append(failures, fmt.Sprintf(
-			"frontier size %d -> %d on a deterministic grid", want.FrontierSize, got.FrontierSize))
-	}
-	if got.CacheHits+got.DedupHits < want.CacheHits+want.DedupHits {
-		failures = append(failures, fmt.Sprintf(
-			"amplified cells fell %d -> %d", want.CacheHits+want.DedupHits, got.CacheHits+got.DedupHits))
-	}
-	const slack = 1.25 // 25%
-	if want.Amplification > 0 && got.Amplification < want.Amplification/slack {
-		failures = append(failures, fmt.Sprintf(
-			"amplification fell %.2fx -> %.2fx (>25%%)", want.Amplification, got.Amplification))
-	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "explore check FAIL:", f)
+	return checkAgainst("explore", path, &want, func() []string {
+		var failures []string
+		if got.Cells != want.Cells || got.DistinctKeys != want.DistinctKeys {
+			failures = append(failures, fmt.Sprintf(
+				"grid shape changed: %d cells/%d keys -> %d cells/%d keys (regenerate %s)",
+				want.Cells, want.DistinctKeys, got.Cells, got.DistinctKeys, path))
 		}
-		return fmt.Errorf("explore check: %d regression(s) against %s", len(failures), path)
-	}
-	fmt.Fprintln(os.Stderr, "explore check OK against", path)
-	return nil
+		if got.FrontierSize != want.FrontierSize {
+			failures = append(failures, fmt.Sprintf(
+				"frontier size %d -> %d on a deterministic grid", want.FrontierSize, got.FrontierSize))
+		}
+		if got.CacheHits+got.DedupHits < want.CacheHits+want.DedupHits {
+			failures = append(failures, fmt.Sprintf(
+				"amplified cells fell %d -> %d", want.CacheHits+want.DedupHits, got.CacheHits+got.DedupHits))
+		}
+		return append(failures, checkRatio("amplification", want.Amplification, got.Amplification)...)
+	})
 }

@@ -16,6 +16,13 @@
 //	xbench -serial     # force sequential evaluation (one worker)
 //	xbench -json F     # write a serial-vs-parallel timing report to F
 //	xbench -load URL   # drive a running xringd with a concurrent workload
+//	xbench -solver     # exact solvers: milp.Solve and production Step 1
+//	xbench -delta | -explore | -whatif | -cluster   # other micro-benchmarks
+//
+// A micro-benchmark writes its report to -json F when set. With -check F
+// it compares the fresh run against the committed report F and exits
+// non-zero on a regression; -check without a micro-benchmark flag is a
+// usage error.
 package main
 
 import (
@@ -82,7 +89,7 @@ func main() {
 	sweep := flag.Bool("sweep", false, "print the full #wl sweep curve for the 16-node XRing instead of the tables")
 	serial := flag.Bool("serial", false, "evaluate everything sequentially on one worker (baseline for -json)")
 	jsonOut := flag.String("json", "", "benchmark serial vs parallel passes and write the report to this file")
-	solver := flag.Bool("solver", false, "run the MILP solver micro-benchmark (writes -json if set, compares -check if set)")
+	solver := flag.Bool("solver", false, "run the exact-solver benchmark: generic 0/1 solver and production Step 1 (writes -json if set, compares -check if set)")
 	deltaBench := flag.Bool("delta", false, "run the placement delta-evaluation micro-benchmark (writes -json if set, compares -check if set)")
 	exploreBench := flag.Bool("explore", false, "run the /v1/explore grid benchmark (writes -json if set, compares -check if set)")
 	whatifBench := flag.Bool("whatif", false, "run the fault-replay benchmark (writes -json if set, compares -check if set)")
@@ -95,6 +102,10 @@ func main() {
 	loadNodes := flag.Int("load-nodes", 8, "floorplan size for -load mode requests (8, 16 or 32)")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
+	if *benchCheck != "" && !(*solver || *deltaBench || *exploreBench || *whatifBench || *clusterBench) {
+		fmt.Fprintln(os.Stderr, "xbench: -check needs one of -solver, -delta, -explore, -whatif or -cluster")
+		os.Exit(2)
+	}
 
 	flushObs, err := obsFlags.Activate(os.Stderr)
 	if err != nil {

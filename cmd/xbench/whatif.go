@@ -195,40 +195,23 @@ func runWhatifBench(out string, checkPath string) error {
 // (exact match); the replay amplification ratio is machine-independent
 // (25% slack).
 func checkWhatifReport(got whatifReport, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("whatif check: %w", err)
-	}
 	var want whatifReport
-	if err := json.Unmarshal(data, &want); err != nil {
-		return fmt.Errorf("whatif check: parse %s: %w", path, err)
-	}
-	var failures []string
-	if got.Signals != want.Signals || got.Universe != want.Universe || got.Scenarios != want.Scenarios {
-		failures = append(failures, fmt.Sprintf(
-			"universe shape changed: %d signals/%d faults/%d scenarios -> %d/%d/%d (regenerate %s)",
-			want.Signals, want.Universe, want.Scenarios,
-			got.Signals, got.Universe, got.Scenarios, path))
-	}
-	if !got.FullSetSurvivesMRR || got.MaxLost != 0 {
-		failures = append(failures, fmt.Sprintf(
-			"single-MRR survivability lost: survives=%v maxLost=%d", got.FullSetSurvivesMRR, got.MaxLost))
-	}
-	if got.Promotions < want.Promotions {
-		failures = append(failures, fmt.Sprintf(
-			"spare promotions fell %d -> %d on a deterministic universe", want.Promotions, got.Promotions))
-	}
-	const slack = 1.25 // 25%
-	if want.Amplification > 0 && got.Amplification < want.Amplification/slack {
-		failures = append(failures, fmt.Sprintf(
-			"replay amplification fell %.2fx -> %.2fx (>25%%)", want.Amplification, got.Amplification))
-	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "whatif check FAIL:", f)
+	return checkAgainst("whatif", path, &want, func() []string {
+		var failures []string
+		if got.Signals != want.Signals || got.Universe != want.Universe || got.Scenarios != want.Scenarios {
+			failures = append(failures, fmt.Sprintf(
+				"universe shape changed: %d signals/%d faults/%d scenarios -> %d/%d/%d (regenerate %s)",
+				want.Signals, want.Universe, want.Scenarios,
+				got.Signals, got.Universe, got.Scenarios, path))
 		}
-		return fmt.Errorf("whatif check: %d regression(s) against %s", len(failures), path)
-	}
-	fmt.Fprintln(os.Stderr, "whatif check OK against", path)
-	return nil
+		if !got.FullSetSurvivesMRR || got.MaxLost != 0 {
+			failures = append(failures, fmt.Sprintf(
+				"single-MRR survivability lost: survives=%v maxLost=%d", got.FullSetSurvivesMRR, got.MaxLost))
+		}
+		if got.Promotions < want.Promotions {
+			failures = append(failures, fmt.Sprintf(
+				"spare promotions fell %d -> %d on a deterministic universe", want.Promotions, got.Promotions))
+		}
+		return append(failures, checkRatio("replay amplification", want.Amplification, got.Amplification)...)
+	})
 }

@@ -6,19 +6,19 @@
 //
 //   - a modelling API (binary variables, linear constraints, a linear
 //     minimization objective) mirroring how the paper states Eq. (1)-(4);
-//   - exact solvers: a propagating branch-and-bound with bitset-backed
-//     occurrence structures, dominance pruning and an optional
-//     deterministic parallel mode (Solve), the pre-overhaul depth-first
-//     solver kept as a benchmark/differential baseline (SolveBaseline),
-//     and an exhaustive reference solver for cross-validation in tests
-//     (SolveBrute).
+//   - two exact solvers: a propagating, warm-startable branch-and-bound
+//     with bitset-backed occurrence structures and dominance pruning
+//     (Solve), and an exhaustive reference solver that tests use as the
+//     exactness oracle (SolveBrute).
 //
 // The branch-and-bound is exact: when it returns without hitting the
-// node budget, the solution is optimal. The paper's ring-construction
-// model — an assignment structure plus pairwise conflict constraints —
-// is well inside its comfort zone for the network sizes evaluated
-// (N ≤ 32). See DESIGN.md "Solver internals" for the propagation,
-// bounding and parallel-determinism machinery.
+// node budget, the solution is optimal. Production solves the mapping
+// spare repack and colorability models with it; Step 1's ring model is
+// solved by internal/ring's assignment branch-and-bound, and the literal
+// Eq. (1)-(4) form of that model (ring.NewMILPInstance) is kept as a
+// test cross-check and as the generic-solver workload of xbench -solver.
+// See DESIGN.md "Solver internals" for the propagation, bounding and
+// canonical-witness machinery.
 package milp
 
 import (
@@ -146,24 +146,17 @@ type Solution struct {
 	// Optimal reports whether the solver proved optimality (it did not
 	// stop early on the node budget).
 	Optimal bool
-	// Nodes is the number of branch-and-bound nodes explored (across all
-	// subproblems in parallel mode, plus the canonical witness dive).
+	// Nodes is the number of branch-and-bound nodes explored, including
+	// the canonical witness dive.
 	Nodes int
 	// Propagated counts variable fixings derived by unit propagation
 	// rather than branching.
 	Propagated int
 	// Pruned counts subtrees cut by the admissible lower bound.
 	Pruned int
-	// Incumbents counts improvements accepted into the shared incumbent
+	// Incumbents counts improvements accepted into the incumbent
 	// (including a feasible IncumbentHint).
 	Incumbents int
-	// Subproblems is the number of frontier subproblems the parallel
-	// mode decomposed the search into (1 for a serial solve).
-	Subproblems int
-	// Steals counts subproblems observed running concurrently with at
-	// least one other — a proxy for how much of the frontier actually
-	// overlapped in time.
-	Steals int
 	// WarmStarted reports whether a feasible IncumbentHint primed the
 	// incumbent.
 	WarmStarted bool
@@ -188,16 +181,6 @@ type Options struct {
 	// feasible solution (e.g. from a heuristic warm start). Infeasible
 	// hints are ignored; a hint of the wrong length is an error.
 	IncumbentHint []bool
-	// Parallel fans the search frontier out over internal/parallel with
-	// a shared atomic incumbent. The returned solution is bit-identical
-	// to a serial solve of the same model and options: after the optimum
-	// value is proved, both modes re-derive the canonical witness with a
-	// deterministic serial dive.
-	Parallel bool
-	// NoPropagation disables derived fixings (unit propagation,
-	// dominance chains), leaving only feasibility checks — the search
-	// then relies on branching alone. For differential testing.
-	NoPropagation bool
 }
 
 const (

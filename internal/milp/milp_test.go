@@ -2,6 +2,7 @@ package milp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -194,18 +195,6 @@ func randomModel(rng *rand.Rand) *Model {
 	return m
 }
 
-// solveConfigs is the option sweep the property tests run every corpus
-// model through: propagation on/off crossed with parallel on/off.
-var solveConfigs = []struct {
-	name string
-	opt  Options
-}{
-	{"default", Options{}},
-	{"noprop", Options{NoPropagation: true}},
-	{"parallel", Options{Parallel: true}},
-	{"parallel-noprop", Options{Parallel: true, NoPropagation: true}},
-}
-
 func TestSolveMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 150; trial++ {
@@ -214,43 +203,39 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 			continue
 		}
 		want, errB := SolveBrute(m)
-		if base, errBase := SolveBaseline(m, Options{}); (errB == nil) != (errBase == nil) {
-			t.Fatalf("trial %d: brute err=%v baseline err=%v", trial, errB, errBase)
-		} else if errB == nil && math.Abs(want.Objective-base.Objective) > Eps {
-			t.Fatalf("trial %d: brute=%v baseline=%v", trial, want.Objective, base.Objective)
-		}
-		for _, cfg := range solveConfigs {
-			got, errS := Solve(m, cfg.opt)
-			if (errB == nil) != (errS == nil) {
-				t.Fatalf("trial %d [%s]: brute err=%v solve err=%v", trial, cfg.name, errB, errS)
-			}
-			if errB != nil {
-				continue
-			}
-			if math.Abs(want.Objective-got.Objective) > Eps {
-				t.Fatalf("trial %d [%s]: brute=%v solve=%v", trial, cfg.name, want.Objective, got.Objective)
-			}
-			if _, ok := m.Check(got.Values); !ok {
-				t.Fatalf("trial %d [%s]: solver returned infeasible assignment", trial, cfg.name)
-			}
+		got, errS := Solve(m, Options{})
+		if (errB == nil) != (errS == nil) {
+			t.Fatalf("trial %d: brute err=%v solve err=%v", trial, errB, errS)
 		}
 		if errB != nil {
 			continue
 		}
-		// Warm-started solves (the brute optimum as hint) must agree too
-		// and must report the warm start.
-		for _, par := range []bool{false, true} {
-			got, err := Solve(m, Options{IncumbentHint: want.Values, Parallel: par})
-			if err != nil {
-				t.Fatalf("trial %d: warm-started solve failed: %v", trial, err)
-			}
-			if math.Abs(want.Objective-got.Objective) > Eps {
-				t.Fatalf("trial %d: warm brute=%v solve=%v", trial, want.Objective, got.Objective)
-			}
-			if !got.WarmStarted {
-				t.Fatalf("trial %d: feasible hint not reported as warm start", trial)
-			}
+		checkAgainstBrute(t, m, want, got, fmt.Sprintf("trial %d", trial))
+		// A warm-started solve (the brute optimum as hint) must agree
+		// too and must report the warm start.
+		warm, err := Solve(m, Options{IncumbentHint: want.Values})
+		if err != nil {
+			t.Fatalf("trial %d: warm-started solve failed: %v", trial, err)
 		}
+		checkAgainstBrute(t, m, want, warm, fmt.Sprintf("trial %d warm", trial))
+		if !warm.WarmStarted {
+			t.Fatalf("trial %d: feasible hint not reported as warm start", trial)
+		}
+	}
+}
+
+// checkAgainstBrute requires got to reach the brute-force optimum with
+// a feasible assignment.
+func checkAgainstBrute(t *testing.T, m *Model, want, got *Solution, what string) {
+	t.Helper()
+	if math.Abs(want.Objective-got.Objective) > Eps {
+		t.Fatalf("%s: brute=%v solve=%v", what, want.Objective, got.Objective)
+	}
+	if !got.Optimal {
+		t.Fatalf("%s: solve did not prove optimality", what)
+	}
+	if _, ok := m.Check(got.Values); !ok {
+		t.Fatalf("%s: solver returned infeasible assignment", what)
 	}
 }
 

@@ -5,20 +5,17 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"xring/internal/obs"
 )
 
 // Solver counters (see OBSERVABILITY.md "Solver metrics").
 var (
-	mNodes       = obs.NewCounter("milp.nodes")
-	mPropagated  = obs.NewCounter("milp.propagated")
-	mPruned      = obs.NewCounter("milp.pruned")
-	mIncumbents  = obs.NewCounter("milp.incumbents")
-	mSubproblems = obs.NewCounter("milp.subproblems")
-	mSteals      = obs.NewCounter("milp.steals")
-	mWarmStarts  = obs.NewCounter("milp.warmstart.accepted")
+	mNodes      = obs.NewCounter("milp.nodes")
+	mPropagated = obs.NewCounter("milp.propagated")
+	mPruned     = obs.NewCounter("milp.pruned")
+	mIncumbents = obs.NewCounter("milp.incumbents")
+	mWarmStarts = obs.NewCounter("milp.warmstart.accepted")
 )
 
 // Solve minimizes the model exactly via a propagating branch-and-bound.
@@ -28,10 +25,9 @@ var (
 // generic), runs unit propagation to fixpoint after every decision, and
 // prunes with an admissible bound combining the partition bound with
 // the propagated fixings, plus dominance chains over identical columns.
-// With Options.Parallel the frontier fans out over internal/parallel;
-// completed solves are bit-identical to serial because the returned
-// witness is re-derived by a deterministic canonical dive once the
-// optimum value is proved. See DESIGN.md "Solver internals".
+// Once the optimum value is proved, the returned witness is re-derived
+// by a deterministic canonical dive, so it is a pure function of the
+// model and options. See DESIGN.md "Solver internals".
 func Solve(m *Model, opt Options) (*Solution, error) {
 	maxNodes := opt.MaxNodes
 	if maxNodes == 0 {
@@ -56,41 +52,18 @@ func Solve(m *Model, opt Options) (*Solution, error) {
 		}
 	}
 
-	// Phase 1: prove the optimum value.
-	var subs []subResult
-	budgetHit := false
-	if opt.Parallel {
-		subs, budgetHit = solveParallel(c, sh, opt)
-	} else {
-		s := newSearcher(c, sh, opt.NoPropagation)
-		s.initRoot()
-		s.search()
-		subs = []subResult{s.result()}
-		budgetHit = s.budgetHit
-		subs[0].subproblems = 1
+	// Phase 1: prove the optimum value. A leaf replaces the hint only
+	// on strict Eps-improvement, so an exact tie keeps the hint.
+	s := newSearcher(c, sh)
+	s.initRoot()
+	s.search()
+	budgetHit := s.budgetHit
+	found, bestObj, bestVals := warm, hintObj, hintVals
+	if s.found && (!found || s.bestObj < bestObj-Eps) {
+		found, bestObj, bestVals = true, s.bestObj, s.bestVals
 	}
 
-	// Deterministic reduction: the hint first, then subproblems in their
-	// fixed decomposition order; strict Eps-improvement so exact ties
-	// resolve to the earliest candidate.
-	found := warm
-	bestObj := hintObj
-	bestVals := hintVals
-	st := solveStats{}
-	for _, r := range subs {
-		st.fold(r)
-		budgetHit = budgetHit || r.budgetHit
-		if !r.found {
-			continue
-		}
-		if !found || r.obj < bestObj-Eps {
-			found = true
-			bestObj = r.obj
-			bestVals = r.vals
-		}
-	}
-
-	nodes := int(sh.nodes.Load())
+	nodes := int(sh.nodes)
 	if !found {
 		if !budgetHit {
 			return nil, fmt.Errorf("%w (%d vars, %d constraints, %d nodes explored)",
@@ -103,41 +76,36 @@ func Solve(m *Model, opt Options) (*Solution, error) {
 		Objective:   bestObj,
 		Values:      bestVals,
 		Optimal:     !budgetHit,
-		Propagated:  int(st.propagated),
-		Pruned:      int(st.pruned),
-		Subproblems: int(st.subproblems),
-		Steals:      int(st.steals),
+		Propagated:  int(s.applies - s.decisions),
+		Pruned:      int(s.pruned),
 		WarmStarted: warm,
 	}
 	if !budgetHit {
 		// Phase 2: canonical witness dive. The optimum value V is proved;
-		// re-derive the returned assignment with a deterministic serial
-		// descent that prunes only what provably exceeds V. Serial and
-		// parallel phase 1 may surface different (equally optimal)
-		// witnesses depending on timing — the dive makes the returned
-		// solution a pure function of (model, options). The dive gets its
-		// own node budget so its determinism cannot depend on how many
-		// nodes phase 1 happened to consume.
+		// re-derive the returned assignment with a deterministic descent
+		// that prunes only what provably exceeds V. Phase 1's witness
+		// depends on the order incumbents improved and on the hint; the
+		// dive returns the first optimum in the fixed branching order
+		// instead. The dive gets its own node budget so it cannot depend
+		// on how many nodes phase 1 consumed.
 		dsh := newShared(maxNodes)
-		d := newSearcher(c, dsh, opt.NoPropagation)
+		d := newSearcher(c, dsh)
 		d.initRoot()
 		if d.dive(bestObj + Eps) {
 			sol.Objective = d.bestObj
 			sol.Values = d.bestVals
 		}
-		nodes += int(dsh.nodes.Load())
+		nodes += int(dsh.nodes)
 		sol.Propagated += int(d.applies - d.decisions)
 		sol.Pruned += int(d.pruned)
 	}
 	sol.Nodes = nodes
-	sol.Incumbents = int(sh.incumbents.Load())
+	sol.Incumbents = int(sh.incumbents)
 
 	mNodes.Add(int64(sol.Nodes))
 	mPropagated.Add(int64(sol.Propagated))
 	mPruned.Add(int64(sol.Pruned))
 	mIncumbents.Add(int64(sol.Incumbents))
-	mSubproblems.Add(int64(sol.Subproblems))
-	mSteals.Add(int64(sol.Steals))
 	if warm {
 		mWarmStarts.Inc()
 	}
@@ -146,7 +114,7 @@ func Solve(m *Model, opt Options) (*Solution, error) {
 
 // compiled is the solver's immutable view of a model: constraints
 // classified by structure, bitset occurrence masks, bound groups and
-// dominance chains. It is shared read-only by all searchers of a solve.
+// dominance chains. Both phases of a solve share it read-only.
 type compiled struct {
 	m   *Model
 	nv  int
@@ -349,56 +317,25 @@ func compile(m *Model) *compiled {
 	return c
 }
 
-// shared is the solve-wide state all searchers observe: the incumbent
-// objective (atomic float bits, CAS-min) and the node budget.
+// shared is the solve-wide search state: the incumbent objective, the
+// node count and the node budget.
 type shared struct {
-	best       atomic.Uint64
-	nodes      atomic.Int64
-	incumbents atomic.Int64
+	best       float64
+	nodes      int64
+	incumbents int64
 	maxNodes   int64
 }
 
 func newShared(maxNodes int) *shared {
-	sh := &shared{maxNodes: int64(maxNodes)}
-	sh.best.Store(math.Float64bits(math.Inf(1)))
-	return sh
+	return &shared{best: math.Inf(1), maxNodes: int64(maxNodes)}
 }
-
-func (sh *shared) bestObj() float64 { return math.Float64frombits(sh.best.Load()) }
 
 // offer installs obj as the incumbent if it improves on it.
-func (sh *shared) offer(obj float64) bool {
-	for {
-		cur := sh.best.Load()
-		if obj >= math.Float64frombits(cur) {
-			return false
-		}
-		if sh.best.CompareAndSwap(cur, math.Float64bits(obj)) {
-			sh.incumbents.Add(1)
-			return true
-		}
+func (sh *shared) offer(obj float64) {
+	if obj < sh.best {
+		sh.best = obj
+		sh.incumbents++
 	}
-}
-
-// subResult is one searcher's contribution to the reduction.
-type subResult struct {
-	found     bool
-	obj       float64
-	vals      []bool
-	budgetHit bool
-
-	nodes, propagated, pruned, subproblems, steals int64
-}
-
-type solveStats struct {
-	propagated, pruned, subproblems, steals int64
-}
-
-func (st *solveStats) fold(r subResult) {
-	st.propagated += r.propagated
-	st.pruned += r.pruned
-	st.subproblems += r.subproblems
-	st.steals += r.steals
 }
 
 type pfix struct {
@@ -408,13 +345,12 @@ type pfix struct {
 
 var valueOrder = [2]int8{one, zero}
 
-// searcher is the per-goroutine branch-and-bound state: the partial
-// assignment, per-row fixed/free counters, the undo trail and the
-// propagation queues. All fields are goroutine-local except sh.
+// searcher is the branch-and-bound state of one search phase: the
+// partial assignment, per-row fixed/free counters, the undo trail and
+// the propagation queues.
 type searcher struct {
-	c      *compiled
-	sh     *shared
-	noProp bool
+	c  *compiled
+	sh *shared
 
 	val      []int8
 	free     bitset
@@ -432,18 +368,14 @@ type searcher struct {
 	bestObj  float64
 	bestVals []bool
 
-	nodes, applies, decisions, pruned int64
-	budgetHit                         bool
-	// stolen marks a subproblem that observed another one in flight —
-	// the frontier genuinely overlapped in time.
-	stolen bool
+	applies, decisions, pruned int64
+	budgetHit                  bool
 }
 
-func newSearcher(c *compiled, sh *shared, noProp bool) *searcher {
+func newSearcher(c *compiled, sh *shared) *searcher {
 	s := &searcher{
 		c:          c,
 		sh:         sh,
-		noProp:     noProp,
 		val:        make([]int8, c.nv),
 		free:       newBitset(c.nv),
 		cliqueOnes: make([]int32, len(c.cliques)),
@@ -469,12 +401,10 @@ func newSearcher(c *compiled, sh *shared, noProp bool) *searcher {
 // is checked once.
 func (s *searcher) initRoot() {
 	c := s.c
-	if !s.noProp {
-		for r := range c.degrees {
-			if s.degFree[r] == 1 && s.degOnes[r] == 0 {
-				if v := firstAnd(c.degrees[r], s.free); v >= 0 {
-					s.pend = append(s.pend, pfix{v, one})
-				}
+	for r := range c.degrees {
+		if s.degFree[r] == 1 && s.degOnes[r] == 0 {
+			if v := firstAnd(c.degrees[r], s.free); v >= 0 {
+				s.pend = append(s.pend, pfix{v, one})
 			}
 		}
 	}
@@ -482,22 +412,6 @@ func (s *searcher) initRoot() {
 		s.isDirty[g] = true
 		s.dirty = append(s.dirty, int32(g))
 	}
-}
-
-func (s *searcher) result() subResult {
-	r := subResult{
-		found:      s.found,
-		obj:        s.bestObj,
-		vals:       s.bestVals,
-		budgetHit:  s.budgetHit,
-		nodes:      s.nodes,
-		propagated: s.applies - s.decisions,
-		pruned:     s.pruned,
-	}
-	if s.stolen {
-		r.steals = 1
-	}
-	return r
 }
 
 // apply fixes v to val, updating counters and enqueueing implied
@@ -522,7 +436,7 @@ func (s *searcher) apply(v int32, val int8) bool {
 			s.cliqueFree[r]--
 			if s.cliqueOnes[r] > 1 {
 				ok = false
-			} else if !s.noProp && s.cliqueFree[r] > 0 {
+			} else if s.cliqueFree[r] > 0 {
 				s.enqueueZeros(c.cliques[r])
 			}
 		}
@@ -531,11 +445,11 @@ func (s *searcher) apply(v int32, val int8) bool {
 			s.degFree[r]--
 			if s.degOnes[r] > 1 {
 				ok = false
-			} else if !s.noProp && s.degFree[r] > 0 {
+			} else if s.degFree[r] > 0 {
 				s.enqueueZeros(c.degrees[r])
 			}
 		}
-		if ok && !s.noProp {
+		if ok {
 			if p := c.domPred[v]; p >= 0 && s.val[p] == unset {
 				s.pend = append(s.pend, pfix{p, one})
 			}
@@ -549,14 +463,14 @@ func (s *searcher) apply(v int32, val int8) bool {
 			if s.degOnes[r] == 0 {
 				if s.degFree[r] == 0 {
 					ok = false
-				} else if !s.noProp && s.degFree[r] == 1 {
+				} else if s.degFree[r] == 1 {
 					if u := firstAnd(c.degrees[r], s.free); u >= 0 {
 						s.pend = append(s.pend, pfix{u, one})
 					}
 				}
 			}
 		}
-		if ok && !s.noProp {
+		if ok {
 			if nx := c.domSucc[v]; nx >= 0 && s.val[nx] == unset {
 				s.pend = append(s.pend, pfix{nx, zero})
 			}
@@ -644,7 +558,7 @@ func (s *searcher) checkGeneric(g int32) bool {
 			return false
 		}
 	}
-	if freeCount == 0 || s.noProp {
+	if freeCount == 0 {
 		return true
 	}
 	for _, t := range con.Terms {
@@ -822,7 +736,7 @@ func (s *searcher) snapshot() []bool {
 
 // recordLeaf validates the complete assignment against the full model
 // (Check is the authority; the incremental counters are bookkeeping)
-// and folds it into the local and shared incumbents.
+// and folds it into the searcher's and the solve's incumbents.
 func (s *searcher) recordLeaf() {
 	vals := s.snapshot()
 	obj, ok := s.c.m.Check(vals)
@@ -840,18 +754,18 @@ func (s *searcher) recordLeaf() {
 // search explores the subtree below the current partial assignment,
 // consuming any pending decision from the queue first.
 func (s *searcher) search() {
-	if s.sh.nodes.Add(1) > s.sh.maxNodes {
+	s.sh.nodes++
+	if s.sh.nodes > s.sh.maxNodes {
 		s.budgetHit = true
 		s.resetQueues()
 		return
 	}
-	s.nodes++
 	mark := len(s.trail)
 	if !s.propagate() {
 		s.undo(mark)
 		return
 	}
-	if lb := s.lowerBound(); lb >= s.sh.bestObj()-Eps {
+	if lb := s.lowerBound(); lb >= s.sh.best-Eps {
 		s.pruned++
 		s.undo(mark)
 		return
@@ -877,15 +791,14 @@ func (s *searcher) search() {
 // assignment with objective <= bound in the fixed depth-first order,
 // pruning only subtrees whose lower bound provably exceeds bound. With
 // bound = V + Eps for the proved optimum V, the result is a pure
-// function of (model, options) — this is what makes parallel solves
-// bit-identical to serial ones.
+// function of (model, options).
 func (s *searcher) dive(bound float64) bool {
-	if s.sh.nodes.Add(1) > s.sh.maxNodes {
+	s.sh.nodes++
+	if s.sh.nodes > s.sh.maxNodes {
 		s.budgetHit = true
 		s.resetQueues()
 		return false
 	}
-	s.nodes++
 	mark := len(s.trail)
 	if !s.propagate() {
 		s.undo(mark)

@@ -16,8 +16,10 @@
 //
 //   - Construct: a branch-and-bound around the Hungarian assignment
 //     relaxation (the production path, replacing Gurobi);
-//   - ConstructMILP: the literal Eq. (1)-(4) model on the generic
-//     internal/milp solver (used for cross-validation and small cases).
+//   - ConstructMILP: the literal Eq. (1)-(4) model (NewMILPInstance) on
+//     the generic internal/milp solver. Only tests call it, as an
+//     independent cross-check of Construct; xbench -solver times
+//     milp.Solve on the same models.
 //
 // Both share one Eq. (3) conflict table: a dense bitset over pairs of
 // undirected edges, filled by an allocation-free geom.EdgesConflict scan
@@ -470,7 +472,7 @@ func (inst *MILPInstance) Successors(sol *milp.Solution) []int {
 // generic 0/1 solver, then applies the same merging. It is exponential
 // in the worst case and intended for N ≲ 10 and cross-validation. The
 // solve is warm-started from the construction heuristic (or the caller's
-// Options.IncumbentHint) and runs the deterministic parallel mode.
+// Options.IncumbentHint).
 func ConstructMILP(net *noc.Network, opt Options) (*Result, error) {
 	inst, err := NewMILPInstance(net, opt)
 	if err != nil {
@@ -483,7 +485,6 @@ func ConstructMILP(net *noc.Network, opt Options) (*Result, error) {
 	sol, err := milp.Solve(inst.Model, milp.Options{
 		MaxNodes:      maxNodes,
 		IncumbentHint: inst.Hint,
-		Parallel:      true,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("ring: MILP solve: %w", err)
