@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -145,7 +146,7 @@ func TestPaperShapeTable2(t *testing.T) {
 			bestP = lr.TotalPowerMW
 			onBest = on
 			onLoss = lr
-			xr2, err := xtalk.Analyze(on.Design, on.Plan, lr)
+			xr2, err := xtalk.AnalyzeCtx(context.Background(), on.Design, on.Plan, lr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +202,7 @@ func TestPaperShapeTable3(t *testing.T) {
 		if lr.TotalPowerMW < bestP {
 			bestP = lr.TotalPowerMW
 			bestLoss = lr
-			bestX, err = xtalk.Analyze(or.Design, or.Plan, lr)
+			bestX, err = xtalk.AnalyzeCtx(context.Background(), or.Design, or.Plan, lr)
 			if err != nil {
 				t.Fatal(err)
 			}

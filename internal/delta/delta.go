@@ -134,6 +134,12 @@ type Evaluator struct {
 
 	last    *Reports
 	commits int
+
+	// savedX and spareX double-buffer the waveguide crossing lists
+	// across a tentative move: savedX[i] holds waveguide i's pre-move
+	// list while the move's PDN rebuild (BuildComb rewrites crossings in
+	// place) works on a copy in spareX[i]'s storage.
+	savedX, spareX [][]router.Crossing
 }
 
 // Attach builds an Evaluator over a synthesized result. The result's
@@ -176,7 +182,10 @@ func Attach(res *core.Result, opt Options) (*Evaluator, error) {
 	}
 	d.Routes = src.Routes // read-only
 
-	e := &Evaluator{opt: opt, net: net, d: d, scOrders: orders}
+	e := &Evaluator{opt: opt, net: net, d: d, scOrders: orders,
+		savedX: make([][]router.Crossing, len(d.Waveguides)),
+		spareX: make([][]router.Crossing, len(d.Waveguides)),
+	}
 	switch {
 	case res.Plan == nil:
 		e.kind = pdnNone
@@ -243,9 +252,7 @@ func (e *Evaluator) index() error {
 	return nil
 }
 
-// rebuildPlan re-synthesizes the PDN from the current geometry. Both
-// builders are deterministic pure functions of structure and geometry,
-// so rebuilding after a revert restores the plan bit for bit.
+// rebuildPlan re-synthesizes the PDN from the current geometry.
 func (e *Evaluator) rebuildPlan() error {
 	var err error
 	switch e.kind {
@@ -259,11 +266,11 @@ func (e *Evaluator) rebuildPlan() error {
 	return err
 }
 
-// applyGeometry moves one node and refreshes everything derived from
-// positions: the tour geometry, the paths of shortcuts ending at the
-// node, and the PDN plan. Pure recomputation — applying a position and
-// applying it again (as a revert does) produces identical state.
-func (e *Evaluator) applyGeometry(node int, p geom.Point) error {
+// moveNode sets one node's position and refreshes the geometry derived
+// from positions: the tour coordinates and the paths of shortcuts
+// ending at the node. Pure recomputation — moving a node back restores
+// this state bit for bit.
+func (e *Evaluator) moveNode(node int, p geom.Point) error {
 	e.net.Nodes[node].Pos = p
 	if err := e.d.RefreshGeometry(); err != nil {
 		return err
@@ -273,7 +280,44 @@ func (e *Evaluator) applyGeometry(node int, p geom.Point) error {
 			s.PathAB = geom.LPath(e.net.Nodes[s.A].Pos, e.net.Nodes[s.B].Pos, e.scOrders[si])
 		}
 	}
+	return nil
+}
+
+// applyGeometry moves one node and rebuilds the PDN at the new geometry.
+func (e *Evaluator) applyGeometry(node int, p geom.Point) error {
+	if err := e.moveNode(node, p); err != nil {
+		return err
+	}
 	return e.rebuildPlan()
+}
+
+// tentative applies a move (geometry and PDN rebuild), runs fn at the
+// moved geometry and reverts. Both PDN builders are deterministic pure
+// functions of structure and geometry, so a rebuild at the restored
+// geometry would reproduce the pre-move plan and crossing lists bit for
+// bit; the revert puts the saved ones back instead of rebuilding them.
+// fn's error is returned after the revert.
+func (e *Evaluator) tentative(node int, p geom.Point, fn func() error) error {
+	if node < 0 || node >= e.net.N() {
+		return fmt.Errorf("delta: node %d out of range", node)
+	}
+	old, plan := e.net.Nodes[node].Pos, e.plan
+	for i, w := range e.d.Waveguides {
+		e.savedX[i] = w.Crossings
+		w.Crossings = append(e.spareX[i][:0], w.Crossings...)
+	}
+	err := e.applyGeometry(node, p)
+	if err == nil {
+		err = fn()
+	}
+	for i, w := range e.d.Waveguides {
+		e.spareX[i], w.Crossings = w.Crossings, e.savedX[i]
+	}
+	e.plan = plan
+	if rerr := e.moveNode(node, old); rerr != nil {
+		return rerr
+	}
+	return err
 }
 
 // ringDirty reports whether the move of node moved invalidates a ring
@@ -369,7 +413,7 @@ func (e *Evaluator) evaluate(moved int, commit bool) (*Reports, error) {
 		losses[i] = sl
 	}
 	lrep := loss.Summarize(d, e.sigs, losses)
-	xrep, err := e.engine.Analyze(e.plan, lrep, e.opt.Xtalk)
+	xrep, err := e.engine.Analyze(context.Background(), e.plan, lrep, e.opt.Xtalk)
 	if err != nil {
 		return nil, err
 	}
@@ -381,23 +425,18 @@ func (e *Evaluator) evaluate(moved int, commit bool) (*Reports, error) {
 }
 
 // EvalMove scores moving node to position p without committing: the
-// move is applied, the dirty subset evaluated, and the geometry
-// reverted. The revert is a pure recomputation from the restored
-// positions, so the evaluator state afterwards is bit-identical to the
-// state before.
+// move is applied, the dirty subset evaluated, and the move reverted.
+// The evaluator state afterwards is bit-identical to the state before.
 func (e *Evaluator) EvalMove(node int, p geom.Point) (*Reports, error) {
-	if node < 0 || node >= e.net.N() {
-		return nil, fmt.Errorf("delta: node %d out of range", node)
-	}
-	old := e.net.Nodes[node].Pos
-	if err := e.applyGeometry(node, p); err != nil {
+	var rep *Reports
+	err := e.tentative(node, p, func() (err error) {
+		rep, err = e.evaluate(node, false)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-	rep, evalErr := e.evaluate(node, false)
-	if err := e.applyGeometry(node, old); err != nil {
-		return nil, err
-	}
-	return rep, evalErr
+	return rep, nil
 }
 
 // Commit applies a move permanently: geometry is updated, the dirty
@@ -431,27 +470,20 @@ func (e *Evaluator) Commit(node int, p geom.Point) (*Reports, error) {
 // move is reverted either way; a non-nil error means the delta engine
 // and the full analysis disagree.
 func (e *Evaluator) CheckMove(node int, p geom.Point) (*Reports, error) {
-	if node < 0 || node >= e.net.N() {
-		return nil, fmt.Errorf("delta: node %d out of range", node)
-	}
-	old := e.net.Nodes[node].Pos
-	if err := e.applyGeometry(node, p); err != nil {
-		return nil, err
-	}
-	rep, evalErr := e.evaluate(node, false)
+	var rep *Reports
 	var checkErr error
-	if evalErr == nil {
+	err := e.tentative(node, p, func() (err error) {
+		if rep, err = e.evaluate(node, false); err != nil {
+			return err
+		}
 		var full *Reports
-		full, checkErr = e.FullRecompute()
-		if checkErr == nil {
+		if full, checkErr = e.FullRecompute(); checkErr == nil {
 			checkErr = CompareReports(rep, full, 0)
 		}
-	}
-	if err := e.applyGeometry(node, old); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	if evalErr != nil {
-		return nil, evalErr
 	}
 	return rep, checkErr
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,6 +12,8 @@ import (
 	"xring/internal/geom"
 	"xring/internal/noc"
 	"xring/internal/parallel"
+	"xring/internal/pdn"
+	"xring/internal/router"
 )
 
 // synthesize builds the attachment point for the tests: a synthesized
@@ -214,5 +217,89 @@ func TestWorstSNRInfinity(t *testing.T) {
 	}
 	if err := CompareReports(ev.Reports(), full, 0); err != nil {
 		t.Fatalf("infinite-SNR reports differ: %v", err)
+	}
+}
+
+// rebuiltPlan builds the PDN afresh at the evaluator's current geometry
+// on a private copy of its design (BuildComb rewrites crossings), and
+// returns the plan with the copy's waveguide crossing lists.
+func rebuiltPlan(t *testing.T, ev *Evaluator) (*pdn.Plan, [][]router.Crossing) {
+	t.Helper()
+	cp := *ev.Design()
+	cp.Waveguides = make([]*router.Waveguide, len(ev.Design().Waveguides))
+	for i, w := range ev.Design().Waveguides {
+		wc := *w
+		wc.Crossings = append([]router.Crossing(nil), w.Crossings...)
+		cp.Waveguides[i] = &wc
+	}
+	var plan *pdn.Plan
+	var err error
+	switch ev.kind {
+	case pdnTree:
+		plan, err = pdn.BuildTree(&cp)
+	case pdnComb:
+		plan, err = pdn.BuildComb(&cp)
+	default:
+		t.Fatalf("evaluator has no PDN")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := make([][]router.Crossing, len(cp.Waveguides))
+	for i, w := range cp.Waveguides {
+		xs[i] = w.Crossings
+	}
+	return plan, xs
+}
+
+// TestRestoredPlanMatchesRebuild drives random EvalMove, CheckMove and
+// Commit sequences and, after every call, demands that the evaluator's
+// plan and waveguide crossings deep-equal a fresh PDN build at its
+// current geometry: a tentative move's revert restores the saved plan
+// and crossings instead of rebuilding them.
+func TestRestoredPlanMatchesRebuild(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  core.Options
+	}{
+		{"tree", core.Options{MaxWL: 8, WithPDN: true}},
+		{"comb", core.Options{MaxWL: 8, WithPDN: true, NoOpenings: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, seed := range []int64{1, 2} {
+				res := synthesize(t, 8, seed, tc.opt)
+				ev, err := Attach(res, Options{CrossCheckEvery: -1})
+				if err != nil {
+					t.Fatalf("seed %d: attach: %v", seed, err)
+				}
+				if tc.name == "comb" && ev.Design().TotalCrossings() == 0 {
+					t.Fatalf("seed %d: comb fixture has no crossings", seed)
+				}
+				rng := rand.New(rand.NewSource(seed))
+				for move := 0; move < 40; move++ {
+					node, p := randomMove(rng, ev.Network(), 1.0)
+					switch r := rng.Float64(); {
+					case r < 0.3:
+						_, err = ev.Commit(node, p)
+					case r < 0.5:
+						_, err = ev.CheckMove(node, p)
+					default:
+						_, err = ev.EvalMove(node, p)
+					}
+					if err != nil {
+						t.Fatalf("seed %d move %d: %v", seed, move, err)
+					}
+					plan, xs := rebuiltPlan(t, ev)
+					if !reflect.DeepEqual(ev.plan, plan) {
+						t.Fatalf("seed %d move %d: plan differs from a fresh build", seed, move)
+					}
+					for i, w := range ev.Design().Waveguides {
+						if !reflect.DeepEqual(w.Crossings, xs[i]) {
+							t.Fatalf("seed %d move %d: wg %d crossings %v, fresh build %v", seed, move, i, w.Crossings, xs[i])
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -145,23 +145,28 @@ func (r *Role) UnmarshalJSON(b []byte) error {
 // Replays are delta-evaluated: a scenario that perturbs nothing reuses
 // the nominal loss/crosstalk reports byte-identically; otherwise only
 // the routes promoted onto spares are re-priced (loss.ForRoute) and the
-// surviving set is re-summarized before a crosstalk pass over the
-// replay design. Replay designs share the nominal geometry, waveguides
-// and shortcuts; only the route table differs, with failed signals
-// removed and promoted signals rewritten onto their spare routes.
+// surviving set is re-summarized before a crosstalk pass. A scenario
+// changes only the route table — failed signals removed, promoted
+// signals rewritten onto their spare routes — while the geometry,
+// waveguides and shortcuts stay nominal. Neither the loss pricing nor
+// the crosstalk walk reads the route table, so every scenario is priced
+// against the nominal design, and one xtalk.Engine indexed on it serves
+// the nominal analysis, every scenario and every worker of the parallel
+// fan-out (the engine is read-only).
 func Analyze(ctx context.Context, d *router.Design, plan *pdn.Plan, scenarios []Scenario, opt Options) (*Report, error) {
 	lrep, err := loss.AnalyzeCtx(ctx, d, plan)
 	if err != nil {
 		return nil, fmt.Errorf("faults: nominal loss analysis: %w", err)
 	}
-	xrep, err := xtalk.AnalyzeCtx(ctx, d, plan, lrep)
+	xe := xtalk.NewEngine(d)
+	xrep, err := xe.Analyze(ctx, plan, lrep, xtalk.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("faults: nominal crosstalk analysis: %w", err)
 	}
-	banks := loss.NewBanks(d)
+	rp := newReplayer(d, plan, xe, lrep, xrep)
 
 	replay := func(i int) (Outcome, error) {
-		o, err := replayScenario(ctx, d, plan, banks, lrep, xrep, scenarios[i])
+		o, err := rp.replay(ctx, scenarios[i])
 		if err == nil && opt.OnOutcome != nil {
 			opt.OnOutcome(i, o)
 		}
@@ -268,9 +273,54 @@ func rankCritical(outcomes []Outcome) []CriticalElement {
 	return ce
 }
 
-// replayScenario evaluates one fault set against the design.
-func replayScenario(ctx context.Context, d *router.Design, plan *pdn.Plan, banks *loss.Banks,
-	lrep *loss.Report, xrep *xtalk.Report, sc Scenario) (Outcome, error) {
+// replayer holds what every scenario of one batch shares: the nominal
+// design, plan and analyses, its MRR banks and crosstalk engine, and its
+// signals in canonical order with their primary and spare routes and
+// nominal losses. It is read-only, so the parallel fan-out shares one.
+type replayer struct {
+	d     *router.Design
+	plan  *pdn.Plan
+	banks *loss.Banks
+	xe    *xtalk.Engine
+	lrep  *loss.Report
+	xrep  *xtalk.Report
+	// sigs[i] rides routes[i] (spares[i] when promoted) at nominal loss
+	// losses[i].
+	sigs           []noc.Signal
+	routes, spares []*router.Route
+	losses         []*loss.SignalLoss
+}
+
+// newReplayer indexes a design's nominal analyses for replay.
+func newReplayer(d *router.Design, plan *pdn.Plan, xe *xtalk.Engine, lrep *loss.Report, xrep *xtalk.Report) *replayer {
+	rp := &replayer{d: d, plan: plan, banks: loss.NewBanks(d), xe: xe, lrep: lrep, xrep: xrep,
+		sigs: loss.CanonicalSignals(d)}
+	rp.routes = make([]*router.Route, len(rp.sigs))
+	rp.spares = make([]*router.Route, len(rp.sigs))
+	rp.losses = make([]*loss.SignalLoss, len(rp.sigs))
+	for i, sig := range rp.sigs {
+		rp.routes[i], rp.spares[i], rp.losses[i] = d.Routes[sig], d.SpareRoutes[sig], lrep.Signals[sig]
+	}
+	return rp
+}
+
+// resolved is a fault set's effect on the route table.
+type resolved struct {
+	// surviving, lost, promoted and detuned are in canonical order;
+	// routes[i] is the route surviving[i] ends up on and nominal[i] its
+	// index in the replayer's signal list.
+	surviving, lost, promoted, detuned []noc.Signal
+	routes                             []*router.Route
+	nominal                            []int
+	// detuneDB is the extra drop loss of each detuned signal.
+	detuneDB map[noc.Signal]float64
+}
+
+// resolve applies a fault set to the route table: each signal keeps its
+// primary route if alive, else is promoted onto its spare, else is
+// lost; detunes then bite the routes the signals end up on.
+func (rp *replayer) resolve(sc Scenario) resolved {
+	d := rp.d
 	deadPrimary := map[noc.Signal]bool{}
 	deadSpare := map[noc.Signal]bool{}
 	var detunes []Fault
@@ -286,28 +336,40 @@ func replayScenario(ctx context.Context, d *router.Design, plan *pdn.Plan, banks
 	}
 
 	// Resolve final routes: primary if alive, else the spare (promotion),
-	// else lost.
-	final := map[noc.Signal]*router.Route{}
-	var lost, promoted []noc.Signal
-	for sig, r := range d.Routes {
+	// else lost (nil).
+	finalRoute := func(sig noc.Signal, primary, spare *router.Route) *router.Route {
 		switch {
 		case !deadPrimary[sig]:
-			final[sig] = r
-		case d.SpareRoutes[sig] != nil && !deadSpare[sig]:
-			final[sig] = d.SpareRoutes[sig]
-			promoted = append(promoted, sig)
-		default:
-			lost = append(lost, sig)
+			return primary
+		case spare != nil && !deadSpare[sig]:
+			return spare
 		}
+		return nil
 	}
-	sortSignals(lost)
-	sortSignals(promoted)
+	rs := resolved{
+		surviving: make([]noc.Signal, 0, len(rp.sigs)),
+		routes:    make([]*router.Route, 0, len(rp.sigs)),
+		nominal:   make([]int, 0, len(rp.sigs)),
+	}
+	for i, sig := range rp.sigs {
+		r := finalRoute(sig, rp.routes[i], rp.spares[i])
+		switch {
+		case r == nil:
+			rs.lost = append(rs.lost, sig)
+			continue
+		case r != rp.routes[i]:
+			rs.promoted = append(rs.promoted, sig)
+		}
+		rs.surviving = append(rs.surviving, sig)
+		rs.routes = append(rs.routes, r)
+		rs.nominal = append(rs.nominal, i)
+	}
 
 	// A detune only bites when it targets the channel the signal ends up
 	// using after promotion.
 	detuneDB := map[noc.Signal]float64{}
 	for _, f := range detunes {
-		r := final[f.Sig]
+		r := finalRoute(f.Sig, d.Routes[f.Sig], d.SpareRoutes[f.Sig])
 		if r == nil {
 			continue
 		}
@@ -320,15 +382,22 @@ func replayScenario(ctx context.Context, d *router.Design, plan *pdn.Plan, banks
 		detuned = append(detuned, sig)
 	}
 	sortSignals(detuned)
+	rs.detuned, rs.detuneDB = detuned, detuneDB
+	return rs
+}
 
+// replay evaluates one fault set against the design.
+func (rp *replayer) replay(ctx context.Context, sc Scenario) (Outcome, error) {
+	d, plan, lrep, xrep := rp.d, rp.plan, rp.lrep, rp.xrep
+	rs := rp.resolve(sc)
 	out := Outcome{
 		Scenario: sc,
-		Lost:     lost,
-		Promoted: promoted,
-		Detuned:  detuned,
-		Survived: len(final),
+		Lost:     rs.lost,
+		Promoted: rs.promoted,
+		Detuned:  rs.detuned,
+		Survived: len(rs.surviving),
 	}
-	if len(lost) == 0 && len(promoted) == 0 && len(detuned) == 0 {
+	if len(rs.lost) == 0 && len(rs.promoted) == 0 && len(rs.detuned) == 0 {
 		// No structural or loss effect: the nominal analyses hold
 		// byte-identically.
 		mNominalReuse.Inc()
@@ -338,41 +407,34 @@ func replayScenario(ctx context.Context, d *router.Design, plan *pdn.Plan, banks
 		return out, nil
 	}
 	mReplays.Inc()
-	if len(final) == 0 {
+	if len(rs.surviving) == 0 {
 		// Nothing survives: there is no surviving-set analysis to run.
 		out.FullReplay = true
 		return out, nil
 	}
 
-	rd, err := replayDesign(d, final)
-	if err != nil {
-		return Outcome{}, err
-	}
-	sigs := make([]noc.Signal, 0, len(final))
-	for sig := range final {
-		sigs = append(sigs, sig)
-	}
-	sortSignals(sigs)
+	sigs := rs.surviving
 	losses := make([]*loss.SignalLoss, len(sigs))
 	for i, sig := range sigs {
-		r := final[sig]
-		sl := lrep.Signals[sig]
-		if r != d.Routes[sig] {
+		r, n := rs.routes[i], rs.nominal[i]
+		sl := rp.losses[n]
+		if r != rp.routes[n] {
 			// Promoted onto the spare: price the protection route.
-			sl, err = loss.ForRoute(rd, banks, plan, sig, r)
+			var err error
+			sl, err = loss.ForRoute(d, rp.banks, plan, sig, r)
 			if err != nil {
 				return Outcome{}, fmt.Errorf("faults: pricing spare route for %v: %w", sig, err)
 			}
 		}
-		if db := detuneDB[sig]; db > 0 {
+		if db := rs.detuneDB[sig]; db > 0 {
 			cp := *sl
 			cp.IL += db
 			sl = &cp
 		}
 		losses[i] = sl
 	}
-	lrep2 := loss.Summarize(rd, sigs, losses)
-	xrep2, err := xtalk.AnalyzeCtx(ctx, rd, plan, lrep2)
+	lrep2 := loss.Summarize(d, sigs, losses)
+	xrep2, err := rp.xe.Analyze(ctx, plan, lrep2, xtalk.Options{})
 	if err != nil {
 		return Outcome{}, fmt.Errorf("faults: replay crosstalk analysis: %w", err)
 	}
@@ -425,21 +487,6 @@ func killSegment(d *router.Design, f Fault, deadPrimary, deadSpare map[noc.Signa
 			}
 		}
 	}
-}
-
-// replayDesign builds a lightweight clone sharing the nominal geometry,
-// waveguide and shortcut structures, carrying only the post-fault route
-// table. Clones are analysis inputs, never validated or serialized.
-func replayDesign(d *router.Design, final map[noc.Signal]*router.Route) (*router.Design, error) {
-	rd, err := router.NewDesign(d.Net, d.Par, d.Tour, d.EdgeOrders)
-	if err != nil {
-		return nil, fmt.Errorf("faults: replay design: %w", err)
-	}
-	rd.Waveguides = d.Waveguides
-	rd.Shortcuts = d.Shortcuts
-	rd.MaxWL = d.MaxWL
-	rd.Routes = final
-	return rd, nil
 }
 
 func sortSignals(sigs []noc.Signal) {

@@ -81,7 +81,7 @@ func TestEmptyScenarioByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			xrep, err := xtalk.Analyze(d, plan, lrep)
+			xrep, err := xtalk.AnalyzeCtx(context.Background(), d, plan, lrep)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -255,9 +255,9 @@ func TestCombinations(t *testing.T) {
 		{6, 6, 100, 1},
 		{6, 7, 100, 0},
 		{6, -1, 100, 0},
-		{10, 3, 120, 120},       // exactly at the limit: exact count
-		{10, 3, 119, 120},       // over the limit: saturates at limit+1
-		{1885, 3, 4096, 4097},   // realistic whatif universe, k=3: must saturate, not overflow
+		{10, 3, 120, 120},        // exactly at the limit: exact count
+		{10, 3, 119, 120},        // over the limit: saturates at limit+1
+		{1885, 3, 4096, 4097},    // realistic whatif universe, k=3: must saturate, not overflow
 		{1 << 30, 5, 4096, 4097}, // huge n: the running product must saturate before overflowing
 	}
 	for _, c := range cases {
@@ -314,5 +314,156 @@ func TestEnumerateAndSample(t *testing.T) {
 	}
 	if reflect.DeepEqual(s1, s3) {
 		t.Fatal("different seeds produced identical samples")
+	}
+}
+
+// replayDesign is the naive replay input: a clone sharing the nominal
+// geometry, waveguides and shortcuts, carrying only the post-fault
+// route table.
+func replayDesign(t *testing.T, d *router.Design, final map[noc.Signal]*router.Route) *router.Design {
+	t.Helper()
+	rd, err := router.NewDesign(d.Net, d.Par, d.Tour, d.EdgeOrders)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd.Waveguides = d.Waveguides
+	rd.Shortcuts = d.Shortcuts
+	rd.MaxWL = d.MaxWL
+	rd.Routes = final
+	return rd
+}
+
+// naiveOutcome replays one scenario by full re-analysis: the surviving
+// route table goes into a fresh replay design, which loss.AnalyzeCtx
+// and xtalk.AnalyzeCtx analyze from scratch.
+func naiveOutcome(t *testing.T, d *router.Design, plan *pdn.Plan, nominal *loss.Report, sc Scenario) Outcome {
+	t.Helper()
+	ctx := context.Background()
+	rs := newReplayer(d, plan, nil, nominal, nil).resolve(sc)
+	noEffect := len(rs.lost) == 0 && len(rs.promoted) == 0 && len(rs.detuned) == 0
+	out := Outcome{
+		Scenario:   sc,
+		Lost:       rs.lost,
+		Promoted:   rs.promoted,
+		Detuned:    rs.detuned,
+		Survived:   len(rs.surviving),
+		FullReplay: !noEffect,
+	}
+	if len(rs.surviving) == 0 {
+		return out
+	}
+	final := make(map[noc.Signal]*router.Route, len(rs.surviving))
+	for i, sig := range rs.surviving {
+		final[sig] = rs.routes[i]
+	}
+	rd := replayDesign(t, d, final)
+	lrep, err := loss.AnalyzeCtx(ctx, rd, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigs := loss.CanonicalSignals(rd)
+	losses := make([]*loss.SignalLoss, len(sigs))
+	for i, sig := range sigs {
+		sl := lrep.Signals[sig]
+		if db := rs.detuneDB[sig]; db > 0 {
+			cp := *sl
+			cp.IL += db
+			sl = &cp
+		}
+		losses[i] = sl
+	}
+	lrep = loss.Summarize(rd, sigs, losses)
+	xrep, err := xtalk.AnalyzeCtx(ctx, rd, plan, lrep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.WorstIL = lrep.WorstIL
+	out.WorstSNR = finiteSNR(xrep.WorstSNR)
+	out.TotalPowerMW = lrep.TotalPowerMW
+	if !noEffect {
+		out.DegradationDB = lrep.WorstIL - nominal.WorstIL
+	}
+	return out
+}
+
+// sameOutcome demands bit-identical outcomes.
+func sameOutcome(a, b Outcome) bool {
+	return reflect.DeepEqual(a, b) &&
+		math.Float64bits(a.WorstIL) == math.Float64bits(b.WorstIL) &&
+		math.Float64bits(a.WorstSNR) == math.Float64bits(b.WorstSNR) &&
+		math.Float64bits(a.TotalPowerMW) == math.Float64bits(b.TotalPowerMW) &&
+		math.Float64bits(a.DegradationDB) == math.Float64bits(b.DegradationDB)
+}
+
+// TestReplayMatchesNaiveReanalysis is the differential test of the
+// hoisted replay: every outcome of Analyze — one crosstalk engine per
+// batch, scenarios priced against the nominal design — must equal a
+// naive full re-analysis of a fresh replay design bit for bit. It
+// covers sampled fault pairs plus single faults under tree and comb
+// PDNs, serially and through the parallel fan-out. The tree case is the
+// exhaustive single-fault universe of the k=1 16-node grid. The comb
+// case samples the single faults of the k=1 8-node grid: a 16-node k=1
+// comb design carries thousands of PDN crossings and costs about 0.3 s
+// per replayed scenario.
+func TestReplayMatchesNaiveReanalysis(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		net     *noc.Network
+		opt     core.Options
+		singles int // sampled single faults; 0 replays the whole universe
+		pairs   int
+	}{
+		{"tree", noc.Floorplan16(), core.Options{MaxWL: 8, WithPDN: true, FaultTolerance: 1}, 0, 200},
+		{"comb", noc.Floorplan8(), core.Options{MaxWL: 8, WithPDN: true, NoOpenings: true, FaultTolerance: 1}, 120, 40},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := core.Synthesize(tc.net, tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, plan := res.Design, res.Plan
+			if plan == nil || (tc.name == "comb") != (plan.Kind == pdn.Comb) {
+				t.Fatalf("fixture: plan %+v", plan)
+			}
+			u := Universe(d, []Kind{KindMRR, KindSegment, KindDetune}, 0)
+			scs, err := EnumerateK(u, 1)
+			if tc.singles > 0 {
+				scs, err = SampleK(u, 1, tc.singles, 7)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairs, err := SampleK(u, 2, tc.pairs, 11)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scs = append(scs, pairs...)
+			nominal, err := loss.AnalyzeCtx(context.Background(), d, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]Outcome, len(scs))
+			replays := 0
+			for i, sc := range scs {
+				want[i] = naiveOutcome(t, d, plan, nominal, sc)
+				if want[i].FullReplay {
+					replays++
+				}
+			}
+			if replays == 0 {
+				t.Fatal("no scenario needed a replay; the fixture exercises nothing")
+			}
+			for _, serial := range []bool{true, false} {
+				rep, err := Analyze(context.Background(), d, plan, scs, Options{Serial: serial})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, got := range rep.Outcomes {
+					if !sameOutcome(got, want[i]) {
+						t.Fatalf("serial=%v scenario %v:\n got %+v\nwant %+v", serial, scs[i], got, want[i])
+					}
+				}
+			}
+		})
 	}
 }

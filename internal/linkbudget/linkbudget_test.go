@@ -1,6 +1,7 @@
 package linkbudget
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -155,7 +156,7 @@ func TestBaselineBERWorseThanXRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	onX, err := xtalk.Analyze(on.Design, on.Plan, onLoss)
+	onX, err := xtalk.AnalyzeCtx(context.Background(), on.Design, on.Plan, onLoss)
 	if err != nil {
 		t.Fatal(err)
 	}

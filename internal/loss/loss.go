@@ -226,7 +226,7 @@ func FeedKeyFor(sig noc.Signal, r *router.Route) pdn.FeedKey {
 func Summarize(d *router.Design, sigs []noc.Signal, losses []*SignalLoss) *Report {
 	par := d.Par
 	rep := &Report{
-		Signals:         map[noc.Signal]*SignalLoss{},
+		Signals:         make(map[noc.Signal]*SignalLoss, len(sigs)),
 		WavelengthPower: map[int]float64{},
 		WorstIL:         math.Inf(-1),
 		WavelengthCount: d.WavelengthsUsed(),

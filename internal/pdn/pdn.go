@@ -24,8 +24,10 @@
 package pdn
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"xring/internal/obs"
@@ -124,31 +126,42 @@ func (p *Plan) SenderLossDB(par phys.Params, key FeedKey) (float64, error) {
 // waveguides all have openings (Step 3 must have run with openings
 // enabled). It is crossing-free and does not modify the design.
 func BuildTree(d *router.Design) (*Plan, error) {
-	p := &Plan{Kind: Tree, Feeds: map[FeedKey]*Feed{}}
-	for _, w := range d.Waveguides {
-		senders := d.SendersOn(w)
-		if len(senders) == 0 {
+	p, senders := newPlan(d, Tree)
+	trees := 0
+	for wi, w := range d.Waveguides {
+		if len(senders[wi]) == 0 {
 			continue
 		}
 		if w.Opening < 0 {
 			return nil, fmt.Errorf("pdn: waveguide %d has no opening; run Step 3 with openings", w.ID)
 		}
-		coords := corridorCoords(d, w, senders)
-		feeds, wire := buildSplitterTree(coords)
-		for node, f := range feeds {
-			key := FeedKey{Index: w.ID, Node: node}
-			f.Key = key
-			p.Feeds[key] = f
+		leaves := corridorCoords(d, w, senders[wi])
+		feeds, wire := buildSplitterTree(leaves)
+		for i, lf := range leaves {
+			f := &feeds[i]
+			f.Key = FeedKey{Index: w.ID, Node: lf.node}
+			p.Feeds[f.Key] = f
 		}
-		p.Splitters += len(coords) - 1
+		p.Splitters += len(leaves) - 1
 		p.WireLength += wire
+		trees++
 	}
-	if err := addShortcutFeeds(d, p); err != nil {
-		return nil, err
-	}
-	addGlobalTrunk(d, p)
+	trees += addShortcutFeeds(d, p)
+	addGlobalTrunk(d, p, trees)
 	p.record()
 	return p, nil
+}
+
+// newPlan returns an empty plan with its feed map sized for the design,
+// and the senders of each waveguide (d.SendersOn, by waveguide index).
+func newPlan(d *router.Design, kind Kind) (*Plan, [][]int) {
+	senders := make([][]int, len(d.Waveguides))
+	n := 2 * len(d.Shortcuts) // at most one sender per shortcut endpoint
+	for i, w := range d.Waveguides {
+		senders[i] = d.SendersOn(w)
+		n += len(senders[i])
+	}
+	return &Plan{Kind: kind, Feeds: make(map[FeedKey]*Feed, n)}, senders
 }
 
 // BuildComb synthesizes the baseline comb PDN: a trunk outside the
@@ -156,7 +169,8 @@ func BuildTree(d *router.Design) (*Plan, error) {
 // It registers every crossing on the crossed waveguide (mutating the
 // design) so the analyses account for crossing loss and noise.
 func BuildComb(d *router.Design) (*Plan, error) {
-	p := &Plan{Kind: Comb, Feeds: map[FeedKey]*Feed{}}
+	p, senders := newPlan(d, Comb)
+	trees := 0
 	// Idempotence: drop crossings from a previous comb build (e.g. on a
 	// design reloaded from disk) before registering fresh ones.
 	for _, w := range d.Waveguides {
@@ -177,25 +191,24 @@ func BuildComb(d *router.Design) (*Plan, error) {
 	radialAbove := func(r int) int { return maxRadial - r }
 
 	spacing := d.Par.RingSpacingMM(d.N()) / 2 // radial gap per waveguide (approx)
-	for _, w := range d.Waveguides {
-		senders := d.SendersOn(w)
-		if len(senders) == 0 {
+	for wi, w := range d.Waveguides {
+		if len(senders[wi]) == 0 {
 			continue
 		}
-		coords := corridorCoords(d, w, senders)
-		feeds, wire := buildSplitterTree(coords)
-		p.Splitters += len(coords) - 1
+		leaves := corridorCoords(d, w, senders[wi])
+		feeds, wire := buildSplitterTree(leaves)
+		p.Splitters += len(leaves) - 1
 		nCross := radialAbove(w.Radial)
 		// Register feeds in sorted node order: the crossings appended to
 		// the outer waveguides fix the noise-walk accumulation order, so
 		// two builds of the same geometry must produce the same sequence.
-		nodes := make([]int, 0, len(feeds))
-		for node := range feeds {
-			nodes = append(nodes, node)
+		byNode := make([]int, len(leaves))
+		for i := range byNode {
+			byNode[i] = i
 		}
-		sort.Ints(nodes)
-		for _, node := range nodes {
-			f := feeds[node]
+		slices.SortFunc(byNode, func(i, j int) int { return leaves[i].node - leaves[j].node })
+		for _, i := range byNode {
+			node, f := leaves[i].node, &feeds[i]
 			f.Crossings = nCross
 			f.PathLen += float64(nCross) * spacing // radial feed segment
 			key := FeedKey{Index: w.ID, Node: node}
@@ -215,11 +228,10 @@ func BuildComb(d *router.Design) (*Plan, error) {
 			}
 		}
 		p.WireLength += wire
+		trees++
 	}
-	if err := addShortcutFeeds(d, p); err != nil {
-		return nil, err
-	}
-	addGlobalTrunk(d, p)
+	trees += addShortcutFeeds(d, p)
+	addGlobalTrunk(d, p, trees)
 	p.record()
 	return p, nil
 }
@@ -233,8 +245,9 @@ func BuildComb(d *router.Design) (*Plan, error) {
 // distribution arrangement splits each path at least ceil(log2 M)
 // times, M being the total modulator count. Each feed's splitter count
 // is raised to that balanced-tree ideal (feeds already deeper inside
-// their own waveguide tree keep their real depth).
-func addGlobalTrunk(d *router.Design, p *Plan) {
+// their own waveguide tree keep their real depth). trees counts the
+// top-level subtrees: one per fed waveguide and per fed shortcut.
+func addGlobalTrunk(d *router.Design, p *Plan, trees int) {
 	mods := 0
 	for _, w := range d.Waveguides {
 		mods += len(w.Channels)
@@ -253,19 +266,17 @@ func addGlobalTrunk(d *router.Design, p *Plan) {
 	}
 	// Joining T top-level subtrees to one laser costs T-1 combiner
 	// splitters.
-	trees := map[FeedKey]bool{}
-	for key := range p.Feeds {
-		trees[FeedKey{OnShortcut: key.OnShortcut, Index: key.Index}] = true
-	}
-	if len(trees) > 1 {
-		p.Splitters += len(trees) - 1
+	if trees > 1 {
+		p.Splitters += trees - 1
 	}
 }
 
 // addShortcutFeeds powers the senders dedicated to shortcuts. Shortcut
 // senders sit at node positions, so the corridor PDN reaches them like
-// ring senders; each shortcut pair forms a two-leaf subtree.
-func addShortcutFeeds(d *router.Design, p *Plan) error {
+// ring senders; each shortcut pair forms a two-leaf subtree. It returns
+// the number of shortcuts fed.
+func addShortcutFeeds(d *router.Design, p *Plan) int {
+	fed := 0
 	for si, s := range d.Shortcuts {
 		// A sender exists at an endpoint if any channel enters there.
 		entries := map[int]bool{}
@@ -280,6 +291,7 @@ func addShortcutFeeds(d *router.Design, p *Plan) error {
 			nodes = append(nodes, n)
 		}
 		sort.Ints(nodes)
+		fed++
 		p.Splitters++ // pairs the two endpoint senders
 		for _, n := range nodes {
 			// One splitter pairs the two endpoint senders; the feed runs
@@ -294,82 +306,92 @@ func addShortcutFeeds(d *router.Design, p *Plan) error {
 			p.WireLength += s.Length() / 2
 		}
 	}
-	return nil
+	return fed
+}
+
+// leaf is one sender on a waveguide's PDN corridor.
+type leaf struct {
+	node int
+	pos  float64 // corridor coordinate, mm
 }
 
 // corridorCoords linearizes sender positions along the PDN corridor of
 // a waveguide: arc coordinates measured from the opening (or from the
 // tour origin when the waveguide has none) in the waveguide's travel
-// direction, sorted ascending. The first sender after the opening is
-// thereby paired first, as Sec. III-D prescribes.
-func corridorCoords(d *router.Design, w *router.Waveguide, senders []int) map[int]float64 {
+// direction, sorted ascending by (coordinate, node ID). The first
+// sender after the opening is thereby paired first, as Sec. III-D
+// prescribes, and senders at one coordinate pair in a fixed order.
+func corridorCoords(d *router.Design, w *router.Waveguide, senders []int) []leaf {
 	origin := 0.0
 	if w.Opening >= 0 {
 		origin = d.NodeCoord(w.Opening)
 	}
 	per := d.Perimeter()
-	coords := make(map[int]float64, len(senders))
-	for _, s := range senders {
+	leaves := make([]leaf, len(senders))
+	for i, s := range senders {
 		x := d.NodeCoord(s) - origin
 		if w.Dir == router.CCW {
 			x = -x
 		}
 		x = math.Mod(x+2*per, per)
-		coords[s] = x
+		leaves[i] = leaf{node: s, pos: x}
 	}
-	return coords
+	slices.SortFunc(leaves, func(a, b leaf) int {
+		if c := cmp.Compare(a.pos, b.pos); c != 0 {
+			return c
+		}
+		return a.node - b.node
+	})
+	return leaves
 }
 
-// buildSplitterTree pairs senders sequentially along the corridor and
+// buildSplitterTree pairs the sorted corridor leaves sequentially and
 // stacks splitter levels until one top splitter remains. It returns the
-// per-leaf feeds (splitter count and path length to the laser entry at
-// corridor coordinate 0) and the total wire length.
-func buildSplitterTree(coords map[int]float64) (map[int]*Feed, float64) {
+// per-leaf feeds — feeds[i] belongs to leaves[i]: splitter count and
+// path length to the laser entry at corridor coordinate 0 — and the
+// total wire length. Pairing is sequential, so every tree node covers
+// a contiguous range of leaves.
+func buildSplitterTree(leaves []leaf) ([]Feed, float64) {
 	type tnode struct {
 		pos    float64
-		leaves []int
+		lo, hi int // leaves[lo:hi] hang below this node
 	}
-	feeds := make(map[int]*Feed, len(coords))
-	var level []tnode
-	nodes := make([]int, 0, len(coords))
-	for n := range coords {
-		nodes = append(nodes, n)
+	feeds := make([]Feed, len(leaves))
+	level := make([]tnode, len(leaves))
+	for i, lf := range leaves {
+		level[i] = tnode{pos: lf.pos, lo: i, hi: i + 1}
 	}
-	sort.Slice(nodes, func(i, j int) bool { return coords[nodes[i]] < coords[nodes[j]] })
-	for _, n := range nodes {
-		feeds[n] = &Feed{}
-		level = append(level, tnode{pos: coords[n], leaves: []int{n}})
-	}
+	next := make([]tnode, 0, (len(leaves)+1)/2)
 	wire := 0.0
 	for len(level) > 1 {
-		var next []tnode
+		next = next[:0]
 		for i := 0; i+1 < len(level); i += 2 {
 			a, b := level[i], level[i+1]
 			span := math.Abs(a.pos - b.pos)
 			mid := (a.pos + b.pos) / 2
 			wire += span
-			for _, leaf := range a.leaves {
-				feeds[leaf].Splitters++
-				feeds[leaf].PathLen += math.Abs(a.pos - mid)
+			for k := a.lo; k < a.hi; k++ {
+				feeds[k].Splitters++
+				feeds[k].PathLen += math.Abs(a.pos - mid)
 			}
-			for _, leaf := range b.leaves {
-				feeds[leaf].Splitters++
-				feeds[leaf].PathLen += math.Abs(b.pos - mid)
+			for k := b.lo; k < b.hi; k++ {
+				feeds[k].Splitters++
+				feeds[k].PathLen += math.Abs(b.pos - mid)
 			}
-			next = append(next, tnode{pos: mid, leaves: append(append([]int{}, a.leaves...), b.leaves...)})
+			next = append(next, tnode{pos: mid, lo: a.lo, hi: b.hi})
 		}
 		if len(level)%2 == 1 {
 			next = append(next, level[len(level)-1])
 		}
-		level = next
+		level, next = next, level
 	}
 	// Trunk from the laser entry (corridor coordinate 0, at the opening)
 	// to the top splitter.
 	top := level[0]
 	trunk := top.pos
 	wire += trunk
-	for _, leaf := range top.leaves {
-		feeds[leaf].PathLen += trunk
+	for k := top.lo; k < top.hi; k++ {
+		feeds[k].PathLen += trunk
 	}
 	return feeds, wire
 }

@@ -2,6 +2,9 @@ package pdn
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"xring/internal/mapping"
@@ -157,13 +160,92 @@ func TestSenderLossMonotoneInSplitters(t *testing.T) {
 	}
 }
 
+// refBuildSplitterTree is the splitter-tree builder as it stood before
+// the range-based one: a map of coordinates, a sort over map iteration
+// order, and a leaf list copied into every internal node. The
+// production builder must reproduce it exactly on tie-free coordinates.
+func refBuildSplitterTree(coords map[int]float64) (map[int]*Feed, float64) {
+	type tnode struct {
+		pos    float64
+		leaves []int
+	}
+	feeds := make(map[int]*Feed, len(coords))
+	var level []tnode
+	nodes := make([]int, 0, len(coords))
+	for n := range coords {
+		nodes = append(nodes, n)
+	}
+	sort.Slice(nodes, func(i, j int) bool { return coords[nodes[i]] < coords[nodes[j]] })
+	for _, n := range nodes {
+		feeds[n] = &Feed{}
+		level = append(level, tnode{pos: coords[n], leaves: []int{n}})
+	}
+	wire := 0.0
+	for len(level) > 1 {
+		var next []tnode
+		for i := 0; i+1 < len(level); i += 2 {
+			a, b := level[i], level[i+1]
+			span := math.Abs(a.pos - b.pos)
+			mid := (a.pos + b.pos) / 2
+			wire += span
+			for _, leaf := range a.leaves {
+				feeds[leaf].Splitters++
+				feeds[leaf].PathLen += math.Abs(a.pos - mid)
+			}
+			for _, leaf := range b.leaves {
+				feeds[leaf].Splitters++
+				feeds[leaf].PathLen += math.Abs(b.pos - mid)
+			}
+			next = append(next, tnode{pos: mid, leaves: append(append([]int{}, a.leaves...), b.leaves...)})
+		}
+		if len(level)%2 == 1 {
+			next = append(next, level[len(level)-1])
+		}
+		level = next
+	}
+	top := level[0]
+	trunk := top.pos
+	wire += trunk
+	for _, leaf := range top.leaves {
+		feeds[leaf].PathLen += trunk
+	}
+	return feeds, wire
+}
+
+// sortedLeaves orders a coordinate map the way corridorCoords does.
+func sortedLeaves(coords map[int]float64) []leaf {
+	leaves := make([]leaf, 0, len(coords))
+	for n, x := range coords {
+		leaves = append(leaves, leaf{node: n, pos: x})
+	}
+	sort.Slice(leaves, func(i, j int) bool {
+		if leaves[i].pos != leaves[j].pos {
+			return leaves[i].pos < leaves[j].pos
+		}
+		return leaves[i].node < leaves[j].node
+	})
+	return leaves
+}
+
+// feedOf returns the feed built for node.
+func feedOf(t *testing.T, leaves []leaf, feeds []Feed, node int) Feed {
+	t.Helper()
+	for i, lf := range leaves {
+		if lf.node == node {
+			return feeds[i]
+		}
+	}
+	t.Fatalf("no leaf for node %d", node)
+	return Feed{}
+}
+
 func TestBuildSplitterTreeBalanced(t *testing.T) {
 	// Four equally spaced senders: two levels, symmetric paths.
-	coords := map[int]float64{10: 0, 11: 2, 12: 4, 13: 6}
-	feeds, wire := buildSplitterTree(coords)
-	for n, f := range feeds {
+	leaves := sortedLeaves(map[int]float64{10: 0, 11: 2, 12: 4, 13: 6})
+	feeds, wire := buildSplitterTree(leaves)
+	for i, f := range feeds {
 		if f.Splitters != 2 {
-			t.Fatalf("sender %d has %d splitters, want 2", n, f.Splitters)
+			t.Fatalf("sender %d has %d splitters, want 2", leaves[i].node, f.Splitters)
 		}
 	}
 	// Level 1 wires: |0-2| + |4-6| = 4; level 2: |1-5| = 4; trunk to
@@ -172,32 +254,75 @@ func TestBuildSplitterTreeBalanced(t *testing.T) {
 		t.Fatalf("wire = %v, want 11", wire)
 	}
 	// Leaf 10: |0-1| + |1-3| + 3 = 6.
-	if math.Abs(feeds[10].PathLen-6) > 1e-9 {
-		t.Fatalf("leaf 10 path = %v, want 6", feeds[10].PathLen)
+	if got := feedOf(t, leaves, feeds, 10).PathLen; math.Abs(got-6) > 1e-9 {
+		t.Fatalf("leaf 10 path = %v, want 6", got)
 	}
 }
 
 func TestBuildSplitterTreeOdd(t *testing.T) {
 	// Three senders: the straggler is promoted and gets fewer splitters.
-	coords := map[int]float64{0: 0, 1: 2, 2: 9}
-	feeds, _ := buildSplitterTree(coords)
-	if feeds[0].Splitters != 2 || feeds[1].Splitters != 2 {
-		t.Fatalf("paired leaves need 2 splitters: %+v %+v", feeds[0], feeds[1])
+	leaves := sortedLeaves(map[int]float64{0: 0, 1: 2, 2: 9})
+	feeds, _ := buildSplitterTree(leaves)
+	f0, f1, f2 := feedOf(t, leaves, feeds, 0), feedOf(t, leaves, feeds, 1), feedOf(t, leaves, feeds, 2)
+	if f0.Splitters != 2 || f1.Splitters != 2 {
+		t.Fatalf("paired leaves need 2 splitters: %+v %+v", f0, f1)
 	}
-	if feeds[2].Splitters != 1 {
-		t.Fatalf("promoted leaf needs 1 splitter, got %d", feeds[2].Splitters)
+	if f2.Splitters != 1 {
+		t.Fatalf("promoted leaf needs 1 splitter, got %d", f2.Splitters)
 	}
 }
 
 func TestBuildSplitterTreeSingle(t *testing.T) {
-	coords := map[int]float64{5: 7}
-	feeds, wire := buildSplitterTree(coords)
-	if feeds[5].Splitters != 0 {
+	leaves := sortedLeaves(map[int]float64{5: 7})
+	feeds, wire := buildSplitterTree(leaves)
+	if feeds[0].Splitters != 0 {
 		t.Fatalf("single sender needs no splitters")
 	}
-	if math.Abs(wire-7) > 1e-9 || math.Abs(feeds[5].PathLen-7) > 1e-9 {
-		t.Fatalf("trunk only: wire=%v path=%v, want 7", wire, feeds[5].PathLen)
+	if math.Abs(wire-7) > 1e-9 || math.Abs(feeds[0].PathLen-7) > 1e-9 {
+		t.Fatalf("trunk only: wire=%v path=%v, want 7", wire, feeds[0].PathLen)
 	}
+}
+
+// TestBuildSplitterTreeMatchesReference replays random corridors of
+// 1-64 leaves through the range-based builder and the map-based
+// reference, demanding bit-identical splitter counts, path lengths and
+// wire length.
+func TestBuildSplitterTreeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(64)
+		coords := make(map[int]float64, n)
+		for len(coords) < n {
+			coords[rng.Intn(1000)] = rng.Float64() * 200
+		}
+		leaves := sortedLeaves(coords)
+		feeds, wire := buildSplitterTree(leaves)
+		refFeeds, refWire := refBuildSplitterTree(coords)
+		if math.Float64bits(wire) != math.Float64bits(refWire) {
+			t.Fatalf("trial %d (%d leaves): wire %v, reference %v", trial, n, wire, refWire)
+		}
+		if len(feeds) != len(refFeeds) {
+			t.Fatalf("trial %d: %d feeds, reference %d", trial, len(feeds), len(refFeeds))
+		}
+		for i, lf := range leaves {
+			got, want := feeds[i], refFeeds[lf.node]
+			if got.Splitters != want.Splitters || math.Float64bits(got.PathLen) != math.Float64bits(want.PathLen) {
+				t.Fatalf("trial %d leaf %d: %+v, reference %+v", trial, lf.node, got, *want)
+			}
+		}
+	}
+}
+
+// leafPos returns node's corridor coordinate.
+func leafPos(t *testing.T, leaves []leaf, node int) float64 {
+	t.Helper()
+	for _, lf := range leaves {
+		if lf.node == node {
+			return lf.pos
+		}
+	}
+	t.Fatalf("no leaf for node %d", node)
+	return 0
 }
 
 func TestCorridorCoordsDirections(t *testing.T) {
@@ -209,14 +334,47 @@ func TestCorridorCoordsDirections(t *testing.T) {
 	wCW := &router.Waveguide{ID: 0, Dir: router.CW, Opening: 0}
 	coords := corridorCoords(d, wCW, []int{1, 3})
 	// CW from node 0: node 1 at 2mm, node 3 at 6mm.
-	if math.Abs(coords[1]-2) > 1e-9 || math.Abs(coords[3]-6) > 1e-9 {
+	if math.Abs(leafPos(t, coords, 1)-2) > 1e-9 || math.Abs(leafPos(t, coords, 3)-6) > 1e-9 {
 		t.Fatalf("CW coords = %v", coords)
 	}
 	wCCW := &router.Waveguide{ID: 1, Dir: router.CCW, Opening: 0}
 	coordsR := corridorCoords(d, wCCW, []int{1, 3})
 	// CCW from node 0: node 1 is 14mm away, node 3 is 10mm.
-	if math.Abs(coordsR[1]-14) > 1e-9 || math.Abs(coordsR[3]-10) > 1e-9 {
+	if math.Abs(leafPos(t, coordsR, 1)-14) > 1e-9 || math.Abs(leafPos(t, coordsR, 3)-10) > 1e-9 {
 		t.Fatalf("CCW coords = %v", coordsR)
+	}
+	// Sorted ascending along the corridor.
+	if coordsR[0].node != 3 || coordsR[1].node != 1 {
+		t.Fatalf("CCW corridor order = %v, want node 3 then node 1", coordsR)
+	}
+}
+
+// TestCorridorCoordsTieOrder places two senders at one corridor
+// coordinate: they must sort by node ID whatever order they arrive in,
+// so the tree plan built over them is deterministic.
+func TestCorridorCoordsTieOrder(t *testing.T) {
+	net := noc.Floorplan8()
+	// Move node 5 onto node 1's position: both sit at one arc coordinate.
+	net.Nodes[5].Pos = net.Nodes[1].Pos
+	d, err := router.NewDesign(net, phys.Default(), []int{0, 1, 5, 2, 3, 7, 6, 4}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.NodeCoord(1) != d.NodeCoord(5) {
+		t.Fatalf("fixture: nodes 1 and 5 at %v and %v", d.NodeCoord(1), d.NodeCoord(5))
+	}
+	w := &router.Waveguide{ID: 0, Dir: router.CW, Opening: 0}
+	want := []leaf{{node: 1, pos: d.NodeCoord(1)}, {node: 5, pos: d.NodeCoord(5)}, {node: 3, pos: d.NodeCoord(3)}}
+	for _, senders := range [][]int{{1, 5, 3}, {5, 1, 3}, {3, 5, 1}} {
+		got := corridorCoords(d, w, senders)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("senders %v: corridor %v, want %v", senders, got, want)
+		}
+	}
+	// The odd leaf (node 3) is promoted; the tied pair splits once more.
+	feeds, _ := buildSplitterTree(want)
+	if feeds[0].Splitters != 2 || feeds[1].Splitters != 2 || feeds[2].Splitters != 1 {
+		t.Fatalf("tied corridor feeds = %+v", feeds)
 	}
 }
 

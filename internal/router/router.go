@@ -416,11 +416,18 @@ func (d *Design) WaveguidesByDir(dir Direction) []*Waveguide {
 // SendersOn returns the node IDs that have at least one sender
 // (modulator) on waveguide w, in tour order starting at the tour origin.
 func (d *Design) SendersOn(w *Waveguide) []int {
-	has := map[int]bool{}
+	has := make([]bool, d.N())
+	n := 0
 	for _, c := range w.Channels {
-		has[c.Sig.Src] = true
+		if !has[c.Sig.Src] {
+			has[c.Sig.Src] = true
+			n++
+		}
 	}
-	var out []int
+	if n == 0 {
+		return nil
+	}
+	out := make([]int, 0, n)
 	for _, id := range d.Tour {
 		if has[id] {
 			out = append(out, id)

@@ -1,6 +1,7 @@
 package xtalk
 
 import (
+	"context"
 	"testing"
 
 	"xring/internal/loss"
@@ -63,13 +64,21 @@ func TestAnalyzeWorkerInvariant(t *testing.T) {
 		d, plan, lrep := synthesizeForTest(t, net)
 
 		parallel.SetWorkers(1)
-		ref, err := AnalyzeOpts(d, plan, lrep, Options{IncludeDropLeakage: true})
+		ref, err := AnalyzeOptsCtx(context.Background(), d, plan, lrep, Options{IncludeDropLeakage: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The serial cached-index engine walks in the merge order.
+		erep, err := NewEngine(d).Analyze(context.Background(), plan, lrep, Options{IncludeDropLeakage: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameReport(erep, ref); err != nil {
+			t.Fatalf("n=%d: engine vs parallel path: %v", net.N(), err)
+		}
 		for _, workers := range []int{2, 8} {
 			parallel.SetWorkers(workers)
-			got, err := AnalyzeOpts(d, plan, lrep, Options{IncludeDropLeakage: true})
+			got, err := AnalyzeOptsCtx(context.Background(), d, plan, lrep, Options{IncludeDropLeakage: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,9 @@
 package xtalk
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -54,11 +57,44 @@ func analyzeOpts(t *testing.T, d *router.Design, plan *pdn.Plan, opts Options) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	xrep, err := AnalyzeOpts(d, plan, lrep, opts)
+	xrep, err := AnalyzeOptsCtx(context.Background(), d, plan, lrep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The cached-index engine must reproduce the parallel path bit for bit.
+	erep, err := NewEngine(d).Analyze(context.Background(), plan, lrep, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameReport(erep, xrep); err != nil {
+		t.Fatalf("engine vs AnalyzeOptsCtx: %v", err)
+	}
 	return lrep, xrep
+}
+
+// sameReport demands bit-identical crosstalk reports.
+func sameReport(a, b *Report) error {
+	if a.NumNoisy != b.NumNoisy || a.WorstSNRSignal != b.WorstSNRSignal ||
+		math.Float64bits(a.WorstSNR) != math.Float64bits(b.WorstSNR) ||
+		math.Float64bits(a.NoiseFreeFrac) != math.Float64bits(b.NoiseFreeFrac) {
+		return fmt.Errorf("aggregates %d/%v/%v/%v vs %d/%v/%v/%v",
+			a.NumNoisy, a.WorstSNRSignal, a.WorstSNR, a.NoiseFreeFrac,
+			b.NumNoisy, b.WorstSNRSignal, b.WorstSNR, b.NoiseFreeFrac)
+	}
+	if len(a.NoiseMW) != len(b.NoiseMW) || len(a.SignalMW) != len(b.SignalMW) {
+		return fmt.Errorf("map sizes %d/%d vs %d/%d", len(a.NoiseMW), len(a.SignalMW), len(b.NoiseMW), len(b.SignalMW))
+	}
+	for sig, v := range a.NoiseMW {
+		if w, ok := b.NoiseMW[sig]; !ok || math.Float64bits(v) != math.Float64bits(w) {
+			return fmt.Errorf("noise for %v: %v vs %v", sig, v, w)
+		}
+	}
+	for sig, v := range a.SignalMW {
+		if w, ok := b.SignalMW[sig]; !ok || math.Float64bits(v) != math.Float64bits(w) {
+			return fmt.Errorf("signal power for %v: %v vs %v", sig, v, w)
+		}
+	}
+	return nil
 }
 
 func TestDropLeakageReachesNextReceiver(t *testing.T) {
@@ -265,8 +301,29 @@ func TestCSEWavelengthRuleMatters(t *testing.T) {
 
 func TestAnalyzeRequiresLossReport(t *testing.T) {
 	d := grid8(t)
-	if _, err := Analyze(d, nil, nil); err == nil {
+	if _, err := AnalyzeCtx(context.Background(), d, nil, nil); err == nil {
 		t.Fatal("want error without loss report")
+	}
+	if _, err := NewEngine(d).Analyze(context.Background(), nil, nil, Options{}); err == nil {
+		t.Fatal("engine: want error without loss report")
+	}
+}
+
+// TestEngineAnalyzeCancelled asserts a cancelled context stops the
+// engine's analysis with the context error instead of a report.
+func TestEngineAnalyzeCancelled(t *testing.T) {
+	d, plan, lrep := synthesizeForTest(t, noc.Floorplan8())
+	e := NewEngine(d)
+	if _, err := e.Analyze(context.Background(), plan, lrep, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, opts := range []Options{{}, {IncludeDropLeakage: true}} {
+		rep, err := e.Analyze(ctx, plan, lrep, opts)
+		if !errors.Is(err, context.Canceled) || rep != nil {
+			t.Fatalf("opts %+v: cancelled analysis returned %v, %v", opts, rep, err)
+		}
 	}
 }
 

@@ -34,6 +34,8 @@
 package xring
 
 import (
+	"context"
+
 	"xring/internal/baselines/oring"
 	"xring/internal/baselines/ornoc"
 	"xring/internal/core"
@@ -212,11 +214,12 @@ func AnalyzeDesign(d *Design, withTreePDN bool) (*LossReport, *XtalkReport, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	lrep, err := loss.Analyze(d, plan)
+	ctx := context.Background()
+	lrep, err := loss.AnalyzeCtx(ctx, d, plan)
 	if err != nil {
 		return nil, nil, err
 	}
-	xrep, err := xtalk.Analyze(d, plan, lrep)
+	xrep, err := xtalk.AnalyzeCtx(ctx, d, plan, lrep)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -256,11 +259,12 @@ func SynthesizeORing(net *Network, par Params, maxWL int, withPDN bool) (*Baseli
 }
 
 func analyzeBaseline(d *Design, plan *PDNPlan) (*BaselineResult, error) {
-	lrep, err := loss.Analyze(d, plan)
+	ctx := context.Background()
+	lrep, err := loss.AnalyzeCtx(ctx, d, plan)
 	if err != nil {
 		return nil, err
 	}
-	xrep, err := xtalk.Analyze(d, plan, lrep)
+	xrep, err := xtalk.AnalyzeCtx(ctx, d, plan, lrep)
 	if err != nil {
 		return nil, err
 	}
