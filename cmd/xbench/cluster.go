@@ -1,6 +1,6 @@
 package main
 
-// Cluster benchmark (-cluster): the same shared-key workload is driven
+// Cluster benchmark (-bench cluster): the same shared-key workload is driven
 // against (A) three independent xringd instances behind a dumb
 // round-robin — each instance must solve every distinct request itself
 // — and (B) a 3-shard consistent-hash cluster behind the xringlb
@@ -41,7 +41,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -49,34 +48,6 @@ import (
 	"xring/internal/noc"
 	"xring/internal/service"
 )
-
-// clusterReport is the BENCH_cluster.json schema.
-type clusterReport struct {
-	GoVersion string `json:"goVersion"`
-	GoOS      string `json:"goos"`
-	GoArch    string `json:"goarch"`
-	Cores     int    `json:"cores"`
-
-	Shards       int `json:"shards"`
-	Requests     int `json:"requests"`
-	DistinctKeys int `json:"distinctKeys"`
-	Concurrency  int `json:"concurrency"`
-
-	// IndependentMS is the round-robin fleet's wall-clock for the
-	// workload; ClusterMS is the routed cluster's wall-clock for the
-	// identical workload on the same hardware.
-	IndependentMS float64 `json:"independentMS"`
-	ClusterMS     float64 `json:"clusterMS"`
-	// Amplification is IndependentMS / ClusterMS: the cluster's
-	// aggregate throughput multiple over independent instances.
-	Amplification float64 `json:"amplification"`
-
-	IndependentSolves int64 `json:"independentSolves"`
-	ClusterSolves     int64 `json:"clusterSolves"`
-	PeerFills         int64 `json:"peerFills"`
-
-	Timestamp string `json:"timestampUTC,omitempty"`
-}
 
 const (
 	clusterBenchShards   = 3
@@ -350,39 +321,35 @@ func verifyClusterIdentity(f *benchFleet, keys []string) (int64, error) {
 	return fills, nil
 }
 
-func runClusterBench(out, checkPath string) error {
-	best := clusterReport{
-		GoVersion: runtime.Version(),
-		GoOS:      runtime.GOOS,
-		GoArch:    runtime.GOARCH,
-		Cores:     runtime.NumCPU(),
-
-		Shards:      clusterBenchShards,
-		Requests:    clusterBenchRequests,
-		Concurrency: clusterBenchConc,
+func runClusterBench() (*record, error) {
+	// best is the rep with the highest amplification.
+	var best struct {
+		indMS, cluMS, amp           float64
+		indSolves, cluSolves, fills int64
+		keys                        int
 	}
 	for rep := 0; rep < clusterBenchReps; rep++ {
 		fleet, err := startBenchFleet(clusterBenchShards)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		variants, keys, err := selectBalancedVariants(fleet.urls, clusterBenchVariants/clusterBenchShards)
 		if err != nil {
 			fleet.Close()
-			return err
+			return nil, err
 		}
 		reqs := workload(variants, clusterBenchRequests, clusterBenchShards)
 
 		indMS, indSolves, err := runIndependentPhase(reqs, clusterBenchShards, clusterBenchConc)
 		if err != nil {
 			fleet.Close()
-			return err
+			return nil, err
 		}
 
 		cluMS, err := driveWorkload([]string{fleet.front.URL}, reqs, clusterBenchConc)
 		if err != nil {
 			fleet.Close()
-			return err
+			return nil, err
 		}
 		var cluSolves int64
 		for _, s := range fleet.servers {
@@ -391,7 +358,7 @@ func runClusterBench(out, checkPath string) error {
 		fills, err := verifyClusterIdentity(fleet, keys)
 		fleet.Close()
 		if err != nil {
-			return err
+			return nil, err
 		}
 
 		amp := 0.0
@@ -401,71 +368,47 @@ func runClusterBench(out, checkPath string) error {
 		fmt.Fprintf(os.Stderr,
 			"cluster bench rep %d: independent %.1f ms (%d solves) | cluster %.1f ms (%d solves) | %.2fx | %d peer-fills\n",
 			rep, indMS, indSolves, cluMS, cluSolves, amp, fills)
-		if amp > best.Amplification {
-			best.IndependentMS, best.ClusterMS, best.Amplification = indMS, cluMS, amp
-			best.IndependentSolves, best.ClusterSolves = indSolves, cluSolves
-			best.PeerFills = fills
-			best.DistinctKeys = len(keys)
+		if amp > best.amp {
+			best.indMS, best.cluMS, best.amp = indMS, cluMS, amp
+			best.indSolves, best.cluSolves, best.fills = indSolves, cluSolves, fills
+			best.keys = len(keys)
 		}
 	}
-	best.Timestamp = time.Now().UTC().Format(time.RFC3339)
 
 	fmt.Fprintf(os.Stderr,
 		"cluster bench: %d requests over %d keys, %d shards: independent fleet %.1f ms vs cluster %.1f ms — %.2fx aggregate throughput (%d -> %d solves, %d peer-fills)\n",
-		best.Requests, best.DistinctKeys, best.Shards,
-		best.IndependentMS, best.ClusterMS, best.Amplification,
-		best.IndependentSolves, best.ClusterSolves, best.PeerFills)
+		clusterBenchRequests, best.keys, clusterBenchShards, best.indMS, best.cluMS, best.amp,
+		best.indSolves, best.cluSolves, best.fills)
 
 	// Acceptance floors: the routed cluster must at least double the
 	// independent fleet's aggregate throughput on the shared-key
 	// workload, by doing strictly less solving, and the identity sweep
 	// must actually have exercised peer-fill.
-	if best.Amplification < 2.0 {
-		return fmt.Errorf("cluster bench: amplification %.2fx < 2x — sharding did not pay for itself", best.Amplification)
+	if best.amp < 2.0 {
+		return nil, fmt.Errorf("cluster bench: amplification %.2fx < 2x — sharding did not pay for itself", best.amp)
 	}
-	if best.ClusterSolves >= best.IndependentSolves {
-		return fmt.Errorf("cluster bench: cluster solved %d >= independent %d — keys were re-solved across shards",
-			best.ClusterSolves, best.IndependentSolves)
+	if best.cluSolves >= best.indSolves {
+		return nil, fmt.Errorf("cluster bench: cluster solved %d >= independent %d — keys were re-solved across shards",
+			best.cluSolves, best.indSolves)
 	}
-	if best.PeerFills < 1 {
-		return fmt.Errorf("cluster bench: identity sweep triggered no peer-fills")
+	if best.fills < 1 {
+		return nil, fmt.Errorf("cluster bench: identity sweep triggered no peer-fills")
 	}
 
-	if out != "" {
-		data, err := json.MarshalIndent(best, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
-	if checkPath != "" {
-		return checkClusterReport(best, checkPath)
-	}
-	return nil
-}
-
-// checkClusterReport compares a fresh run against the committed
-// BENCH_cluster.json: workload shape and solve counts are deterministic
-// (exact), the amplification ratio is machine-independent (25% slack).
-func checkClusterReport(got clusterReport, path string) error {
-	var want clusterReport
-	return checkAgainst("cluster", path, &want, func() []string {
-		var failures []string
-		if got.Shards != want.Shards || got.Requests != want.Requests || got.DistinctKeys != want.DistinctKeys {
-			failures = append(failures, fmt.Sprintf(
-				"workload shape changed: %d shards/%d reqs/%d keys -> %d/%d/%d (regenerate %s)",
-				want.Shards, want.Requests, want.DistinctKeys,
-				got.Shards, got.Requests, got.DistinctKeys, path))
-		}
-		if got.ClusterSolves > want.ClusterSolves {
-			failures = append(failures, fmt.Sprintf(
-				"cluster solves grew %d -> %d: keys are being re-solved", want.ClusterSolves, got.ClusterSolves))
-		}
-		if got.PeerFills < 1 {
-			failures = append(failures, "peer-fill count fell to zero")
-		}
-		return append(failures, checkRatio("amplification", want.Amplification, got.Amplification)...)
-	})
+	rec := newRecord("cluster")
+	rec.add("shards", clusterBenchShards, gateExact)
+	rec.add("requests", clusterBenchRequests, gateExact)
+	rec.add("distinct_keys", float64(best.keys), gateExact)
+	rec.add("concurrency", clusterBenchConc, "")
+	// The round-robin fleet's and the routed cluster's wall-clock for
+	// the identical workload on the same hardware.
+	rec.add("independent_ms", best.indMS, "")
+	rec.add("cluster_ms", best.cluMS, "")
+	rec.add("independent_solves", float64(best.indSolves), "")
+	rec.add("cluster_solves", float64(best.cluSolves), gateMax)
+	rec.add("peer_fills", float64(best.fills), "")
+	// The cluster's aggregate throughput multiple over independent
+	// instances.
+	rec.add("amplification", best.amp, gateRatio)
+	return rec, nil
 }

@@ -1,6 +1,6 @@
 package main
 
-// Exploration-grid benchmark (-explore): one in-process xringd serves
+// Exploration-grid benchmark (-bench explore): one in-process xringd serves
 // a 2x3x2 study (two 8-node floorplans x three #wl budgets x two
 // policies whose switches are identical under different names), and
 // the same cells are then replayed as standalone /v1/synthesize
@@ -12,8 +12,9 @@ package main
 // Determinism doubles as an acceptance check: the grid runs twice on
 // fresh servers and the two frontier CSV exports must be byte-equal,
 // and every frontier point must be fetchable via /v1/designs/{key}.
-// -check compares the amplification ratio (machine-independent) and
-// the frontier size (deterministic) against the committed report.
+// The record gates the grid shape and frontier size (deterministic,
+// exact), the cells served from cache or dedup (min) and the
+// amplification ratio (machine-independent, 25% slack).
 
 import (
 	"context"
@@ -21,7 +22,6 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"time"
 
 	"xring/internal/explore"
@@ -29,29 +29,6 @@ import (
 	"xring/internal/service"
 	"xring/internal/service/client"
 )
-
-// exploreReport is the BENCH_explore.json schema.
-type exploreReport struct {
-	GoVersion string `json:"goVersion"`
-	GoOS      string `json:"goos"`
-	GoArch    string `json:"goarch"`
-	Cores     int    `json:"cores"`
-
-	Cells        int `json:"cells"`
-	DistinctKeys int `json:"distinctKeys"`
-	FrontierSize int `json:"frontierSize"`
-	CacheHits    int `json:"cacheHits"`
-	DedupHits    int `json:"dedupHits"`
-
-	GridMS       float64 `json:"gridMS"`
-	CellsPerSec  float64 `json:"cellsPerSec"`
-	IndividualMS float64 `json:"individualMS"`
-	// Amplification is individualMS / gridMS: how much faster the study
-	// is than its cells run standalone and cold.
-	Amplification float64 `json:"amplification"`
-
-	Timestamp string `json:"timestampUTC,omitempty"`
-}
 
 // exploreTimingReps re-runs each timed pass and keeps the fastest
 // wall-clock (cold caches every time), mirroring the solver bench.
@@ -142,14 +119,14 @@ func runGridOnce(g explore.Grid, verifyDesigns bool) (*service.ExploreStatus, []
 	return st, csv, ms, err
 }
 
-func runExploreBench(out string, checkPath string) error {
+func runExploreBench() (*record, error) {
 	g, err := exploreBenchGrid()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	cells, err := g.Expand()
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	// Phase A: the grid, exploreTimingReps times on fresh cold servers.
@@ -165,14 +142,14 @@ func runExploreBench(out string, checkPath string) error {
 	for rep := 0; rep < exploreTimingReps; rep++ {
 		rst, csv, ms, err := runGridOnce(g, rep == 0)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if rep == 0 {
 			st, csv1, gridMS = rst, csv, ms
 			continue
 		}
 		if string(csv) != string(csv1) {
-			return fmt.Errorf("explore bench: frontier CSV differs between identical runs:\n%s\nvs\n%s", csv1, csv)
+			return nil, fmt.Errorf("explore bench: frontier CSV differs between identical runs:\n%s\nvs\n%s", csv1, csv)
 		}
 		if ms < gridMS {
 			gridMS = ms
@@ -200,7 +177,7 @@ func runExploreBench(out string, checkPath string) error {
 				return nil
 			})
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if rep == 0 || ms < best {
 				best = ms
@@ -209,53 +186,35 @@ func runExploreBench(out string, checkPath string) error {
 		individualMS += best
 	}
 
-	rep := exploreReport{
-		GoVersion: runtime.Version(),
-		GoOS:      runtime.GOOS,
-		GoArch:    runtime.GOARCH,
-		Cores:     runtime.NumCPU(),
-
-		Cells:        st.Cells,
-		DistinctKeys: len(distinct),
-		FrontierSize: len(st.Frontier),
-		CacheHits:    st.CacheHits,
-		DedupHits:    st.DedupHits,
-
-		GridMS:       gridMS,
-		IndividualMS: individualMS,
-		Timestamp:    time.Now().UTC().Format(time.RFC3339),
-	}
+	amplification := 0.0
 	if gridMS > 0 {
-		rep.CellsPerSec = float64(st.Cells) / (gridMS / 1000)
-		rep.Amplification = individualMS / gridMS
+		amplification = individualMS / gridMS
 	}
 	fmt.Fprintf(os.Stderr,
-		"explore grid %d cells (%d distinct keys): %.1f ms (%.1f cells/s, %d cache + %d dedup hits) | standalone sum %.1f ms | amplification %.2fx | frontier %d\n",
-		rep.Cells, rep.DistinctKeys, rep.GridMS, rep.CellsPerSec,
-		rep.CacheHits, rep.DedupHits, rep.IndividualMS, rep.Amplification, rep.FrontierSize)
+		"explore grid %d cells (%d distinct keys): %.1f ms (%d cache + %d dedup hits) | standalone sum %.1f ms | amplification %.2fx | frontier %d\n",
+		st.Cells, len(distinct), gridMS, st.CacheHits, st.DedupHits, individualMS, amplification, len(st.Frontier))
 
 	// Acceptance floor: a grid over a shared floorplan must beat the sum
 	// of its cells run standalone.
-	if rep.Amplification <= 1.0 {
-		return fmt.Errorf("explore bench: amplification %.2fx — the grid was not faster than its cells run standalone", rep.Amplification)
+	if amplification <= 1.0 {
+		return nil, fmt.Errorf("explore bench: amplification %.2fx — the grid was not faster than its cells run standalone", amplification)
 	}
-	if rep.CacheHits+rep.DedupHits == 0 {
-		return fmt.Errorf("explore bench: no cross-cell cache or dedup hits in a grid with aliased policies")
+	if st.CacheHits+st.DedupHits == 0 {
+		return nil, fmt.Errorf("explore bench: no cross-cell cache or dedup hits in a grid with aliased policies")
 	}
 
-	if out != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
-	if checkPath != "" {
-		return checkExploreReport(rep, checkPath)
-	}
-	return nil
+	rec := newRecord("explore")
+	rec.add("cells", float64(st.Cells), gateExact)
+	rec.add("distinct_keys", float64(len(distinct)), gateExact)
+	rec.add("frontier_size", float64(len(st.Frontier)), gateExact)
+	rec.add("cache_hits", float64(st.CacheHits), "")
+	rec.add("dedup_hits", float64(st.DedupHits), "")
+	rec.add("amplified_cells", float64(st.CacheHits+st.DedupHits), gateMin)
+	rec.add("grid_ms", gridMS, "")
+	rec.add("individual_ms", individualMS, "")
+	// How much faster the study is than its cells run standalone and cold.
+	rec.add("amplification", amplification, gateRatio)
+	return rec, nil
 }
 
 // standaloneRequest rebuilds a cell as the /v1/synthesize request it is
@@ -282,28 +241,4 @@ func standaloneRequest(g *explore.Grid, c explore.Cell) *service.Request {
 		o.MaxWL = c.Budget
 	}
 	return req
-}
-
-// checkExploreReport compares a fresh run against the committed
-// BENCH_explore.json: the frontier is deterministic (exact match), and
-// the amplification ratio is machine-independent (25% slack).
-func checkExploreReport(got exploreReport, path string) error {
-	var want exploreReport
-	return checkAgainst("explore", path, &want, func() []string {
-		var failures []string
-		if got.Cells != want.Cells || got.DistinctKeys != want.DistinctKeys {
-			failures = append(failures, fmt.Sprintf(
-				"grid shape changed: %d cells/%d keys -> %d cells/%d keys (regenerate %s)",
-				want.Cells, want.DistinctKeys, got.Cells, got.DistinctKeys, path))
-		}
-		if got.FrontierSize != want.FrontierSize {
-			failures = append(failures, fmt.Sprintf(
-				"frontier size %d -> %d on a deterministic grid", want.FrontierSize, got.FrontierSize))
-		}
-		if got.CacheHits+got.DedupHits < want.CacheHits+want.DedupHits {
-			failures = append(failures, fmt.Sprintf(
-				"amplified cells fell %d -> %d", want.CacheHits+want.DedupHits, got.CacheHits+got.DedupHits))
-		}
-		return append(failures, checkRatio("amplification", want.Amplification, got.Amplification)...)
-	})
 }

@@ -14,44 +14,45 @@
 //	xbench -table 1    # a single table
 //	xbench -ablation   # ablation study only
 //	xbench -serial     # force sequential evaluation (one worker)
-//	xbench -json F     # write a serial-vs-parallel timing report to F
 //	xbench -load URL   # drive a running xringd with a concurrent workload
-//	xbench -solver     # exact solvers: milp.Solve and production Step 1
-//	xbench -delta | -explore | -whatif | -cluster   # other micro-benchmarks
+//	xbench -bench NAME # run one bench: solver, delta, explore, whatif,
+//	                   # cluster or parallel (serial-vs-parallel tables)
+//	xbench -check F    # run the bench F records and gate it against F
 //
-// A micro-benchmark writes its report to -json F when set. With -check F
-// it compares the fresh run against the committed report F and exits
-// non-zero on a regression; -check without a micro-benchmark flag is a
-// usage error.
+// Every bench produces one record (check.go): its kind, the host it ran
+// on and a list of named metrics, each with its -check gate. -json F
+// writes the record to F; -check F compares the fresh run against the
+// committed record F and exits non-zero on a regression. With -check
+// alone the bench is the kind F records, so
+//
+//	xbench -check BENCH_whatif.json
+//
+// is the whole whatif gate.
 package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"runtime"
+	"sort"
+	"strings"
 	"time"
 
 	"xring"
-	"xring/internal/core"
 	"xring/internal/obs"
 	"xring/internal/parallel"
 	"xring/internal/report"
 )
-
-// processStart anchors the monotonic timestamp reported by -json.
-var processStart = time.Now()
 
 // floorplanKind selects regular grids (the default) or irregular
 // placements (the paper's motivating hard case, where shortcut gains
 // are largest).
 var floorplanKind = flag.String("floorplan", "grid", "floorplan family: grid or irregular")
 
-// serialMode mirrors the -serial flag; the -json harness toggles it
+// serialMode mirrors the -serial flag; the parallel bench toggles it
 // between timing passes.
 var serialMode bool
 
@@ -87,14 +88,10 @@ func main() {
 	table := flag.String("table", "all", "which table to regenerate: 1, 2, 3 or all")
 	ablation := flag.Bool("ablation", false, "run the ablation study instead of the paper tables")
 	sweep := flag.Bool("sweep", false, "print the full #wl sweep curve for the 16-node XRing instead of the tables")
-	serial := flag.Bool("serial", false, "evaluate everything sequentially on one worker (baseline for -json)")
-	jsonOut := flag.String("json", "", "benchmark serial vs parallel passes and write the report to this file")
-	solver := flag.Bool("solver", false, "run the exact-solver benchmark: generic 0/1 solver and production Step 1 (writes -json if set, compares -check if set)")
-	deltaBench := flag.Bool("delta", false, "run the placement delta-evaluation micro-benchmark (writes -json if set, compares -check if set)")
-	exploreBench := flag.Bool("explore", false, "run the /v1/explore grid benchmark (writes -json if set, compares -check if set)")
-	whatifBench := flag.Bool("whatif", false, "run the fault-replay benchmark (writes -json if set, compares -check if set)")
-	clusterBench := flag.Bool("cluster", false, "run the 3-shard cluster vs independent-instances benchmark (writes -json if set, compares -check if set)")
-	benchCheck := flag.String("check", "", "with -solver/-delta/-explore/-whatif/-cluster: committed BENCH_*.json to compare against; exits non-zero on regression")
+	serial := flag.Bool("serial", false, "evaluate everything sequentially on one worker")
+	benchName := flag.String("bench", "", "run one bench: "+benchNames()+" (writes -json if set, compares -check if set)")
+	jsonOut := flag.String("json", "", "with -bench: write the bench record to this file")
+	benchCheck := flag.String("check", "", "committed BENCH_*.json record to gate a fresh run against (runs the bench it records unless -bench is set); exits non-zero on regression")
 	loadURL := flag.String("load", "", "drive a running xringd at this base URL with a mixed concurrent workload")
 	loadEndpoints := flag.String("endpoints", "", "comma-separated base URLs for -load mode: round-robin the workload across a fleet, with per-endpoint breakdowns")
 	loadN := flag.Int("load-n", 32, "total requests to send in -load mode")
@@ -102,8 +99,8 @@ func main() {
 	loadNodes := flag.Int("load-nodes", 8, "floorplan size for -load mode requests (8, 16 or 32)")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
-	if *benchCheck != "" && !(*solver || *deltaBench || *exploreBench || *whatifBench || *clusterBench) {
-		fmt.Fprintln(os.Stderr, "xbench: -check needs one of -solver, -delta, -explore, -whatif or -cluster")
+	if *jsonOut != "" && *benchName == "" {
+		fmt.Fprintln(os.Stderr, "xbench: -json needs -bench NAME")
 		os.Exit(2)
 	}
 
@@ -137,44 +134,9 @@ func main() {
 		}
 		return
 	}
-	if *clusterBench {
-		if err := runClusterBench(*jsonOut, *benchCheck); err != nil {
+	if *benchName != "" || *benchCheck != "" {
+		if err := runBench(*benchName, *jsonOut, *benchCheck); err != nil {
 			fmt.Fprintln(os.Stderr, "xbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *solver {
-		if err := runSolverBench(*jsonOut, *benchCheck); err != nil {
-			fmt.Fprintln(os.Stderr, "xbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *deltaBench {
-		if err := runDeltaBench(*jsonOut, *benchCheck); err != nil {
-			fmt.Fprintln(os.Stderr, "xbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exploreBench {
-		if err := runExploreBench(*jsonOut, *benchCheck); err != nil {
-			fmt.Fprintln(os.Stderr, "xbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *whatifBench {
-		if err := runWhatifBench(*jsonOut, *benchCheck); err != nil {
-			fmt.Fprintln(os.Stderr, "xbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *jsonOut != "" {
-		if err := runJSONBench(*jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		return
@@ -575,56 +537,79 @@ func runSweepCurve(w io.Writer) {
 	fmt.Fprint(w, tb.String())
 }
 
-// benchStage is one timed entry of the -json report.
-type benchStage struct {
-	Name       string  `json:"name"`
-	SerialMS   float64 `json:"serial_ms"`
-	ParallelMS float64 `json:"parallel_ms"`
-	Speedup    float64 `json:"speedup"`
+// benches maps each -bench name to its run. A bench keeps its hard
+// acceptance floors inside the run and returns the record -json writes
+// and -check gates.
+var benches = map[string]func() (*record, error){
+	"solver":   runSolverBench,
+	"delta":    runDeltaBench,
+	"explore":  runExploreBench,
+	"whatif":   runWhatifBench,
+	"cluster":  runClusterBench,
+	"parallel": runParallelBench,
 }
 
-// placementThroughput records the placement hot-loop rate in proposals
-// evaluated per second: full re-synthesis per proposal vs the
-// incremental delta engine, both on the full worker pool.
-type placementThroughput struct {
-	FullProposalsPerSec  float64 `json:"fullProposalsPerSec"`
-	DeltaProposalsPerSec float64 `json:"deltaProposalsPerSec"`
+func benchNames() string {
+	names := make([]string, 0, len(benches))
+	for n := range benches {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return strings.Join(names, ", ")
 }
 
-// benchReport is the -json output: serial vs parallel wall-clock for
-// the paper tables and a 16-node placement search, stamped with the
-// toolchain and clock context needed to compare runs across machines.
-type benchReport struct {
-	Cores      int    `json:"cores"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	GoOS       string `json:"goos"`
-	GoArch     string `json:"goarch"`
-	GoVersion  string `json:"goVersion"`
-	// TimestampUTC is the wall-clock time the report was generated.
-	TimestampUTC string `json:"timestampUTC"`
-	// MonotonicNS is the monotonic-clock offset from process start to
-	// report generation; unlike the wall clock it is immune to NTP steps,
-	// so stage times are comparable to it.
-	MonotonicNS int64                `json:"monotonicNS"`
-	Floorplan   string               `json:"floorplan"`
-	Stages      []benchStage         `json:"stages"`
-	Placement   *placementThroughput `json:"placementThroughput,omitempty"`
+// runBench runs one bench, writes its record to out and gates it against
+// the committed record at checkPath (either may be empty). An empty name
+// runs the bench the committed record names.
+func runBench(name, out, checkPath string) error {
+	var want *record
+	if checkPath != "" {
+		var err error
+		if want, err = readRecord(checkPath); err != nil {
+			return err
+		}
+		if name == "" {
+			name = want.Kind
+		}
+	}
+	run, ok := benches[name]
+	if !ok {
+		return fmt.Errorf("unknown bench %q (want one of %s)", name, benchNames())
+	}
+	rec, err := run()
+	if err != nil {
+		return err
+	}
+	if out != "" {
+		if err := rec.write(out); err != nil {
+			return err
+		}
+	}
+	if want != nil {
+		return check(rec, want, checkPath)
+	}
+	return nil
 }
 
-// runJSONBench times each stage twice — one worker with Serial options,
-// then the full pool — resetting the Step-1 cache between passes so a
-// warm cache cannot masquerade as concurrency speedup.
-func runJSONBench(path string) error {
+// runParallelBench times the paper tables and a 16-node placement search
+// twice each — one worker with Serial options, then the full pool —
+// resetting the Step-1 cache between passes so a warm cache cannot
+// masquerade as concurrency speedup. Every metric is recorded only: on
+// a host with few cores the speedups show pool overhead, not scaling.
+func runParallelBench() (*record, error) {
 	var fullTrace *xring.PlacementTrace
-	placement16 := func() {
-		net := xring.Irregular(16, 16, 16, 2.5, 5)
-		_, _, trace, err := xring.OptimizePlacement(net, xring.PlacementOptions{
+	placementOpts := func(delta bool) xring.PlacementOptions {
+		return xring.PlacementOptions{
 			Objective:  xring.PlaceMinWorstIL,
 			Synth:      opts(xring.Options{MaxWL: 16}),
 			Iterations: 24,
 			StepMM:     1.5,
 			Seed:       1,
-		})
+			Delta:      delta,
+		}
+	}
+	placement16 := func() {
+		_, _, trace, err := xring.OptimizePlacement(xring.Irregular(16, 16, 16, 2.5, 5), placementOpts(false))
 		if err != nil {
 			panic(err)
 		}
@@ -640,25 +625,18 @@ func runJSONBench(path string) error {
 		{"placement16", placement16},
 	}
 
-	rep := benchReport{
-		Cores:      runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoOS:       runtime.GOOS,
-		GoArch:     runtime.GOARCH,
-		GoVersion:  runtime.Version(),
-		Floorplan:  *floorplanKind,
-	}
+	rec := newRecord("parallel")
 	for _, st := range stages {
 		serialMode = true
 		parallel.SetWorkers(1)
-		core.ResetRingCache()
+		xring.ResetRingCache()
 		t0 := time.Now()
 		st.run()
 		serialMS := float64(time.Since(t0).Microseconds()) / 1000
 
 		serialMode = false
 		parallel.SetWorkers(0) // restore the GOMAXPROCS-sized pool
-		core.ResetRingCache()
+		xring.ResetRingCache()
 		t0 = time.Now()
 		st.run()
 		parallelMS := float64(time.Since(t0).Microseconds()) / 1000
@@ -667,46 +645,26 @@ func runJSONBench(path string) error {
 		if parallelMS > 0 {
 			speedup = serialMS / parallelMS
 		}
-		rep.Stages = append(rep.Stages, benchStage{
-			Name: st.name, SerialMS: serialMS, ParallelMS: parallelMS,
-			Speedup: math.Round(speedup*100) / 100,
-		})
+		prefix := *floorplanKind + "/" + st.name + "/"
+		rec.add(prefix+"serial_ms", serialMS, "")
+		rec.add(prefix+"parallel_ms", parallelMS, "")
+		rec.add(prefix+"speedup", math.Round(speedup*100)/100, "")
 		fmt.Fprintf(os.Stderr, "%-12s serial %.1f ms  parallel %.1f ms  speedup %.2fx\n",
 			st.name, serialMS, parallelMS, speedup)
 	}
 
-	// Placement hot-loop throughput: the last (parallel-pool) placement16
-	// pass recorded the full-mode rate; pair it with one delta-mode run
-	// of the same search on the same pool.
-	if fullTrace != nil {
-		net := xring.Irregular(16, 16, 16, 2.5, 5)
-		core.ResetRingCache()
-		_, _, dtrace, err := xring.OptimizePlacement(net, xring.PlacementOptions{
-			Objective:  xring.PlaceMinWorstIL,
-			Synth:      opts(xring.Options{MaxWL: 16}),
-			Iterations: 24,
-			StepMM:     1.5,
-			Seed:       1,
-			Delta:      true,
-		})
-		if err != nil {
-			return err
-		}
-		rep.Placement = &placementThroughput{
-			FullProposalsPerSec:  fullTrace.EvalRate(),
-			DeltaProposalsPerSec: dtrace.EvalRate(),
-		}
-		fmt.Fprintf(os.Stderr, "placement    full %.1f proposals/s  delta %.1f proposals/s\n",
-			rep.Placement.FullProposalsPerSec, rep.Placement.DeltaProposalsPerSec)
-	}
-
-	now := time.Now()
-	rep.TimestampUTC = now.UTC().Format(time.RFC3339)
-	rep.MonotonicNS = now.Sub(processStart).Nanoseconds()
-
-	out, err := json.MarshalIndent(rep, "", "  ")
+	// Placement hot-loop throughput in proposals evaluated per second:
+	// the last (parallel-pool) placement16 pass recorded the full-mode
+	// rate; pair it with one delta-mode run of the same search on the
+	// same pool.
+	xring.ResetRingCache()
+	_, _, dtrace, err := xring.OptimizePlacement(xring.Irregular(16, 16, 16, 2.5, 5), placementOpts(true))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
+	rec.add("placement/full_proposals_per_sec", fullTrace.EvalRate(), "")
+	rec.add("placement/delta_proposals_per_sec", dtrace.EvalRate(), "")
+	fmt.Fprintf(os.Stderr, "placement    full %.1f proposals/s  delta %.1f proposals/s\n",
+		fullTrace.EvalRate(), dtrace.EvalRate())
+	return rec, nil
 }

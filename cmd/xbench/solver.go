@@ -14,20 +14,19 @@ package main
 //     Instances that fail (no consistent L-order today) stay in the list
 //     as recorded failures.
 //
-// -check gates three things against the committed BENCH_solver.json.
-// Node counts are deterministic (fixed models, fixed branching), so they
-// must match exactly. A Step-1 instance committed as succeeding must
-// still succeed. Wall-clock is machine-dependent, so it is gated as a
-// ratio: SolveBrute on a fixed 20-variable model (reference code that
-// never changes) divided by the Step-1 total, both fastest of three,
-// may not fall by more than 25%.
+// The record gates three things. Node counts are deterministic (fixed
+// models, fixed branching), so generic/<case>/{cold,warm}_nodes and
+// step1/<case>/nodes are exact; a Step-1 failure is recorded as the
+// error of its nodes metric, so a committed success that now errors
+// fails. Wall-clock is machine-dependent, so it is gated as a ratio:
+// calibration_ratio, SolveBrute on a fixed 20-variable model (reference
+// code that never changes) divided by the Step-1 total, both fastest of
+// three, may not fall by more than 25%.
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"time"
 
 	"xring/internal/milp"
@@ -68,48 +67,6 @@ func step1Network(n, seed int) *noc.Network {
 // SolveBrute enumerates 2^20 assignments.
 func calibrationNetwork() *noc.Network { return noc.Irregular(5, 8, 8, 2.0, 1) }
 
-// genericCase is one literal model solved by milp.Solve.
-type genericCase struct {
-	Name      string  `json:"name"`
-	Vars      int     `json:"vars"`
-	Cons      int     `json:"cons"`
-	Objective float64 `json:"objective"`
-	ColdNodes int     `json:"coldNodes"`
-	WarmNodes int     `json:"warmNodes"`
-	ColdMS    float64 `json:"coldMS"`
-	WarmMS    float64 `json:"warmMS"`
-}
-
-// step1Case is one ring.Construct run: nodes, optimal and length on
-// success, the error text otherwise.
-type step1Case struct {
-	Name    string  `json:"name"`
-	Nodes   int     `json:"nodes,omitempty"`
-	Optimal bool    `json:"optimal,omitempty"`
-	Length  float64 `json:"length,omitempty"`
-	Error   string  `json:"error,omitempty"`
-}
-
-// solverReport is the BENCH_solver.json schema.
-type solverReport struct {
-	GoVersion  string `json:"goVersion"`
-	GoOS       string `json:"goos"`
-	GoArch     string `json:"goarch"`
-	Cores      int    `json:"cores"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	TimingReps int    `json:"timingReps"`
-	Timestamp  string `json:"timestampUTC,omitempty"`
-
-	Generic []genericCase `json:"generic"`
-	Step1   []step1Case   `json:"step1"`
-
-	CalibrationMS float64 `json:"calibrationMS"`
-	Step1MS       float64 `json:"step1MS"`
-	// Ratio is CalibrationMS / Step1MS: how many Step-1 passes fit in
-	// one calibration solve on this machine.
-	Ratio float64 `json:"ratio"`
-}
-
 // solverMaxNodes is generous: every generic solve must complete, or the
 // bench aborts — a budget hit would make node counts meaningless.
 const solverMaxNodes = 50_000_000
@@ -134,124 +91,116 @@ func timeFastest(reps int, run func() error) (float64, error) {
 	return best, nil
 }
 
-func runSolverBench(out string, checkPath string) error {
+func runSolverBench() (*record, error) {
 	parallel.SetWorkers(1)
 	defer parallel.SetWorkers(0)
-	rep := solverReport{
-		GoVersion:  runtime.Version(),
-		GoOS:       runtime.GOOS,
-		GoArch:     runtime.GOARCH,
-		Cores:      runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		TimingReps: solverTimingReps,
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-	}
+	rec := newRecord("solver")
 
 	for _, gi := range genericInstances() {
-		c, err := runGenericCase(gi.name, gi.net)
-		if err != nil {
-			return err
+		if err := runGenericCase(rec, gi.name, gi.net); err != nil {
+			return nil, err
 		}
-		rep.Generic = append(rep.Generic, c)
-		fmt.Fprintf(os.Stderr, "%-12s vars=%-4d cold %5d nodes %6.2f ms | warm %5d nodes %6.2f ms\n",
-			c.Name, c.Vars, c.ColdNodes, c.ColdMS, c.WarmNodes, c.WarmMS)
 	}
 
 	cal, err := ring.NewMILPInstance(calibrationNetwork(), ring.Options{})
 	if err != nil {
-		return fmt.Errorf("calibration: %w", err)
+		return nil, fmt.Errorf("calibration: %w", err)
 	}
 	// Alternate the two timed parts so a change in machine load between
 	// reps slows both sides of the ratio alike.
+	var calMS, stepMS float64
+	var step1 []step1Case
 	for r := 0; r < solverTimingReps; r++ {
 		t0 := time.Now()
 		if _, err := milp.SolveBrute(cal.Model); err != nil {
-			return fmt.Errorf("calibration: %w", err)
+			return nil, fmt.Errorf("calibration: %w", err)
 		}
 		t1 := time.Now()
-		rep.Step1 = runStep1()
-		calMS := float64(t1.Sub(t0).Microseconds()) / 1000
-		stepMS := float64(time.Since(t1).Microseconds()) / 1000
-		if r == 0 || calMS < rep.CalibrationMS {
-			rep.CalibrationMS = calMS
+		step1 = runStep1()
+		c := float64(t1.Sub(t0).Microseconds()) / 1000
+		st := float64(time.Since(t1).Microseconds()) / 1000
+		if r == 0 || c < calMS {
+			calMS = c
 		}
-		if r == 0 || stepMS < rep.Step1MS {
-			rep.Step1MS = stepMS
+		if r == 0 || st < stepMS {
+			stepMS = st
 		}
 	}
-	for _, c := range rep.Step1 {
-		if c.Error != "" {
-			fmt.Fprintf(os.Stderr, "%-16s error: %s\n", c.Name, c.Error)
-		} else {
-			fmt.Fprintf(os.Stderr, "%-16s %5d nodes optimal=%v length %.3f mm\n", c.Name, c.Nodes, c.Optimal, c.Length)
+	for _, c := range step1 {
+		name := "step1/" + c.name + "/"
+		if c.err != nil {
+			fmt.Fprintf(os.Stderr, "%-16s error: %v\n", c.name, c.err)
+			rec.addError(name+"nodes", gateExact, c.err)
+			continue
 		}
+		fmt.Fprintf(os.Stderr, "%-16s %5d nodes optimal=%v length %.3f mm\n", c.name, c.res.Nodes, c.res.Optimal, c.res.Length)
+		rec.add(name+"nodes", float64(c.res.Nodes), gateExact)
+		rec.add(name+"length", c.res.Length, "")
 	}
 
-	if rep.Step1MS > 0 {
-		rep.Ratio = rep.CalibrationMS / rep.Step1MS
+	ratio := 0.0
+	if stepMS > 0 {
+		ratio = calMS / stepMS
 	}
-	fmt.Fprintf(os.Stderr, "step 1 total %.1f ms | calibration %.1f ms | ratio %.3f\n",
-		rep.Step1MS, rep.CalibrationMS, rep.Ratio)
-
-	if out != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
-	if checkPath != "" {
-		return checkSolverReport(rep, checkPath)
-	}
-	return nil
+	fmt.Fprintf(os.Stderr, "step 1 total %.1f ms | calibration %.1f ms | ratio %.3f\n", stepMS, calMS, ratio)
+	rec.add("calibration_ms", calMS, "")
+	rec.add("step1_ms", stepMS, "")
+	// How many Step-1 passes fit in one calibration solve on this machine.
+	rec.add("calibration_ratio", ratio, gateRatio)
+	return rec, nil
 }
 
-// runGenericCase solves one literal ring model cold and warm-started and
-// cross-checks both optima against the production Step-1 solver.
-func runGenericCase(name string, net *noc.Network) (genericCase, error) {
+// runGenericCase solves one literal ring model cold and warm-started,
+// cross-checks both optima against the production Step-1 solver and
+// records the case.
+func runGenericCase(rec *record, name string, net *noc.Network) error {
 	inst, err := ring.NewMILPInstance(net, ring.Options{})
 	if err != nil {
-		return genericCase{}, fmt.Errorf("%s: %w", name, err)
+		return fmt.Errorf("%s: %w", name, err)
 	}
 	ref, err := ring.Construct(net, ring.Options{})
 	if err != nil {
-		return genericCase{}, fmt.Errorf("%s: ring.Construct: %w", name, err)
+		return fmt.Errorf("%s: ring.Construct: %w", name, err)
 	}
-	c := genericCase{
-		Name:      name,
-		Vars:      inst.Model.NumVars(),
-		Cons:      inst.Model.NumConstraints(),
-		Objective: ref.ModelObjective,
-	}
+	prefix := "generic/" + name + "/"
+	rec.add(prefix+"vars", float64(inst.Model.NumVars()), "")
+	rec.add(prefix+"cons", float64(inst.Model.NumConstraints()), "")
+	rec.add(prefix+"objective", ref.ModelObjective, "")
 	for _, mode := range []struct {
-		name  string
-		hint  []bool
-		ms    *float64
-		nodes *int
+		name string
+		hint []bool
 	}{
-		{"cold", nil, &c.ColdMS, &c.ColdNodes},
-		{"warm", inst.Hint, &c.WarmMS, &c.WarmNodes},
+		{"cold", nil},
+		{"warm", inst.Hint},
 	} {
 		var sol *milp.Solution
-		*mode.ms, err = timeFastest(solverTimingReps, func() error {
+		ms, err := timeFastest(solverTimingReps, func() error {
 			sol, err = milp.Solve(inst.Model, milp.Options{MaxNodes: solverMaxNodes, IncumbentHint: mode.hint})
 			return err
 		})
 		if err != nil {
-			return c, fmt.Errorf("%s %s: %w", name, mode.name, err)
+			return fmt.Errorf("%s %s: %w", name, mode.name, err)
 		}
 		if !sol.Optimal {
-			return c, fmt.Errorf("%s: %s solve did not prove optimality", name, mode.name)
+			return fmt.Errorf("%s: %s solve did not prove optimality", name, mode.name)
 		}
 		if math.Abs(sol.Objective-ref.ModelObjective) > milp.Eps {
-			return c, fmt.Errorf("%s: %s objective %v != ring.Construct %v — a solver is NOT exact",
+			return fmt.Errorf("%s: %s objective %v != ring.Construct %v — a solver is NOT exact",
 				name, mode.name, sol.Objective, ref.ModelObjective)
 		}
-		*mode.nodes = sol.Nodes
+		fmt.Fprintf(os.Stderr, "%-12s vars=%-4d %s %5d nodes %6.2f ms\n",
+			name, inst.Model.NumVars(), mode.name, sol.Nodes, ms)
+		rec.add(prefix+mode.name+"_nodes", float64(sol.Nodes), gateExact)
+		rec.add(prefix+mode.name+"_ms", ms, "")
 	}
-	return c, nil
+	return nil
+}
+
+// step1Case is one ring.Construct run: its result, or its error.
+type step1Case struct {
+	name string
+	res  *ring.Result
+	err  error
 }
 
 // runStep1 runs production Step 1 once over every seeded instance.
@@ -259,74 +208,9 @@ func runStep1() []step1Case {
 	var cases []step1Case
 	for _, n := range step1Sizes {
 		for seed := 0; seed < step1Seeds; seed++ {
-			c := step1Case{Name: fmt.Sprintf("irregular%d-s%d", n, seed)}
-			if res, err := ring.Construct(step1Network(n, seed), ring.Options{}); err != nil {
-				c.Error = err.Error()
-			} else {
-				c.Nodes, c.Optimal, c.Length = res.Nodes, res.Optimal, res.Length
-			}
-			cases = append(cases, c)
+			res, err := ring.Construct(step1Network(n, seed), ring.Options{})
+			cases = append(cases, step1Case{fmt.Sprintf("irregular%d-s%d", n, seed), res, err})
 		}
 	}
 	return cases
-}
-
-// checkSolverReport compares a fresh run against the committed
-// BENCH_solver.json: exact node counts on both parts, committed
-// successes still succeeding, and the calibration ratio within 25%.
-func checkSolverReport(got solverReport, path string) error {
-	var want solverReport
-	return checkAgainst("solver", path, &want, func() []string {
-		const rerecord = "node counts are deterministic; re-record the report if the search changed on purpose"
-		failures := matchByName("generic", want.Generic, got.Generic,
-			func(c genericCase) string { return c.Name },
-			func(w, c genericCase) string {
-				if c.ColdNodes != w.ColdNodes || c.WarmNodes != w.WarmNodes {
-					return fmt.Sprintf("cold/warm nodes %d/%d -> %d/%d; %s",
-						w.ColdNodes, w.WarmNodes, c.ColdNodes, c.WarmNodes, rerecord)
-				}
-				return ""
-			})
-		failures = append(failures, matchByName("step1", want.Step1, got.Step1,
-			func(c step1Case) string { return c.Name },
-			func(w, c step1Case) string {
-				switch {
-				case w.Error != "" && c.Error == "":
-					fmt.Fprintf(os.Stderr, "solver check note: step1 %s now succeeds (committed error %q); re-record to gate its node count\n",
-						c.Name, w.Error)
-				case w.Error != "":
-				case c.Error != "":
-					return "committed success now fails: " + c.Error
-				case c.Nodes != w.Nodes:
-					return fmt.Sprintf("nodes %d -> %d; %s", w.Nodes, c.Nodes, rerecord)
-				}
-				return ""
-			})...)
-		return append(failures, checkRatio("calibration ratio", want.Ratio, got.Ratio)...)
-	})
-}
-
-// matchByName pairs committed and fresh cases by name. A case on only
-// one side is a failure; cmp returns the failure for a pair, or "".
-func matchByName[T any](part string, want, got []T, name func(T) string, cmp func(want, got T) string) []string {
-	committed := map[string]T{}
-	for _, w := range want {
-		committed[name(w)] = w
-	}
-	var failures []string
-	for _, g := range got {
-		w, ok := committed[name(g)]
-		delete(committed, name(g))
-		if !ok {
-			failures = append(failures, fmt.Sprintf("%s %s: not in the committed report; re-record it", part, name(g)))
-		} else if f := cmp(w, g); f != "" {
-			failures = append(failures, fmt.Sprintf("%s %s: %s", part, name(g), f))
-		}
-	}
-	for _, w := range want {
-		if _, missing := committed[name(w)]; missing {
-			failures = append(failures, fmt.Sprintf("%s %s: committed case missing from this run", part, name(w)))
-		}
-	}
-	return failures
 }

@@ -1,6 +1,7 @@
 package oring
 
 import (
+	"context"
 	"testing"
 
 	"xring/internal/loss"
@@ -53,7 +54,7 @@ func TestNoPDNVariant(t *testing.T) {
 	if res.Plan != nil {
 		t.Fatal("plan should be nil without PDN")
 	}
-	lr, err := loss.Analyze(res.Design, nil)
+	lr, err := loss.AnalyzeCtx(context.Background(), res.Design, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package ornoc
 
 import (
+	"context"
 	"testing"
 
 	"xring/internal/loss"
@@ -59,7 +60,7 @@ func TestDetoursAppear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lr, err := loss.Analyze(res.Design, nil)
+	lr, err := loss.AnalyzeCtx(context.Background(), res.Design, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,7 +138,7 @@ func TestPaperShapeTable2(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		lr, err := loss.Analyze(on.Design, on.Plan)
+		lr, err := loss.AnalyzeCtx(context.Background(), on.Design, on.Plan)
 		if err != nil {
 			continue
 		}
@@ -195,7 +195,7 @@ func TestPaperShapeTable3(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		lr, err := loss.Analyze(or.Design, or.Plan)
+		lr, err := loss.AnalyzeCtx(context.Background(), or.Design, or.Plan)
 		if err != nil {
 			continue
 		}

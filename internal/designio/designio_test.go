@@ -1,6 +1,7 @@
 package designio
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -62,7 +63,7 @@ func TestRoundTrip(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			lr, err := loss.Analyze(loaded, plan)
+			lr, err := loss.AnalyzeCtx(context.Background(), loaded, plan)
 			if err != nil {
 				t.Fatal(err)
 			}

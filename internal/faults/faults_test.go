@@ -77,7 +77,7 @@ func TestEmptyScenarioByteIdentical(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d, plan := synth(t, tc.k, tc.withPDN)
-			lrep, err := loss.Analyze(d, plan)
+			lrep, err := loss.AnalyzeCtx(context.Background(), d, plan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -196,7 +196,7 @@ func TestSegmentCutsKillArcTraffic(t *testing.T) {
 
 func TestDetuneDegradesWithoutLoss(t *testing.T) {
 	d, plan := synth(t, 0, true)
-	lrep, err := loss.Analyze(d, plan)
+	lrep, err := loss.AnalyzeCtx(context.Background(), d, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,7 +152,7 @@ func TestBaselineBERWorseThanXRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	onLoss, err := loss.Analyze(on.Design, on.Plan)
+	onLoss, err := loss.AnalyzeCtx(context.Background(), on.Design, on.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,12 +82,6 @@ type Report struct {
 	WavelengthCount int
 }
 
-// Analyze computes the loss report. plan may be nil for the no-PDN
-// comparisons (Table I); PDN losses are then zero.
-func Analyze(d *router.Design, plan *pdn.Plan) (*Report, error) {
-	return AnalyzeCtx(context.Background(), d, plan)
-}
-
 // Banks is the per-waveguide MRR inventory: how many modulators
 // (senders) and receiver MRRs each node carries on each ring waveguide.
 // The counts are structural — they depend on the channel assignment
@@ -134,9 +128,10 @@ func CanonicalSignals(d *router.Design) []noc.Signal {
 	return sigs
 }
 
-// AnalyzeCtx is Analyze under a context: the per-signal fan-out stops
-// promptly on cancellation (returning the context error) and the
-// analysis records a trace span.
+// AnalyzeCtx computes the loss report. plan may be nil for the no-PDN
+// comparisons (Table I); PDN losses are then zero. The per-signal
+// fan-out stops promptly on cancellation (returning the context error)
+// and the analysis records a trace span.
 func AnalyzeCtx(ctx context.Context, d *router.Design, plan *pdn.Plan) (*Report, error) {
 	if len(d.Routes) == 0 {
 		return nil, fmt.Errorf("loss: design has no routed signals; run the mapping step first")

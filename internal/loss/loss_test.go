@@ -1,6 +1,7 @@
 package loss
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -46,14 +47,14 @@ func TestAnalyzeRequiresRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Analyze(d, nil); err == nil {
+	if _, err := AnalyzeCtx(context.Background(), d, nil); err == nil {
 		t.Fatal("want error for unmapped design")
 	}
 }
 
 func TestAnalyzeGrid8NoPDN(t *testing.T) {
 	d := synth(t, noc.Floorplan8(), true, false)
-	rep, err := Analyze(d, nil)
+	rep, err := AnalyzeCtx(context.Background(), d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +94,11 @@ func TestShortcutsImproveSupportedSignals(t *testing.T) {
 	// supported signals themselves, however, must improve strictly.
 	dNo := synth(t, noc.Floorplan8(), false, false)
 	dYes := synth(t, noc.Floorplan8(), true, false)
-	repNo, err := Analyze(dNo, nil)
+	repNo, err := AnalyzeCtx(context.Background(), dNo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repYes, err := Analyze(dYes, nil)
+	repYes, err := AnalyzeCtx(context.Background(), dYes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +127,11 @@ func TestShortcutsReduceWorstILIrregular(t *testing.T) {
 		net := noc.Irregular(10, 14, 14, 1.5, seed)
 		dNo := synth(t, net, false, false)
 		dYes := synth(t, net, true, false)
-		repNo, err := Analyze(dNo, nil)
+		repNo, err := AnalyzeCtx(context.Background(), dNo, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		repYes, err := Analyze(dYes, nil)
+		repYes, err := AnalyzeCtx(context.Background(), dYes, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +159,7 @@ func TestRingLossFormula(t *testing.T) {
 	}}}
 	d.Routes[s1] = &router.Route{Sig: s1, Kind: router.OnRing, WG: 0, WL: 0}
 	d.Routes[s2] = &router.Route{Sig: s2, Kind: router.OnRing, WG: 0, WL: 1}
-	rep, err := Analyze(d, nil)
+	rep, err := AnalyzeCtx(context.Background(), d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestCrossingLossCounted(t *testing.T) {
 		Crossings: []router.Crossing{{Pos: 1, AtNode: 0, Source: "pdn"}, {Pos: 3, AtNode: 1, Source: "pdn"}},
 	}}
 	d.Routes[sig] = &router.Route{Sig: sig, Kind: router.OnRing, WG: 0, WL: 0}
-	rep, err := Analyze(d, nil)
+	rep, err := AnalyzeCtx(context.Background(), d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +210,11 @@ func TestPDNLossIncluded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repNoPDN, err := Analyze(d, nil)
+	repNoPDN, err := AnalyzeCtx(context.Background(), d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repPDN, err := Analyze(d, plan)
+	repPDN, err := AnalyzeCtx(context.Background(), d, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestCombPDNCostsMoreThanTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repTree, err := Analyze(dTree, planTree)
+	repTree, err := AnalyzeCtx(context.Background(), dTree, planTree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestCombPDNCostsMoreThanTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repComb, err := Analyze(dComb, planComb)
+	repComb, err := AnalyzeCtx(context.Background(), dComb, planComb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestCombPDNCostsMoreThanTree(t *testing.T) {
 
 func TestWavelengthPowerDominatedByWorstSignal(t *testing.T) {
 	d := synth(t, noc.Floorplan8(), false, false)
-	rep, err := Analyze(d, nil)
+	rep, err := AnalyzeCtx(context.Background(), d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +297,7 @@ func TestWavelengthPowerDominatedByWorstSignal(t *testing.T) {
 
 func TestWavelengthCountColumn(t *testing.T) {
 	d := synth(t, noc.Floorplan8(), false, false)
-	rep, err := Analyze(d, nil)
+	rep, err := AnalyzeCtx(context.Background(), d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func TestCSERouteLoss(t *testing.T) {
 		}
 		return dd
 	}()
-	rep, err := Analyze(d, nil)
+	rep, err := AnalyzeCtx(context.Background(), d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

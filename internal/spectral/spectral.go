@@ -116,7 +116,7 @@ type Report struct {
 }
 
 // Analyze computes inter-channel crosstalk for every ring signal of a
-// design. lrep must come from loss.Analyze on the same design. Shortcut
+// design. lrep must come from loss.AnalyzeCtx on the same design. Shortcut
 // channels have dedicated waveguides with at most a handful of
 // wavelengths and are treated the same way.
 func Analyze(d *router.Design, lrep *loss.Report, p Params) (*Report, error) {

@@ -1,6 +1,7 @@
 package spectral
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -83,7 +84,7 @@ func manualDesign(t *testing.T) (*router.Design, *loss.Report) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	lrep, err := loss.Analyze(d, nil)
+	lrep, err := loss.AnalyzeCtx(context.Background(), d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

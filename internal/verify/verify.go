@@ -8,6 +8,7 @@
 package verify
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -137,7 +138,7 @@ func Run(d *router.Design, plan *pdn.Plan, lrep *loss.Report, opt Options) (*Rep
 	// 5. Laser-power coverage.
 	if lrep == nil {
 		var err error
-		lrep, err = loss.Analyze(d, plan)
+		lrep, err = loss.AnalyzeCtx(context.Background(), d, plan)
 		if err != nil {
 			return nil, err
 		}

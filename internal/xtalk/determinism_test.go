@@ -46,7 +46,7 @@ func synthesizeForTest(t *testing.T, net *noc.Network) (*router.Design, *pdn.Pla
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	lrep, err := loss.Analyze(d, plan)
+	lrep, err := loss.AnalyzeCtx(context.Background(), d, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

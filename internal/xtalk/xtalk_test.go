@@ -53,7 +53,7 @@ func analyzeOpts(t *testing.T, d *router.Design, plan *pdn.Plan, opts Options) (
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	lrep, err := loss.Analyze(d, plan)
+	lrep, err := loss.AnalyzeCtx(context.Background(), d, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
