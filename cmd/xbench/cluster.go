@@ -24,7 +24,9 @@ package main
 //
 //   - Each rep is a complete fresh experiment — new ports, new
 //     ownership draw, new servers — and the best rep is kept, mirroring
-//     the best-of policy of the other benches.
+//     the best-of policy of the other benches. The worker pool is held
+//     at one worker, the fleets alternate which runs first, and each
+//     timed phase starts after a GC, so neither side gains from order.
 //
 // After the timed cluster pass, every design is fetched from a
 // non-owner shard: the fetch must peer-fill (counted in the report) and
@@ -41,11 +43,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"sync"
 	"time"
 
 	"xring/internal/cluster"
 	"xring/internal/noc"
+	"xring/internal/parallel"
 	"xring/internal/service"
 )
 
@@ -54,7 +58,7 @@ const (
 	clusterBenchVariants = 6  // distinct floorplans, 2 per shard
 	clusterBenchRequests = 24 // total workload size
 	clusterBenchConc     = 6  // concurrent senders
-	clusterBenchReps     = 3  // full fresh experiments, best kept
+	clusterBenchReps     = 5  // full fresh experiments, best kept
 
 	// 28-node irregular floorplans: ~100ms per cold solve, so solver
 	// work (the thing sharding deduplicates) dominates the router-hop
@@ -180,7 +184,7 @@ func selectBalancedVariants(urls []string, perShard int) ([]*service.Request, []
 
 // driveWorkload sends the requests with bounded concurrency — request
 // i to bases[i%len(bases)] — and returns the wall-clock in
-// milliseconds. Any non-200 fails the bench.
+// milliseconds, timed after a GC. Any non-200 fails the bench.
 func driveWorkload(bases []string, reqs []*service.Request, conc int) (float64, error) {
 	bodies := make([][]byte, len(reqs))
 	for i, r := range reqs {
@@ -193,6 +197,7 @@ func driveWorkload(bases []string, reqs []*service.Request, conc int) (float64, 
 	sem := make(chan struct{}, conc)
 	errCh := make(chan error, len(reqs))
 	var wg sync.WaitGroup
+	runtime.GC()
 	t0 := time.Now()
 	for i := range bodies {
 		wg.Add(1)
@@ -275,11 +280,11 @@ func runIndependentPhase(reqs []*service.Request, shards, conc int) (float64, in
 
 // verifyClusterIdentity fetches every design from its owner and from a
 // non-owner shard: the non-owner must peer-fill and the bytes must be
-// identical. Returns the fleet-wide peer-fill count.
-func verifyClusterIdentity(f *benchFleet, keys []string) (int64, error) {
+// identical.
+func verifyClusterIdentity(f *benchFleet, keys []string) error {
 	ring, err := cluster.NewRing(f.urls, 0)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	fetch := func(base, key string) ([]byte, error) {
 		resp, err := http.Get(base + "/v1/designs/" + key)
@@ -304,74 +309,87 @@ func verifyClusterIdentity(f *benchFleet, keys []string) (int64, error) {
 		}
 		want, err := fetch(owner, key)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		got, err := fetch(other, key)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if !bytes.Equal(want, got) {
-			return 0, fmt.Errorf("cluster bench: design %s differs between owner %s and shard %s", key, owner, other)
+			return fmt.Errorf("cluster bench: design %s differs between owner %s and shard %s", key, owner, other)
 		}
 	}
-	var fills int64
-	for _, s := range f.servers {
-		fills += s.Stats().PeerFills
+	return nil
+}
+
+// clusterRep is the outcome of one full fresh experiment.
+type clusterRep struct {
+	indMS, cluMS, amp           float64
+	indSolves, cluSolves, fills int64
+	keys                        int
+}
+
+// runClusterRep runs one experiment on a fresh fleet. Even reps time
+// the independent fleet first, odd reps the cluster.
+func runClusterRep(rep int) (r clusterRep, err error) {
+	fleet, err := startBenchFleet(clusterBenchShards)
+	if err != nil {
+		return r, err
 	}
-	return fills, nil
+	defer fleet.Close()
+	variants, keys, err := selectBalancedVariants(fleet.urls, clusterBenchVariants/clusterBenchShards)
+	if err != nil {
+		return r, err
+	}
+	reqs := workload(variants, clusterBenchRequests, clusterBenchShards)
+	independent := func() (err error) {
+		r.indMS, r.indSolves, err = runIndependentPhase(reqs, clusterBenchShards, clusterBenchConc)
+		return err
+	}
+	routed := func() (err error) {
+		r.cluMS, err = driveWorkload([]string{fleet.front.URL}, reqs, clusterBenchConc)
+		return err
+	}
+	first, second := independent, routed
+	if rep%2 == 1 {
+		first, second = routed, independent
+	}
+	if err = first(); err == nil {
+		err = second()
+	}
+	if err != nil {
+		return r, err
+	}
+	if err := verifyClusterIdentity(fleet, keys); err != nil {
+		return r, err
+	}
+	for _, s := range fleet.servers {
+		st := s.Stats()
+		r.cluSolves += st.Synthesized
+		r.fills += st.PeerFills
+	}
+	r.keys = len(keys)
+	if r.cluMS > 0 {
+		r.amp = r.indMS / r.cluMS
+	}
+	return r, nil
 }
 
 func runClusterBench() (*record, error) {
+	parallel.SetWorkers(1)
+	defer parallel.SetWorkers(0)
 	// best is the rep with the highest amplification.
-	var best struct {
-		indMS, cluMS, amp           float64
-		indSolves, cluSolves, fills int64
-		keys                        int
-	}
+	var best clusterRep
 	for rep := 0; rep < clusterBenchReps; rep++ {
-		fleet, err := startBenchFleet(clusterBenchShards)
+		r, err := runClusterRep(rep)
 		if err != nil {
 			return nil, err
-		}
-		variants, keys, err := selectBalancedVariants(fleet.urls, clusterBenchVariants/clusterBenchShards)
-		if err != nil {
-			fleet.Close()
-			return nil, err
-		}
-		reqs := workload(variants, clusterBenchRequests, clusterBenchShards)
-
-		indMS, indSolves, err := runIndependentPhase(reqs, clusterBenchShards, clusterBenchConc)
-		if err != nil {
-			fleet.Close()
-			return nil, err
-		}
-
-		cluMS, err := driveWorkload([]string{fleet.front.URL}, reqs, clusterBenchConc)
-		if err != nil {
-			fleet.Close()
-			return nil, err
-		}
-		var cluSolves int64
-		for _, s := range fleet.servers {
-			cluSolves += s.Stats().Synthesized
-		}
-		fills, err := verifyClusterIdentity(fleet, keys)
-		fleet.Close()
-		if err != nil {
-			return nil, err
-		}
-
-		amp := 0.0
-		if cluMS > 0 {
-			amp = indMS / cluMS
 		}
 		fmt.Fprintf(os.Stderr,
 			"cluster bench rep %d: independent %.1f ms (%d solves) | cluster %.1f ms (%d solves) | %.2fx | %d peer-fills\n",
-			rep, indMS, indSolves, cluMS, cluSolves, amp, fills)
-		if amp > best.amp {
-			best.indMS, best.cluMS, best.amp = indMS, cluMS, amp
-			best.indSolves, best.cluSolves, best.fills = indSolves, cluSolves, fills
-			best.keys = len(keys)
+			rep, r.indMS, r.indSolves, r.cluMS, r.cluSolves, r.amp, r.fills)
+		if r.amp > best.amp {
+			best = r
 		}
 	}
 

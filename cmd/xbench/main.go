@@ -14,7 +14,6 @@
 //	xbench -table 1    # a single table
 //	xbench -ablation   # ablation study only
 //	xbench -serial     # force sequential evaluation (one worker)
-//	xbench -load URL   # drive a running xringd with a concurrent workload
 //	xbench -bench NAME # run one bench: solver, delta, explore, whatif,
 //	                   # cluster or parallel (serial-vs-parallel tables)
 //	xbench -check F    # run the bench F records and gate it against F
@@ -92,11 +91,6 @@ func main() {
 	benchName := flag.String("bench", "", "run one bench: "+benchNames()+" (writes -json if set, compares -check if set)")
 	jsonOut := flag.String("json", "", "with -bench: write the bench record to this file")
 	benchCheck := flag.String("check", "", "committed BENCH_*.json record to gate a fresh run against (runs the bench it records unless -bench is set); exits non-zero on regression")
-	loadURL := flag.String("load", "", "drive a running xringd at this base URL with a mixed concurrent workload")
-	loadEndpoints := flag.String("endpoints", "", "comma-separated base URLs for -load mode: round-robin the workload across a fleet, with per-endpoint breakdowns")
-	loadN := flag.Int("load-n", 32, "total requests to send in -load mode")
-	loadC := flag.Int("load-c", 8, "concurrent senders in -load mode")
-	loadNodes := flag.Int("load-nodes", 8, "floorplan size for -load mode requests (8, 16 or 32)")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
 	if *jsonOut != "" && *benchName == "" {
@@ -121,19 +115,6 @@ func main() {
 		parallel.SetWorkers(1)
 	}
 
-	if *loadURL != "" || *loadEndpoints != "" {
-		endpoints := splitEndpoints(*loadEndpoints)
-		if len(endpoints) == 0 {
-			endpoints = []string{*loadURL}
-		}
-		if err := runLoad(os.Stdout, loadConfig{
-			endpoints: endpoints, total: *loadN, conc: *loadC, nodes: *loadNodes,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "xbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *benchName != "" || *benchCheck != "" {
 		if err := runBench(*benchName, *jsonOut, *benchCheck); err != nil {
 			fmt.Fprintln(os.Stderr, "xbench:", err)

@@ -42,7 +42,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -76,8 +75,8 @@ func main() {
 	if *clusterSelf != "" || *clusterPeers != "" {
 		p, err := cluster.NewPeers(cluster.PeersConfig{
 			Self:         *clusterSelf,
-			Members:      splitPeers(*clusterPeers),
-			Previous:     splitPeers(*clusterPrev),
+			Members:      cluster.SplitMembers(*clusterPeers),
+			Previous:     cluster.SplitMembers(*clusterPrev),
 			VirtualNodes: *clusterVnodes,
 		})
 		if err != nil {
@@ -104,17 +103,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xringd:", err)
 		os.Exit(1)
 	}
-}
-
-// splitPeers parses a comma-separated peer list, dropping empties.
-func splitPeers(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, strings.TrimRight(p, "/"))
-		}
-	}
-	return out
 }
 
 func run(addr string, peers *cluster.Peers, cfg service.Config, drainTimeout time.Duration, obsFlags *obs.Flags) error {

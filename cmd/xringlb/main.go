@@ -28,7 +28,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -45,21 +44,10 @@ func main() {
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
 
-	if err := run(*addr, splitPeers(*peers), *vnodes, *retries, *probeInterval, obsFlags); err != nil {
+	if err := run(*addr, cluster.SplitMembers(*peers), *vnodes, *retries, *probeInterval, obsFlags); err != nil {
 		fmt.Fprintln(os.Stderr, "xringlb:", err)
 		os.Exit(1)
 	}
-}
-
-// splitPeers parses a comma-separated peer list, dropping empties.
-func splitPeers(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, strings.TrimRight(p, "/"))
-		}
-	}
-	return out
 }
 
 func run(addr string, peers []string, vnodes, retries int, probeInterval time.Duration, obsFlags *obs.Flags) error {

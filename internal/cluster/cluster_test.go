@@ -16,6 +16,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -631,5 +632,159 @@ func TestPeersFetchAsksOwner(t *testing.T) {
 	}
 	if _, err := peers.Fetch(context.Background(), selfOwned); err == nil {
 		t.Error("Fetch of a self-owned key should fail (nobody to ask)")
+	}
+}
+
+// fleetShard is one persist-backed shard of an in-process cluster,
+// wired the way xringd -cluster-self/-cluster-peers/-persist wires a
+// process: peer-fill, cluster info and the ring delegate.
+type fleetShard struct {
+	peers *Peers
+	svc   *service.Server
+	ts    *httptest.Server
+}
+
+func startFleetShard(t *testing.T, ln net.Listener, self string, members []string, dir string) *fleetShard {
+	t.Helper()
+	peers, err := NewPeers(PeersConfig{Self: self, Members: members})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := service.New(service.Config{
+		Workers:      2,
+		PersistDir:   dir,
+		PeerFetch:    peers.Fetch,
+		ClusterInfo:  peers.Info,
+		RingDelegate: peers.Delegate,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := &httptest.Server{Listener: ln, Config: &http.Server{Handler: svc.Handler()}}
+	ts.Start()
+	sh := &fleetShard{peers: peers, svc: svc, ts: ts}
+	t.Cleanup(func() { sh.close(t) })
+	return sh
+}
+
+// close stops serving and drains; it is safe to call twice.
+func (sh *fleetShard) close(t *testing.T) {
+	if sh.ts == nil {
+		return
+	}
+	sh.ts.Close()
+	sh.ts = nil
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := sh.svc.Drain(ctx); err != nil {
+		t.Errorf("drain: %v", err)
+	}
+}
+
+// listenAgain rebinds a just-closed address, polling until the kernel
+// lets go of it.
+func listenAgain(t *testing.T, addr string) net.Listener {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		ln, err := net.Listen("tcp", addr)
+		if err == nil {
+			return ln
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("rebind %s: %v", addr, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestThreeShardFleetBehindRouter drives a three-shard fleet, each
+// shard with its own engine and persist dir, through one router: every
+// shard serves the owner's exact bytes, the fleet solves the design
+// once and peer-fills it twice, and a non-owner shard that restarts
+// over a wiped persist dir gets the design back by peer-fill, not by
+// solving it again.
+func TestThreeShardFleetBehindRouter(t *testing.T) {
+	var lns []net.Listener
+	var urls []string
+	for i := 0; i < 3; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns = append(lns, ln)
+		urls = append(urls, "http://"+ln.Addr().String())
+	}
+	shards := make([]*fleetShard, 3)
+	dirs := make([]string, 3)
+	for i, ln := range lns {
+		dirs[i] = t.TempDir()
+		shards[i] = startFleetShard(t, ln, urls[i], urls, dirs[i])
+	}
+	// Probe once the whole fleet serves, so no shard sees a peer dead.
+	for _, sh := range shards {
+		sh.peers.health.ProbeAll(context.Background())
+		if n := sh.peers.health.HealthyCount(); n != 2 {
+			t.Fatalf("shard %s sees %d healthy peers, want 2", sh.peers.self, n)
+		}
+	}
+	rt := startRouter(t, urls)
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	var ready struct {
+		HealthyPeers int `json:"healthyPeers"`
+	}
+	if err := json.Unmarshal(fetchRaw(t, front.URL+"/readyz"), &ready); err != nil || ready.HealthyPeers != 3 {
+		t.Fatalf("router readyz healthyPeers = %d (err %v), want 3", ready.HealthyPeers, err)
+	}
+
+	req := &service.Request{Network: service.NetworkSpec{Standard: 16}, Options: service.OptionsSpec{MaxWL: 14}}
+	resp, data := postSynthesize(t, front.URL, req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("routed synthesize: HTTP %d: %s", resp.StatusCode, data)
+	}
+	key := decodeSynth(t, data).Key
+	owner := resp.Header.Get("X-Cluster-Shard")
+	if owner != rt.ring.Owner(key) {
+		t.Fatalf("X-Cluster-Shard = %q, ring owner %q", owner, rt.ring.Owner(key))
+	}
+
+	want := fetchRaw(t, front.URL+"/v1/designs/"+key)
+	for _, u := range urls {
+		if got := fetchRaw(t, u+"/v1/designs/"+key); !bytes.Equal(got, want) {
+			t.Errorf("shard %s serves different design bytes than the router", u)
+		}
+	}
+	var solves, fills int64
+	for _, sh := range shards {
+		st := sh.svc.Stats()
+		solves += st.Synthesized
+		fills += st.PeerFills
+	}
+	if solves != 1 || fills != 2 {
+		t.Errorf("fleet synthesized %d and peer-filled %d, want 1 and 2", solves, fills)
+	}
+
+	// Restart a non-owner shard over a wiped persist dir, on its old
+	// address so the membership still names it.
+	victim := 0
+	for urls[victim] == owner {
+		victim++
+	}
+	addr := lns[victim].Addr().String()
+	shards[victim].close(t)
+	if err := os.RemoveAll(dirs[victim]); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dirs[victim], 0o755); err != nil {
+		t.Fatal(err)
+	}
+	restarted := startFleetShard(t, listenAgain(t, addr), urls[victim], urls, dirs[victim])
+	restarted.peers.health.ProbeAll(context.Background())
+	if got := fetchRaw(t, urls[victim]+"/v1/designs/"+key); !bytes.Equal(got, want) {
+		t.Error("restarted shard serves different design bytes")
+	}
+	if st := restarted.svc.Stats(); st.PeerFills != 1 || st.Synthesized != 0 {
+		t.Errorf("restarted shard peerFills=%d synthesized=%d, want 1 and 0", st.PeerFills, st.Synthesized)
 	}
 }

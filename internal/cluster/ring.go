@@ -43,6 +43,20 @@ type point struct {
 	member int // index into members
 }
 
+// SplitMembers parses a comma-separated membership list (the
+// -cluster-peers and -peers flag syntax): items are trimmed of
+// whitespace and trailing slashes, and empty items are dropped. An
+// empty list yields nil.
+func SplitMembers(s string) []string {
+	var out []string
+	for _, p := range strings.Split(s, ",") {
+		if p = strings.TrimRight(strings.TrimSpace(p), "/"); p != "" {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // NewRing builds a ring over the given members (base URLs or names —
 // any non-empty strings; order and duplicates are irrelevant). vnodes
 // <= 0 selects DefaultVirtualNodes.

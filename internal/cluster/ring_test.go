@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -133,5 +134,24 @@ func TestRingRejectsBadMembership(t *testing.T) {
 	}
 	if r.Size() != 1 {
 		t.Errorf("duplicate members (modulo trailing slash) not collapsed: size %d", r.Size())
+	}
+}
+
+func TestSplitMembers(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []string
+	}{
+		{"", nil},
+		{" , ,", nil},
+		{"http://a:1", []string{"http://a:1"}},
+		{" http://a:1/, ,http://b:2 ", []string{"http://a:1", "http://b:2"}},
+		{"http://a:1//,\thttp://b:2\n", []string{"http://a:1", "http://b:2"}},
+		{"http://a:1,,http://a:1/", []string{"http://a:1", "http://a:1"}},
+		{" / ,http://c:3", []string{"http://c:3"}},
+	} {
+		if got := SplitMembers(tc.in); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("SplitMembers(%q) = %q, want %q", tc.in, got, tc.want)
+		}
 	}
 }

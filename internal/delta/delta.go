@@ -75,9 +75,6 @@ type Options struct {
 	// committed moves. Zero selects DefaultCrossCheckEvery; negative
 	// disables periodic cross-checking.
 	CrossCheckEvery int
-	// Xtalk selects the crosstalk mechanism set; must match what the
-	// attached result was analyzed with (core uses the zero value).
-	Xtalk xtalk.Options
 }
 
 // Reports bundles the two analysis reports a proposal is scored with.
@@ -413,7 +410,7 @@ func (e *Evaluator) evaluate(moved int, commit bool) (*Reports, error) {
 		losses[i] = sl
 	}
 	lrep := loss.Summarize(d, e.sigs, losses)
-	xrep, err := e.engine.Analyze(context.Background(), e.plan, lrep, e.opt.Xtalk)
+	xrep, err := e.engine.Analyze(context.Background(), e.plan, lrep, xtalk.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -497,7 +494,7 @@ func (e *Evaluator) FullRecompute() (*Reports, error) {
 	if err != nil {
 		return nil, err
 	}
-	xrep, err := xtalk.AnalyzeOptsCtx(ctx, e.d, e.plan, lrep, e.opt.Xtalk)
+	xrep, err := xtalk.AnalyzeCtx(ctx, e.d, e.plan, lrep)
 	if err != nil {
 		return nil, err
 	}

@@ -194,6 +194,42 @@ func TestExploreEndToEnd(t *testing.T) {
 	if got := s.Stats(); got.ExploreStudies != 1 || got.ExploreCells != 4 || got.ExploreCellsFailed != 0 {
 		t.Errorf("stats = %+v", got)
 	}
+
+	resubmitFromCache(t, ts.URL, exploreGrid(4), st)
+	if got := s.Stats().ExploreStudies; got != 2 {
+		t.Errorf("exploreStudies = %d, want 2", got)
+	}
+}
+
+// resubmitFromCache submits grid a second time to the server that ran
+// the first study: every cell must be a cache hit and the frontier CSV
+// must be byte-identical to the first study's.
+func resubmitFromCache(t *testing.T, base string, grid explore.Grid, first *ExploreStatus) {
+	t.Helper()
+	resp, data := postExplore(t, base, &ExploreRequest{Grid: grid})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("resubmitted explore: status %d, body %s", resp.StatusCode, data)
+	}
+	again := decodeExplore(t, data)
+	if again.Cells != first.Cells || again.CacheHits != again.Cells {
+		t.Errorf("resubmitted study: cacheHits=%d of %d cells, want all %d", again.CacheHits, again.Cells, first.Cells)
+	}
+	if csv1, csv2 := frontierCSV(t, base, first.ID), frontierCSV(t, base, again.ID); !bytes.Equal(csv1, csv2) {
+		t.Errorf("frontier CSV differs on resubmission:\n%s\nvs\n%s", csv1, csv2)
+	}
+}
+
+// frontierCSV fetches a study's frontier as CSV.
+func frontierCSV(t *testing.T, base, id string) []byte {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/explore/" + id + "/frontier?format=csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/csv") {
+		t.Errorf("frontier CSV content type = %q", ct)
+	}
+	return readAll(t, resp)
 }
 
 func readAll(t *testing.T, resp *http.Response) []byte {
@@ -248,7 +284,8 @@ func TestExploreIsolatesFailingCells(t *testing.T) {
 
 // TestExploreDegradedCellJoinsFrontier: an injected solver-budget fault
 // degrades one cell (heuristic fallback); the study reports it degraded
-// and its point carries the flag.
+// and its point carries the flag, and a resubmission serves it from the
+// cache.
 func TestExploreDegradedCellJoinsFrontier(t *testing.T) {
 	g := explore.Grid{
 		Floorplans: []explore.Floorplan{
@@ -270,6 +307,8 @@ func TestExploreDegradedCellJoinsFrontier(t *testing.T) {
 	if len(st.Frontier) != 1 || !st.Frontier[0].Degraded {
 		t.Errorf("frontier = %+v, want one degraded point", st.Frontier)
 	}
+	// The degraded design is cached like any other.
+	resubmitFromCache(t, ts.URL, g, st)
 }
 
 // TestExploreFrontierDeterministic runs one grid on two fresh servers
@@ -283,14 +322,7 @@ func TestExploreFrontierDeterministic(t *testing.T) {
 			t.Fatalf("explore: status %d, body %s", resp.StatusCode, data)
 		}
 		st := decodeExplore(t, data)
-		fresp, err := http.Get(ts.URL + "/v1/explore/" + st.ID + "/frontier?format=csv")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ct := fresp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/csv") {
-			t.Errorf("frontier CSV content type = %q", ct)
-		}
-		return readAll(t, fresp), st.ID
+		return frontierCSV(t, ts.URL, st.ID), st.ID
 	}
 	csv1, id1 := run(1)
 	csv2, id2 := run(4)

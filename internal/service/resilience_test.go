@@ -26,8 +26,8 @@ import (
 
 // TestDegradedSynthesisOverHTTP is the acceptance path: a fault forcing
 // milp.ErrBudget in the ring solver still yields a valid, fully routed
-// design over HTTP, marked degraded in the summary and counted in
-// /v1/stats.
+// design over HTTP that re-analyzes cleanly, marked degraded in the
+// summary and counted in /v1/stats.
 func TestDegradedSynthesisOverHTTP(t *testing.T) {
 	inj := resilience.NewInjector(1, resilience.Rule{Point: "core.ring", Err: milp.ErrBudget})
 	s, ts := newTestServer(t, Config{Workers: 1, Injector: inj})
@@ -51,6 +51,7 @@ func TestDegradedSynthesisOverHTTP(t *testing.T) {
 	if len(d.Routes) == 0 {
 		t.Error("degraded design has no routes")
 	}
+	analyzeServed(t, design)
 	if st := s.Stats(); st.Degraded != 1 {
 		t.Errorf("stats.Degraded = %d, want 1", st.Degraded)
 	}

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"xring"
 	"xring/internal/core"
 	"xring/internal/designio"
 )
@@ -385,48 +386,75 @@ func TestCacheHitServesIdenticalBytesAcrossSpellings(t *testing.T) {
 	}
 }
 
+// TestServiceDesignMatchesLibraryBytes: the design a daemon serves is
+// byte-identical to the library's designio.Save of the same request,
+// and it reloads and re-analyzes the way `xring -analyze` does — for a
+// tiny floorplan and for the standard 16-node router with its PDN.
 func TestServiceDesignMatchesLibraryBytes(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	req := quadRequest(1)
-	resp, data := postSynth(t, ts.URL, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, body %s", resp.StatusCode, data)
-	}
-	r := decodeResponse(t, data)
+	for _, tc := range []struct {
+		name string
+		req  *Request
+	}{
+		{"quad", quadRequest(1)},
+		{"std16pdn", &Request{Network: NetworkSpec{Standard: 16}, Options: OptionsSpec{MaxWL: 14, WithPDN: true}}},
+	} {
+		req := tc.req
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := newTestServer(t, Config{Workers: 1})
+			resp, data := postSynth(t, ts.URL, req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d, body %s", resp.StatusCode, data)
+			}
+			r := decodeResponse(t, data)
 
-	// Library run of the same request.
-	rr := mustResolve(t, req)
-	res, err := core.SynthesizeCtx(context.Background(), rr.net, rr.opt)
+			// Library run of the same request.
+			rr := mustResolve(t, req)
+			res, err := core.SynthesizeCtx(context.Background(), rr.net, rr.opt)
+			if err != nil {
+				t.Fatalf("library synthesis: %v", err)
+			}
+			want, err := designio.Save(res.Design)
+			if err != nil {
+				t.Fatalf("designio.Save: %v", err)
+			}
+
+			for _, path := range []string{"/v1/jobs/" + r.JobID + "/design", "/v1/designs/" + r.Key} {
+				dresp, err := http.Get(ts.URL + path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := io.ReadAll(dresp.Body)
+				dresp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if dresp.StatusCode != http.StatusOK {
+					t.Fatalf("GET %s: status %d, body %s", path, dresp.StatusCode, got)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("GET %s: design bytes differ from library designio.Save (%d vs %d bytes)",
+						path, len(got), len(want))
+				}
+			}
+			analyzeServed(t, want)
+		})
+	}
+}
+
+// analyzeServed reloads served design bytes and re-runs the loss and
+// crosstalk analyses on them, as `xring -analyze FILE` does.
+func analyzeServed(t *testing.T, design []byte) {
+	t.Helper()
+	d, err := xring.LoadDesign(design)
 	if err != nil {
-		t.Fatalf("library synthesis: %v", err)
+		t.Fatalf("LoadDesign: %v", err)
 	}
-	want, err := designio.Save(res.Design)
-	if err != nil {
-		t.Fatalf("designio.Save: %v", err)
+	withTree := false
+	for _, w := range d.Waveguides {
+		withTree = withTree || w.Opening >= 0
 	}
-
-	for _, path := range []string{"/v1/jobs/" + r.JobID + "/design", "/v1/designs/" + r.Key} {
-		dresp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := io.ReadAll(dresp.Body)
-		dresp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dresp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d, body %s", path, dresp.StatusCode, got)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("GET %s: design bytes differ from library designio.Save (%d vs %d bytes)",
-				path, len(got), len(want))
-		}
-	}
-
-	// The design must round-trip through designio.Load.
-	if _, err := designio.Load(want); err != nil {
-		t.Fatalf("designio.Load of library bytes: %v", err)
+	if _, _, err := xring.AnalyzeDesign(d, withTree); err != nil {
+		t.Fatalf("AnalyzeDesign of the served design: %v", err)
 	}
 }
 

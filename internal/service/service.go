@@ -106,7 +106,7 @@ type Config struct {
 	// with a StageTimeoutError (HTTP 504). Zero disables the watchdog.
 	StageTimeout time.Duration
 	// FaultSpec is a resilience.Parse fault-injection DSL string applied
-	// to every job's context — for chaos drills and the CI smoke tests.
+	// to every job's context — for chaos drills and the service tests.
 	// Empty injects nothing.
 	FaultSpec string
 	// Injector overrides FaultSpec with a pre-built injector (tests).

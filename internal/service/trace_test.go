@@ -180,8 +180,17 @@ func TestTraceIDCacheSemantics(t *testing.T) {
 // TestFlightSnapshotOnPanic: a job killed by an injected panic leaves
 // a flight-recorder snapshot on disk whose records include the failing
 // job with its trace ID and panic flag — the acceptance criterion of
-// the flight recorder.
+// the flight recorder — and a live /metrics scrape counts exactly that
+// one snapshot.
 func TestFlightSnapshotOnPanic(t *testing.T) {
+	// Count from zero with metrics on, as a daemon does.
+	prevM := obs.MetricsEnabled()
+	obs.EnableMetrics(true)
+	obs.ResetMetrics()
+	t.Cleanup(func() {
+		obs.EnableMetrics(prevM)
+		obs.ResetMetrics()
+	})
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{
 		Workers:   1,
@@ -222,6 +231,30 @@ func TestFlightSnapshotOnPanic(t *testing.T) {
 	if !found {
 		t.Fatalf("snapshot %s has no record with trace %s", matches[0], traceID)
 	}
+
+	body := scrapeExposition(t, ts.URL)
+	if !strings.Contains(string(body), "\nxring_service_flight_snapshots_total 1\n") {
+		t.Errorf("exposition lacks xring_service_flight_snapshots_total 1:\n%s", body)
+	}
+}
+
+// scrapeExposition GETs /metrics and fails unless the body is valid
+// Prometheus text exposition.
+func scrapeExposition(t *testing.T, base string) []byte {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != obs.PrometheusContentType {
+		t.Errorf("Content-Type = %q, want %q", ct, obs.PrometheusContentType)
+	}
+	if err := obs.ValidateExposition(body); err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, body)
+	}
+	return body
 }
 
 // TestMetricsContentNegotiation: GET /metrics defaults to valid
@@ -234,21 +267,11 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != obs.PrometheusContentType {
-		t.Errorf("Content-Type = %q, want %q", ct, obs.PrometheusContentType)
-	}
-	if err := obs.ValidateExposition(body); err != nil {
-		t.Fatalf("exposition invalid: %v\n%s", err, body)
-	}
+	body := scrapeExposition(t, ts.URL)
 	for _, want := range []string{
 		"xring_service_requests_total",
 		"xring_service_job_duration_ms_bucket",
+		"\nxring_service_job_duration_ms_bucket{le=\"+Inf\"} ",
 		"xring_service_job_duration_ms_ok_bucket",
 		"xring_service_job_queue_wait_ms_bucket",
 		"xring_service_queue_depth",

@@ -6,6 +6,7 @@ package service
 // separation of fault-tolerant requests.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -211,9 +212,11 @@ func TestHealthyDesignHasNoDegradedHeaders(t *testing.T) {
 
 // TestFaultToleranceSeparatesContentKeys: the k=1 option must flow into
 // the canonical key, or protected and unprotected results would collide
-// in the cache.
+// in the cache. Replayed over HTTP, one injected MRR fault costs the
+// unprotected design exactly its signal, while the k=1 design survives
+// its whole single-MRR universe, with one SSE fault event per scenario.
 func TestFaultToleranceSeparatesContentKeys(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{Workers: 1})
 
 	plain := &Request{Network: NetworkSpec{Standard: 8}, Options: OptionsSpec{MaxWL: 8}}
 	resp, data := postSynth(t, ts.URL, plain)
@@ -240,4 +243,90 @@ func TestFaultToleranceSeparatesContentKeys(t *testing.T) {
 	if resp, _ := postSynth(t, ts.URL, bad); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("k=7 accepted: status %d", resp.StatusCode)
 	}
+
+	// A rejected replay is not a run.
+	if resp, data := postWhatif(t, ts.URL, &WhatifRequest{Key: "sha256:nope"}); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("unknown key: status %d, want 404: %s", resp.StatusCode, data)
+	}
+
+	// Inject one MRR fault at the first channel of the unprotected
+	// design's first waveguide.
+	var file struct {
+		Waveguides []struct {
+			Channels []struct{ Src, Dst int }
+		}
+	}
+	if err := json.Unmarshal(getDesign(t, ts.URL, plainKey), &file); err != nil {
+		t.Fatal(err)
+	}
+	if len(file.Waveguides) == 0 || len(file.Waveguides[0].Channels) == 0 {
+		t.Fatal("unprotected design has no channel on waveguide 0")
+	}
+	ch := file.Waveguides[0].Channels[0]
+	wg := 0
+	resp, data = postWhatif(t, ts.URL, &WhatifRequest{Key: plainKey, Faults: WhatifFaults{
+		Inject: []FaultSpec{{Kind: "mrr", WG: &wg, Src: ch.Src, Dst: ch.Dst}},
+	}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("inject whatif: %d %s", resp.StatusCode, data)
+	}
+	if st := decodeWhatif(t, data); st.State != StateDone || st.Report == nil ||
+		st.Report.MaxLost != 1 || st.Report.FullSetSurvives {
+		t.Errorf("injected MRR fault: %+v, want done with maxLost 1", st)
+	}
+
+	resp, data = postWhatif(t, ts.URL, &WhatifRequest{Key: ftKey, Faults: WhatifFaults{Kinds: []string{"mrr"}}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("k=1 whatif: %d %s", resp.StatusCode, data)
+	}
+	st := decodeWhatif(t, data)
+	if st.State != StateDone || st.Report == nil || !st.Report.FullSetSurvives || st.Report.MaxLost != 0 {
+		t.Errorf("k=1 design under single-MRR replay: %+v, want full survival", st)
+	}
+	if st.Completed != st.Scenarios || st.Scenarios != st.Universe {
+		t.Errorf("exhaustive replay: %d/%d of universe %d", st.Completed, st.Scenarios, st.Universe)
+	}
+	faultEvents := 0
+	types := sseTypes(t, ts.URL+"/v1/whatif/"+st.ID+"/events")
+	for _, ty := range types {
+		if ty == "fault" {
+			faultEvents++
+		}
+	}
+	if faultEvents != st.Scenarios || types[len(types)-1] != "done" {
+		t.Errorf("%d fault events for %d scenarios, stream ends %q", faultEvents, st.Scenarios, types[len(types)-1])
+	}
+	if got := s.Stats().WhatifRuns; got != 2 {
+		t.Errorf("whatifRuns = %d, want 2", got)
+	}
+}
+
+// sseTypes reads an SSE stream up to its terminal event and returns
+// the event types in order.
+func sseTypes(t *testing.T, url string) []string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var types []string
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
+	for sc.Scan() {
+		line, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		var ev Event
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("bad event %q: %v", line, err)
+		}
+		types = append(types, ev.Type)
+		if ev.Type == "done" || ev.Type == "failed" {
+			return types
+		}
+	}
+	t.Fatalf("stream %s ended without a terminal event (err %v): %v", url, sc.Err(), types)
+	return nil
 }
