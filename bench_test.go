@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"xring"
+	"xring/internal/parallel"
 )
 
 // ---------------------------------------------------------------------
@@ -137,12 +138,14 @@ func BenchmarkTable2_SweepXRing16(b *testing.B) {
 }
 
 // BenchmarkTable2_SweepXRing16Serial is the sequential baseline for the
-// sweep above.
+// sweep above: the same sweep on a one-worker pool.
 func BenchmarkTable2_SweepXRing16Serial(b *testing.B) {
+	parallel.SetWorkers(1)
+	defer parallel.SetWorkers(0)
 	net := xring.Floorplan16()
 	for i := 0; i < b.N; i++ {
 		xring.ResetRingCache()
-		if _, _, err := xring.Sweep(net, xring.Options{WithPDN: true, Serial: true}, xring.MinPower, nil); err != nil {
+		if _, _, err := xring.Sweep(net, xring.Options{WithPDN: true}, xring.MinPower, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,8 +5,9 @@
 //
 // Table sections and the candidate sweeps inside them run concurrently
 // on the shared worker pool; results are reduced in canonical order, so
-// the printed tables are identical to a serial run (apart from the
-// timing columns, which always measure the work actually done).
+// the printed tables are identical to a -serial run, which pins the
+// pool to one worker (apart from the timing columns, which always
+// measure the work actually done).
 //
 // Usage:
 //
@@ -31,6 +32,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -50,16 +52,6 @@ import (
 // placements (the paper's motivating hard case, where shortcut gains
 // are largest).
 var floorplanKind = flag.String("floorplan", "grid", "floorplan family: grid or irregular")
-
-// serialMode mirrors the -serial flag; the parallel bench toggles it
-// between timing passes.
-var serialMode bool
-
-// opts stamps the current execution mode onto synthesis options.
-func opts(o xring.Options) xring.Options {
-	o.Serial = serialMode
-	return o
-}
 
 // networkFor returns the evaluation floorplan for n nodes.
 func networkFor(n int) *xring.Network {
@@ -110,8 +102,7 @@ func main() {
 		}
 	}()
 
-	serialMode = *serial
-	if serialMode {
+	if *serial {
 		parallel.SetWorkers(1)
 	}
 
@@ -141,7 +132,7 @@ func main() {
 		// Render every section concurrently into its own buffer, print
 		// in order.
 		sections := []func(io.Writer){table1, table2, table3, runAblation}
-		bufs, err := parallel.Map(nil, len(sections), func(i int) (string, error) {
+		bufs, err := parallel.Map(context.Background(), len(sections), func(i int) (string, error) {
 			var b bytes.Buffer
 			sections[i](&b)
 			return b.String(), nil
@@ -177,32 +168,21 @@ type baselineRun struct {
 	time  time.Duration
 }
 
-// sweepBaseline evaluates every #wl candidate — concurrently unless
-// -serial — and reduces in ascending-#wl order, so the winner matches a
-// sequential sweep exactly.
+// sweepBaseline evaluates every #wl candidate on the worker pool and
+// reduces in ascending-#wl order, so the winner matches a sequential
+// sweep exactly.
 func sweepBaseline(name string, synth func(maxWL int) (*xring.BaselineResult, error),
 	n int, better func(a, b *xring.BaselineResult) bool) *baselineRun {
 	cands := wlCandidates(n)
 	runs := make([]*baselineRun, len(cands))
-	eval := func(i int) {
+	mustFanout(parallel.ForEach(context.Background(), len(cands), func(i int) error {
 		t0 := time.Now()
 		r, err := synth(cands[i])
-		el := time.Since(t0)
-		if err != nil {
-			return
+		if err == nil {
+			runs[i] = &baselineRun{res: r, maxWL: cands[i], time: time.Since(t0)}
 		}
-		runs[i] = &baselineRun{res: r, maxWL: cands[i], time: el}
-	}
-	if serialMode {
-		for i := range cands {
-			eval(i)
-		}
-	} else {
-		mustFanout(parallel.ForEach(nil, len(cands), func(i int) error {
-			eval(i)
-			return nil
-		}))
-	}
+		return nil
+	}))
 	var best *baselineRun
 	for _, r := range runs {
 		if r != nil && (best == nil || better(r.res, best.res)) {
@@ -237,20 +217,14 @@ func maxSNR(a, b *xring.BaselineResult) bool {
 	return a.Loss.TotalPowerMW < b.Loss.TotalPowerMW
 }
 
-// addRows computes table rows concurrently (serially under -serial) and
-// adds them to the table in the given order.
+// addRows computes table rows on the worker pool and adds them to the
+// table in the given order.
 func addRows(tb *report.Table, jobs []func() []string) {
 	rows := make([][]string, len(jobs))
-	if serialMode {
-		for i, job := range jobs {
-			rows[i] = job()
-		}
-	} else {
-		mustFanout(parallel.ForEach(nil, len(jobs), func(i int) error {
-			rows[i] = jobs[i]()
-			return nil
-		}))
-	}
+	mustFanout(parallel.ForEach(context.Background(), len(jobs), func(i int) error {
+		rows[i] = jobs[i]()
+		return nil
+	}))
 	for _, r := range rows {
 		if r != nil {
 			tb.AddRow(r...)
@@ -321,7 +295,7 @@ func table1(w io.Writer) {
 		jobs = append(jobs, func() []string {
 			parCopy := par
 			t0 := time.Now()
-			xr, _, err := xring.Sweep(net, opts(xring.Options{Par: &parCopy}), xring.MinWorstIL, wlCandidates(n))
+			xr, _, err := xring.Sweep(net, xring.Options{Par: &parCopy}, xring.MinWorstIL, wlCandidates(n))
 			el := time.Since(t0)
 			if err != nil {
 				return []string{"XRing", "-", "-", "-", "-", "-", "failed: " + err.Error()}
@@ -366,7 +340,7 @@ func pdnComparisonTable(w io.Writer, title, baseName string, n int, setting pdnS
 		},
 		func() []string {
 			t0 := time.Now()
-			xr, _, err := xring.Sweep(net, opts(xring.Options{WithPDN: true}), setting.obj, wlCandidates(n))
+			xr, _, err := xring.Sweep(net, xring.Options{WithPDN: true}, setting.obj, wlCandidates(n))
 			el := time.Since(t0)
 			if err != nil {
 				return []string{"XRing", "-", "-", "-", "-", "-", "-", "-", "-", "failed: " + err.Error()}
@@ -395,7 +369,7 @@ func table2(w io.Writer) {
 			subs = append(subs, sub{n, s})
 		}
 	}
-	bufs, err := parallel.Map(nil, len(subs), func(i int) (string, error) {
+	bufs, err := parallel.Map(context.Background(), len(subs), func(i int) (string, error) {
 		var b bytes.Buffer
 		n := subs[i].n
 		pdnComparisonTable(&b,
@@ -416,7 +390,7 @@ func table2(w io.Writer) {
 func table3(w io.Writer) {
 	fmt.Fprintln(w, "TABLE III — ORing vs XRing with PDNs (16-node network)")
 	par := xring.DefaultParams()
-	bufs, err := parallel.Map(nil, len(pdnSettings), func(i int) (string, error) {
+	bufs, err := parallel.Map(context.Background(), len(pdnSettings), func(i int) (string, error) {
 		var b bytes.Buffer
 		pdnComparisonTable(&b,
 			fmt.Sprintf("\nThe setting for %s", pdnSettings[i].name),
@@ -456,7 +430,7 @@ func runAblation(w io.Writer) {
 		v := v
 		jobs = append(jobs, func() []string {
 			t0 := time.Now()
-			res, _, err := xring.Sweep(net, opts(v.opt), xring.MinPower, wlCandidates(16))
+			res, _, err := xring.Sweep(net, v.opt, xring.MinPower, wlCandidates(16))
 			el := time.Since(t0)
 			if err != nil {
 				return []string{v.name, "-", "-", "-", "-", "-", "-", "-", "failed: " + err.Error()}
@@ -501,9 +475,9 @@ func runSweepCurve(w io.Writer) {
 			if p.share {
 				policy = "share"
 			}
-			res, err := xring.Synthesize(net, opts(xring.Options{
+			res, err := xring.Synthesize(net, xring.Options{
 				MaxWL: p.wl, WithPDN: true, ShareWavelengths: p.share,
-			}))
+			})
 			if err != nil {
 				return []string{report.D(p.wl), policy, "-", "-", "-", "-", "-", "-", "no"}
 			}
@@ -573,7 +547,7 @@ func runBench(name, out, checkPath string) error {
 }
 
 // runParallelBench times the paper tables and a 16-node placement search
-// twice each — one worker with Serial options, then the full pool —
+// twice each — on one worker, then on the full pool —
 // resetting the Step-1 cache between passes so a warm cache cannot
 // masquerade as concurrency speedup. Every metric is recorded only: on
 // a host with few cores the speedups show pool overhead, not scaling.
@@ -582,7 +556,7 @@ func runParallelBench() (*record, error) {
 	placementOpts := func(delta bool) xring.PlacementOptions {
 		return xring.PlacementOptions{
 			Objective:  xring.PlaceMinWorstIL,
-			Synth:      opts(xring.Options{MaxWL: 16}),
+			Synth:      xring.Options{MaxWL: 16},
 			Iterations: 24,
 			StepMM:     1.5,
 			Seed:       1,
@@ -608,14 +582,12 @@ func runParallelBench() (*record, error) {
 
 	rec := newRecord("parallel")
 	for _, st := range stages {
-		serialMode = true
 		parallel.SetWorkers(1)
 		xring.ResetRingCache()
 		t0 := time.Now()
 		st.run()
 		serialMS := float64(time.Since(t0).Microseconds()) / 1000
 
-		serialMode = false
 		parallel.SetWorkers(0) // restore the GOMAXPROCS-sized pool
 		xring.ResetRingCache()
 		t0 = time.Now()

@@ -63,7 +63,6 @@ func main() {
 	fault := flag.String("fault", "", "fault-injection spec, e.g. 'core.ring=error:budget;seed=7' (testing)")
 	flight := flag.Int("flight", 0, "flight-recorder depth: last N completed job records (0 = default 256)")
 	flightDir := flag.String("flight-dir", "", "directory for automatic flight-recorder snapshots on panic/stage-timeout (empty disables)")
-	exploreCells := flag.Int("explore-cells", 0, "concurrent cells per /v1/explore study (0 = shared worker pool budget)")
 	clusterSelf := flag.String("cluster-self", "", "this shard's advertised base URL (e.g. http://10.0.0.1:8418); enables cluster mode")
 	clusterPeers := flag.String("cluster-peers", "", "comma-separated shard base URLs — the full membership, including self")
 	clusterPrev := flag.String("cluster-prev", "", "previous membership (comma-separated), so peer-fill survives a rebalance")
@@ -97,8 +96,6 @@ func main() {
 		FaultSpec:       *fault,
 		FlightRecords:   *flight,
 		FlightDir:       *flightDir,
-
-		ExploreCellConcurrency: *exploreCells,
 	}, *drainTimeout, obsFlags); err != nil {
 		fmt.Fprintln(os.Stderr, "xringd:", err)
 		os.Exit(1)

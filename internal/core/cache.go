@@ -261,10 +261,6 @@ func (e *Engine) constructRing(ctx context.Context, net *noc.Network, opt ring.O
 		e.flightMu.Unlock()
 		if inFlight {
 			mRingCacheCoalesced.Inc()
-			if ctx == nil {
-				<-ch
-				continue
-			}
 			select {
 			case <-ch:
 				continue // leader landed; re-check the cache
@@ -333,48 +329,45 @@ func (e *Engine) constructRingResilient(ctx context.Context, net *noc.Network, o
 			mHintUsed.Inc()
 		}
 	}
-	if err := resilience.Fire(ctx, "core.ring"); err != nil {
-		if noFallback || !errors.Is(err, milp.ErrBudget) {
-			return nil, "", err
-		}
-		mFallbackBudget.Inc()
-		res, herr := ring.ConstructHeuristic(ctx, net, opt)
-		if herr != nil {
-			return nil, "", fmt.Errorf("core: heuristic fallback after %v: %w", err, herr)
-		}
-		e.hintStore(key, res.Tour)
-		return res, DegradedReasonBudget, nil
-	}
-	if !noFallback && ctx != nil {
-		if dl, ok := ctx.Deadline(); ok && time.Until(dl) < ringDeadlineSlack {
+	err := resilience.Fire(ctx, "core.ring")
+	if err == nil {
+		if dl, ok := ctx.Deadline(); !noFallback && ok && time.Until(dl) < ringDeadlineSlack {
 			// Serve what the remaining budget can afford. A warm cache
 			// entry is still preferred: it is both exact and free.
 			if r, ok := e.cacheLookup(key); ok {
 				return r, "", nil
 			}
 			mFallbackDeadline.Inc()
-			res, herr := ring.ConstructHeuristic(ctx, net, opt)
-			if herr != nil {
-				return nil, "", herr
-			}
-			e.hintStore(key, res.Tour)
-			return res, DegradedReasonDeadline, nil
+			return e.heuristicFallback(ctx, net, opt, key, DegradedReasonDeadline, nil)
+		}
+		var res *ring.Result
+		if res, err = e.constructRing(ctx, net, opt, true); err == nil {
+			return res, "", nil
 		}
 	}
-	res, err := e.constructRing(ctx, net, opt, true)
-	if err == nil {
-		return res, "", nil
-	}
+	// An injected or real solver failure: only budget exhaustion
+	// degrades.
 	if noFallback || !errors.Is(err, milp.ErrBudget) {
 		return nil, "", err
 	}
 	mFallbackBudget.Inc()
-	hres, herr := ring.ConstructHeuristic(ctx, net, opt)
-	if herr != nil {
-		return nil, "", fmt.Errorf("core: heuristic fallback after %v: %w", err, herr)
+	return e.heuristicFallback(ctx, net, opt, key, DegradedReasonBudget, err)
+}
+
+// heuristicFallback serves a degraded Step-1 request from the heuristic
+// ring constructor and keeps its tour as the next exact attempt's
+// warm-start hint. A heuristic failure is wrapped with cause, the
+// exact-path error that triggered the fallback, when there is one.
+func (e *Engine) heuristicFallback(ctx context.Context, net *noc.Network, opt ring.Options, key, reason string, cause error) (*ring.Result, string, error) {
+	res, err := ring.ConstructHeuristic(ctx, net, opt)
+	if err != nil {
+		if cause != nil {
+			err = fmt.Errorf("core: heuristic fallback after %v: %w", cause, err)
+		}
+		return nil, "", err
 	}
-	e.hintStore(key, hres.Tour)
-	return hres, DegradedReasonBudget, nil
+	e.hintStore(key, res.Tour)
+	return res, reason, nil
 }
 
 // hintStore records a fallback tour for key (copied: the caller's

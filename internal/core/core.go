@@ -4,7 +4,9 @@
 // design, followed by the insertion-loss and crosstalk analyses. It
 // also provides the #wl sweep the paper's evaluation uses ("we vary the
 // settings of #wl and pick the one with the minimum power and maximum
-// SNR").
+// SNR"). The sweep's candidates fan out over the shared worker pool
+// and reduce in canonical order; parallel.SetWorkers(1) is the serial
+// mode and returns the identical winner.
 package core
 
 import (
@@ -67,14 +69,6 @@ type Options struct {
 	// policy gives every signal a fresh (waveguide, wavelength) slot.
 	// Sweep explores both.
 	ShareWavelengths bool
-
-	// Serial forces Sweep (and the placement optimizer consuming these
-	// options) to evaluate candidates sequentially on the calling
-	// goroutine instead of fanning out over the worker pool. The
-	// parallel path reduces in canonical candidate order and returns
-	// the identical winner; Serial exists as the cross-check in tests
-	// and as a debugging aid.
-	Serial bool
 
 	// Ablation switches.
 	DisableShortcuts bool // skip Step 2 entirely
@@ -170,16 +164,6 @@ func SynthesizeOnRing(net *noc.Network, rres *ring.Result, opt Options) (*Result
 	return SynthesizeOnRingCtx(context.Background(), net, rres, opt)
 }
 
-// ctxErr polls a possibly-nil context for cancellation; the pipeline
-// calls it between stages so a service deadline aborts at the next
-// stage boundary instead of running the remaining steps and analyses.
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
-}
-
 func init() {
 	resilience.RegisterFaultPoint("core.ring",
 		"core.stage.entry", "core.stage.mapping", "core.stage.pdn",
@@ -191,7 +175,7 @@ func init() {
 // "core.stage.<stage>" fault point, which lets tests force failures,
 // panics, or latency at any boundary of the pipeline.
 func stageGate(ctx context.Context, stage string) error {
-	if err := ctxErr(ctx); err != nil {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
 	return resilience.Fire(ctx, "core.stage."+stage)
@@ -499,9 +483,9 @@ func compareResults(objective Objective, a, b *Result) (better bool, decidedBy s
 // 1..N; the list is deduplicated and evaluated in canonical order, so
 // shuffled or repeated candidate lists select the same winner.
 //
-// Candidates are dispatched to the shared worker pool and reduced
-// deterministically; Options.Serial keeps the sequential path, which
-// returns the identical winner.
+// Candidates are dispatched to the shared worker pool and reduced in
+// canonical order, so any pool width (parallel.SetWorkers(1) is the
+// serial mode) returns the identical winner.
 func Sweep(net *noc.Network, opt Options, objective Objective, candidates []int) (*Result, int, error) {
 	return SweepCtx(context.Background(), net, opt, objective, candidates)
 }
@@ -560,25 +544,14 @@ func (e *Engine) SweepCtx(ctx context.Context, net *noc.Network, opt Options, ob
 		return r
 	}
 	results := make([]*Result, len(cands))
-	if opt.Serial {
-		for i := range cands {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return nil, 0, err
-				}
-			}
-			results[i] = synth(i)
-		}
-	} else {
-		if err := parallel.ForEach(ctx, len(cands), func(i int) error {
-			results[i] = synth(i)
-			return nil
-		}); err != nil {
-			// A context error, an injected parallel.task fault, or a
-			// contained candidate panic: synth itself never fails the
-			// fan-out.
-			return nil, 0, err
-		}
+	if err := parallel.ForEach(ctx, len(cands), func(i int) error {
+		results[i] = synth(i)
+		return nil
+	}); err != nil {
+		// A context error, an injected parallel.task fault, or a
+		// contained candidate panic: synth itself never fails the
+		// fan-out.
+		return nil, 0, err
 	}
 	// Reduce in canonical candidate order, then explain the winner: the
 	// decisive tie-break level is judged against the runner-up (the best

@@ -40,7 +40,7 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	for name, net := range nets {
 		for _, objective := range []Objective{MinWorstIL, MinPower, MaxSNR} {
 			parallel.SetWorkers(1)
-			serial, wlS, err := NewEngine(nil).SweepCtx(context.Background(), net, Options{WithPDN: true, Serial: true}, objective, nil)
+			serial, wlS, err := NewEngine(nil).SweepCtx(context.Background(), net, Options{WithPDN: true}, objective, nil)
 			if err != nil {
 				t.Fatalf("%s/%v serial: %v", name, objective, err)
 			}
@@ -64,12 +64,15 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 // must not depend on the order of the caller's candidate list, and
 // duplicates must be harmless.
 func TestSweepTieBreakShuffledCandidates(t *testing.T) {
+	defer parallel.SetWorkers(0)
 	net := noc.Floorplan8()
 	canonical := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	ref, refWL, err := Sweep(net, Options{WithPDN: true, Serial: true}, MinPower, canonical)
+	parallel.SetWorkers(1)
+	ref, refWL, err := Sweep(net, Options{WithPDN: true}, MinPower, canonical)
 	if err != nil {
 		t.Fatal(err)
 	}
+	parallel.SetWorkers(0)
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 5; trial++ {
 		shuffled := append([]int(nil), canonical...)

@@ -54,7 +54,7 @@ func TestSweepStopsOnCancelledContext(t *testing.T) {
 	parallel.SetWorkers(1) // deterministic poll sequence
 	t.Cleanup(func() { parallel.SetWorkers(0) })
 	net := noc.Floorplan8()
-	opt := Options{WithPDN: true, Serial: true}
+	opt := Options{WithPDN: true}
 	wls := []int{2, 4, 6, 8}
 	totalCands := int64(2 * len(wls)) // each #wl × {fresh, share}
 

@@ -1,7 +1,7 @@
 // Package explore is the design-space exploration engine: a Grid
 // declares the axes of a study (floorplan variants, #wl budgets,
 // objectives, shortcut/CSE policies, wavelength-packing on/off), a
-// deterministic expansion turns it into Cells, a Runner fans cells
+// deterministic expansion turns it into Cells, RunCells fans cells
 // over the shared worker pool, and a Frontier maintains the incremental
 // Pareto frontier of the completed cells.
 //

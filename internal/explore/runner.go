@@ -2,89 +2,46 @@ package explore
 
 import (
 	"context"
-	"errors"
 	"sync"
 
 	"xring/internal/parallel"
 	"xring/internal/resilience"
 )
 
-// Runner fans a study's cells out with bounded concurrency. Run is
-// invoked once per cell; it owns all per-cell error handling (a cell
-// that fails must record its failure, not abort its siblings — the
-// per-cell isolation contract), so Run has no error return. A panic in
-// Run is contained to its cell as a *resilience.PanicError and reported
-// from RunAll without stopping the remaining cells.
-type Runner struct {
-	// Concurrency bounds concurrently running cells. <= 0 fans cells
-	// over the shared internal/parallel worker budget (the default: one
-	// pool bounds engine-internal and cross-cell parallelism together,
-	// so a grid never oversubscribes the machine).
-	Concurrency int
-	// Run executes one cell.
-	Run func(ctx context.Context, c Cell)
-}
-
-// RunAll runs every cell, honoring ctx cancellation between cells
-// (in-flight cells complete), and returns the first cell panic or the
-// context error, if any.
-func (r *Runner) RunAll(ctx context.Context, cells []Cell) error {
-	if r.Run == nil {
-		return errors.New("explore: Runner.Run is nil")
-	}
-	one := func(c Cell) (err error) {
-		defer resilience.RecoverTo(&err, "explore.cell")
-		r.Run(ctx, c)
-		return nil
-	}
-	if r.Concurrency <= 0 {
-		// The pool contains task panics itself; cancellation stops
-		// un-started cells, which is the semantics we want — but a cell
-		// panic must not cancel its siblings, so swallow it per cell and
-		// keep only the first for the caller.
-		var mu sync.Mutex
-		var firstPanic error
-		err := parallel.ForEach(ctx, len(cells), func(i int) error {
-			if perr := one(cells[i]); perr != nil {
-				mu.Lock()
-				if firstPanic == nil {
-					firstPanic = perr
-				}
-				mu.Unlock()
-			}
-			return nil
-		})
-		if err != nil {
-			return err // cancellation (tasks themselves never fail)
-		}
-		return firstPanic
-	}
-
-	sem := make(chan struct{}, r.Concurrency)
-	var wg sync.WaitGroup
+// RunCells fans a study's cells out over the shared internal/parallel
+// worker pool, so one budget bounds engine-internal and cross-cell
+// parallelism together and a grid never oversubscribes the machine
+// (parallel.SetWorkers(1) runs the cells serially in index order). run
+// is invoked once per cell; it owns all per-cell error handling (a
+// cell that fails must record its failure, not abort its siblings —
+// the per-cell isolation contract), so it has no error return. A panic
+// in run is contained to its cell as a *resilience.PanicError and
+// reported without stopping the remaining cells. Cancellation stops
+// un-started cells (in-flight cells complete) and returns the context
+// error.
+func RunCells(ctx context.Context, cells []Cell, run func(ctx context.Context, c Cell)) error {
 	var mu sync.Mutex
 	var firstPanic error
-	for i := range cells {
-		if ctx != nil && ctx.Err() != nil {
-			break
-		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(c Cell) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if perr := one(c); perr != nil {
-				mu.Lock()
-				if firstPanic == nil {
-					firstPanic = perr
-				}
-				mu.Unlock()
+	err := parallel.ForEach(ctx, len(cells), func(i int) error {
+		// The pool contains task panics itself, but a cell panic must
+		// not cancel its siblings: swallow it per cell and keep only
+		// the first for the caller.
+		perr := func() (err error) {
+			defer resilience.RecoverTo(&err, "explore.cell")
+			run(ctx, cells[i])
+			return nil
+		}()
+		if perr != nil {
+			mu.Lock()
+			if firstPanic == nil {
+				firstPanic = perr
 			}
-		}(cells[i])
-	}
-	wg.Wait()
-	if ctx != nil && ctx.Err() != nil {
-		return ctx.Err()
+			mu.Unlock()
+		}
+		return nil
+	})
+	if err != nil {
+		return err // cancellation (tasks themselves never fail)
 	}
 	return firstPanic
 }

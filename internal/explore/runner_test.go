@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"xring/internal/parallel"
 	"xring/internal/resilience"
 )
 
@@ -19,22 +20,25 @@ func cellsN(n int) []Cell {
 }
 
 func TestRunnerRunsEveryCell(t *testing.T) {
-	for _, conc := range []int{0, 1, 3} {
+	defer parallel.SetWorkers(0)
+	for _, workers := range []int{0, 1, 3} {
+		parallel.SetWorkers(workers)
 		var ran atomic.Int64
-		r := &Runner{Concurrency: conc, Run: func(context.Context, Cell) { ran.Add(1) }}
-		if err := r.RunAll(context.Background(), cellsN(17)); err != nil {
-			t.Fatalf("conc=%d: %v", conc, err)
+		if err := RunCells(context.Background(), cellsN(17), func(context.Context, Cell) { ran.Add(1) }); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if ran.Load() != 17 {
-			t.Errorf("conc=%d: ran %d cells, want 17", conc, ran.Load())
+			t.Errorf("workers=%d: ran %d cells, want 17", workers, ran.Load())
 		}
 	}
 }
 
 func TestRunnerBoundsConcurrency(t *testing.T) {
+	defer parallel.SetWorkers(0)
+	parallel.SetWorkers(2)
 	var cur, peak atomic.Int64
 	var mu sync.Mutex
-	r := &Runner{Concurrency: 2, Run: func(context.Context, Cell) {
+	err := RunCells(context.Background(), cellsN(12), func(context.Context, Cell) {
 		n := cur.Add(1)
 		mu.Lock()
 		if n > peak.Load() {
@@ -42,41 +46,43 @@ func TestRunnerBoundsConcurrency(t *testing.T) {
 		}
 		mu.Unlock()
 		defer cur.Add(-1)
-	}}
-	if err := r.RunAll(context.Background(), cellsN(12)); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > 2 {
-		t.Errorf("peak concurrency %d exceeds bound 2", p)
+		t.Errorf("peak concurrency %d exceeds the pool width 2", p)
 	}
 }
 
 func TestRunnerContainsCellPanics(t *testing.T) {
-	for _, conc := range []int{0, 2} {
+	defer parallel.SetWorkers(0)
+	for _, workers := range []int{0, 2} {
+		parallel.SetWorkers(workers)
 		var ran atomic.Int64
-		r := &Runner{Concurrency: conc, Run: func(_ context.Context, c Cell) {
+		err := RunCells(context.Background(), cellsN(8), func(_ context.Context, c Cell) {
 			ran.Add(1)
 			if c.Index == 3 {
 				panic("cell exploded")
 			}
-		}}
-		err := r.RunAll(context.Background(), cellsN(8))
+		})
 		var pe *resilience.PanicError
 		if !errors.As(err, &pe) {
-			t.Fatalf("conc=%d: want *resilience.PanicError, got %v", conc, err)
+			t.Fatalf("workers=%d: want *resilience.PanicError, got %v", workers, err)
 		}
 		if ran.Load() != 8 {
-			t.Errorf("conc=%d: panic aborted siblings: ran %d of 8", conc, ran.Load())
+			t.Errorf("workers=%d: panic aborted siblings: ran %d of 8", workers, ran.Load())
 		}
 	}
 }
 
 func TestRunnerHonorsCancellation(t *testing.T) {
+	defer parallel.SetWorkers(0)
+	parallel.SetWorkers(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	r := &Runner{Concurrency: 1, Run: func(context.Context, Cell) { ran.Add(1) }}
-	if err := r.RunAll(ctx, cellsN(50)); !errors.Is(err, context.Canceled) {
+	if err := RunCells(ctx, cellsN(50), func(context.Context, Cell) { ran.Add(1) }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	if ran.Load() == 50 {

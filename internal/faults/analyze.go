@@ -381,7 +381,7 @@ func (rp *replayer) resolve(sc Scenario) resolved {
 	for sig := range detuneDB {
 		detuned = append(detuned, sig)
 	}
-	sortSignals(detuned)
+	noc.SortSignals(detuned)
 	rs.detuned, rs.detuneDB = detuned, detuneDB
 	return rs
 }
@@ -487,13 +487,4 @@ func killSegment(d *router.Design, f Fault, deadPrimary, deadSpare map[noc.Signa
 			}
 		}
 	}
-}
-
-func sortSignals(sigs []noc.Signal) {
-	sort.Slice(sigs, func(i, j int) bool {
-		if sigs[i].Src != sigs[j].Src {
-			return sigs[i].Src < sigs[j].Src
-		}
-		return sigs[i].Dst < sigs[j].Dst
-	})
 }

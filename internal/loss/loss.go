@@ -119,12 +119,7 @@ func CanonicalSignals(d *router.Design) []noc.Signal {
 	for sig := range d.Routes {
 		sigs = append(sigs, sig)
 	}
-	sort.Slice(sigs, func(i, j int) bool {
-		if sigs[i].Src != sigs[j].Src {
-			return sigs[i].Src < sigs[j].Src
-		}
-		return sigs[i].Dst < sigs[j].Dst
-	})
+	noc.SortSignals(sigs)
 	return sigs
 }
 
@@ -138,7 +133,6 @@ func AnalyzeCtx(ctx context.Context, d *router.Design, plan *pdn.Plan) (*Report,
 	}
 	ctx, span := obs.Start(ctx, "loss.analyze", obs.Int("signals", len(d.Routes)))
 	defer span.End()
-	par := d.Par
 	banks := NewBanks(d)
 
 	// The per-signal walks are independent: fan them out over the shared
@@ -147,25 +141,7 @@ func AnalyzeCtx(ctx context.Context, d *router.Design, plan *pdn.Plan) (*Report,
 	// of worker count and completion order.
 	sigs := CanonicalSignals(d)
 	losses, err := parallel.Map(ctx, len(sigs), func(i int) (*SignalLoss, error) {
-		sig := sigs[i]
-		r := d.Routes[sig]
-		var sl *SignalLoss
-		switch r.Kind {
-		case router.OnRing:
-			sl = ringSignalLoss(d, par, banks, sig, r)
-		case router.OnShortcut:
-			sl = shortcutSignalLoss(d, par, sig, r)
-		default:
-			return nil, fmt.Errorf("loss: unknown route kind for %v", sig)
-		}
-		if plan != nil {
-			pl, err := plan.SenderLossDB(par, FeedKeyFor(sig, r))
-			if err != nil {
-				return nil, err
-			}
-			sl.PDNLoss = pl
-		}
-		return sl, nil
+		return ForRoute(d, banks, plan, sigs[i], d.Routes[sigs[i]])
 	})
 	if err != nil {
 		return nil, err
@@ -178,21 +154,30 @@ func AnalyzeCtx(ctx context.Context, d *router.Design, plan *pdn.Plan) (*Report,
 	return rep, nil
 }
 
-// ForRoute computes one signal's loss over a specific route with the
-// exact expressions of the full analysis. The survivability replay
-// engine uses it to delta-evaluate signals promoted onto spare routes
-// without re-walking the unchanged ones; banks must be NewBanks of the
-// same design, and plan may be nil.
+// ForRoute computes one signal's loss over a specific route. AnalyzeCtx
+// prices every signal through it, and the survivability replay engine
+// uses it to delta-evaluate signals promoted onto spare routes without
+// re-walking the unchanged ones; banks must be NewBanks of the same
+// design, and plan may be nil.
 func ForRoute(d *router.Design, banks *Banks, plan *pdn.Plan, sig noc.Signal, r *router.Route) (*SignalLoss, error) {
-	var sl *SignalLoss
+	var c Counts
 	switch r.Kind {
 	case router.OnRing:
-		sl = ringSignalLoss(d, d.Par, banks, sig, r)
+		w := d.Waveguides[r.WG]
+		c = Counts{
+			PathLen:   RingPathLen(d, sig, r),
+			Throughs:  RingThroughs(d, banks, sig, r),
+			Drops:     1,
+			Crossings: d.CrossingsOnArc(w, sig.Src, sig.Dst),
+			Bends:     d.BendsOnArc(sig.Src, sig.Dst, w.Dir),
+		}
 	case router.OnShortcut:
-		sl = shortcutSignalLoss(d, d.Par, sig, r)
+		c.Throughs, c.Drops, c.Crossings = ShortcutStructural(d, sig, r)
+		c.PathLen, c.Bends = ShortcutGeometry(d, sig, r)
 	default:
 		return nil, fmt.Errorf("loss: unknown route kind for %v", sig)
 	}
+	sl := FromCounts(d.Par, sig, r, c)
 	if plan != nil {
 		pl, err := plan.SenderLossDB(d.Par, FeedKeyFor(sig, r))
 		if err != nil {
@@ -318,17 +303,6 @@ func RingThroughs(d *router.Design, b *Banks, sig noc.Signal, r *router.Route) i
 	return throughs
 }
 
-func ringSignalLoss(d *router.Design, par phys.Params, banks *Banks, sig noc.Signal, r *router.Route) *SignalLoss {
-	w := d.Waveguides[r.WG]
-	return FromCounts(par, sig, r, Counts{
-		PathLen:   RingPathLen(d, sig, r),
-		Throughs:  RingThroughs(d, banks, sig, r),
-		Drops:     1,
-		Crossings: d.CrossingsOnArc(w, sig.Src, sig.Dst),
-		Bends:     d.BendsOnArc(sig.Src, sig.Dst, w.Dir),
-	})
-}
-
 // ShortcutStructural returns the position-independent element counts of
 // a shortcut signal: through MRRs at the entry/exit banks (plus the two
 // CSE MRRs for direct traffic on a merged pair), drops, and the CSE
@@ -389,15 +363,6 @@ func ShortcutGeometry(d *router.Design, sig noc.Signal, r *router.Route) (pathLe
 		return cseLength(d, sc, p, sig), sc.PathAB.Bends() + p.PathAB.Bends() + 1
 	}
 	return sc.Length(), sc.PathAB.Bends()
-}
-
-func shortcutSignalLoss(d *router.Design, par phys.Params, sig noc.Signal, r *router.Route) *SignalLoss {
-	throughs, drops, crossings := ShortcutStructural(d, sig, r)
-	pathLen, bends := ShortcutGeometry(d, sig, r)
-	return FromCounts(par, sig, r, Counts{
-		PathLen: pathLen, Throughs: throughs,
-		Drops: drops, Crossings: crossings, Bends: bends,
-	})
 }
 
 // cseLength computes the travelled length of a CSE-routed signal:

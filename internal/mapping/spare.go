@@ -136,12 +136,7 @@ func repackSpares(d *router.Design, firstSpare int, opt Options, stats *Stats) b
 		if len(p.wgs) < 2 {
 			continue // nothing to compact
 		}
-		sort.Slice(p.sigs, func(i, j int) bool {
-			if p.sigs[i].Src != p.sigs[j].Src {
-				return p.sigs[i].Src < p.sigs[j].Src
-			}
-			return p.sigs[i].Dst < p.sigs[j].Dst
-		})
+		noc.SortSignals(p.sigs)
 		W, S := len(p.wgs), len(p.sigs)
 		nVars := S*W*opt.MaxWL + W
 		if nVars > spareRepackMaxVars {

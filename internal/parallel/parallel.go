@@ -20,6 +20,10 @@
 //   - Cancellation is prompt: no new task starts after the context is
 //     cancelled or a task has failed; ForEach then waits for in-flight
 //     tasks to drain and reports the first error in task order.
+//   - SetWorkers(1) is the one serial mode: every fan-out, nested ones
+//     included, then runs inline on its caller in index order. Callers
+//     keep no serial loop of their own; the pool width is the only
+//     concurrency setting.
 package parallel
 
 import (
@@ -121,8 +125,6 @@ func borrow() chan struct{} {
 // panic value and stack, borrowed tokens are returned, and the fan-out
 // reports it like any other error. Callers that rely on panics for
 // fail-loudly semantics must check the returned error and re-panic.
-//
-// ctx may be nil, meaning no cancellation.
 func ForEach(ctx context.Context, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -165,11 +167,9 @@ func ForEach(ctx context.Context, n int, fn func(i int) error) error {
 			if stopped.Load() {
 				return
 			}
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					fail(int(next.Load()), err)
-					return
-				}
+			if err := ctx.Err(); err != nil {
+				fail(int(next.Load()), err)
+				return
 			}
 			i := int(next.Add(1) - 1)
 			if i >= n {

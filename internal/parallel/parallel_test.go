@@ -34,7 +34,7 @@ func TestForEachFirstErrorInTaskOrder(t *testing.T) {
 	defer SetWorkers(Workers())
 	SetWorkers(8)
 	errAt := func(bad map[int]bool) error {
-		return ForEach(nil, 50, func(i int) error {
+		return ForEach(context.Background(), 50, func(i int) error {
 			if bad[i] {
 				return fmt.Errorf("task %d", i)
 			}
@@ -60,7 +60,7 @@ func TestForEachStopsIssuingAfterError(t *testing.T) {
 	stopHook = func() { recorded.Store(true) }
 	defer func() { stopHook = nil }()
 	var late atomic.Int64
-	err := ForEach(nil, 1000, func(i int) error {
+	err := ForEach(context.Background(), 1000, func(i int) error {
 		if i == 0 {
 			return errors.New("boom")
 		}
@@ -117,8 +117,8 @@ func TestNestedForEachNoDeadlock(t *testing.T) {
 	defer SetWorkers(Workers())
 	SetWorkers(2) // tight budget: inner fan-outs find no spare tokens
 	var sum atomic.Int64
-	err := ForEach(nil, 8, func(i int) error {
-		return ForEach(nil, 8, func(j int) error {
+	err := ForEach(context.Background(), 8, func(i int) error {
+		return ForEach(context.Background(), 8, func(j int) error {
 			sum.Add(int64(i*8 + j))
 			return nil
 		})
@@ -128,6 +128,33 @@ func TestNestedForEachNoDeadlock(t *testing.T) {
 	}
 	if sum.Load() != 64*63/2 {
 		t.Fatalf("sum = %d", sum.Load())
+	}
+
+	// SetWorkers(1) is the one serial mode: every task, nested fan-outs
+	// included, runs inline on its caller in index order — outer i, then
+	// its inner j. The order is recorded without a lock, so any
+	// concurrency fails under -race.
+	SetWorkers(1)
+	var order [][2]int
+	err = ForEach(context.Background(), 4, func(i int) error {
+		order = append(order, [2]int{i, -1})
+		return ForEach(context.Background(), 3, func(j int) error {
+			order = append(order, [2]int{i, j})
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][2]int
+	for i := 0; i < 4; i++ {
+		want = append(want, [2]int{i, -1})
+		for j := 0; j < 3; j++ {
+			want = append(want, [2]int{i, j})
+		}
+	}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("one-worker order = %v, want %v", order, want)
 	}
 }
 
@@ -146,7 +173,7 @@ func TestWorkersFloor(t *testing.T) {
 }
 
 func TestMapError(t *testing.T) {
-	out, err := Map(nil, 10, func(i int) (int, error) {
+	out, err := Map(context.Background(), 10, func(i int) (int, error) {
 		if i == 5 {
 			return 0, errors.New("bad")
 		}
@@ -162,7 +189,7 @@ func TestForEachContainsPanics(t *testing.T) {
 	// failure — never unwind through the pool — and the remaining
 	// in-flight tasks must drain.
 	var ran atomic.Int64
-	err := ForEach(nil, 64, func(i int) error {
+	err := ForEach(context.Background(), 64, func(i int) error {
 		ran.Add(1)
 		if i == 7 {
 			panic("task 7 exploded")
@@ -189,14 +216,14 @@ func TestForEachPanicDoesNotLeakTokens(t *testing.T) {
 	// after many panicking fan-outs the budget still allows a full
 	// complement of borrows.
 	for round := 0; round < 20; round++ {
-		_ = ForEach(nil, 8, func(i int) error { panic(i) })
+		_ = ForEach(context.Background(), 8, func(i int) error { panic(i) })
 	}
 	if got, want := Workers(), Workers(); got != want {
 		t.Fatalf("Workers() inconsistent: %d != %d", got, want)
 	}
 	var maxBusy atomic.Int64
 	var busy atomic.Int64
-	_ = ForEach(nil, 1024, func(i int) error {
+	_ = ForEach(context.Background(), 1024, func(i int) error {
 		b := busy.Add(1)
 		defer busy.Add(-1)
 		for {
@@ -214,7 +241,7 @@ func TestForEachPanicDoesNotLeakTokens(t *testing.T) {
 }
 
 func TestForEachMapPanic(t *testing.T) {
-	out, err := Map(nil, 4, func(i int) (int, error) {
+	out, err := Map(context.Background(), 4, func(i int) (int, error) {
 		if i == 2 {
 			panic("boom")
 		}

@@ -45,7 +45,7 @@ func TestOptimizeCancelledWithinOneRound(t *testing.T) {
 	net := noc.Floorplan8()
 	opt := Options{
 		Objective:         MinWorstIL,
-		Synth:             core.Options{MaxWL: 8, Serial: true},
+		Synth:             core.Options{MaxWL: 8},
 		Iterations:        64,
 		ProposalsPerRound: 4,
 		StepMM:            1,

@@ -25,10 +25,8 @@ func TestOptimizeParallelMatchesSerial(t *testing.T) {
 		}
 
 		parallel.SetWorkers(1)
-		serialOpt := base
-		serialOpt.Synth.Serial = true
 		core.ResetRingCache()
-		netS, resS, traceS, err := Optimize(net, serialOpt)
+		netS, resS, traceS, err := Optimize(net, base)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,11 +9,11 @@
 // The optimizer is a deterministic round-based hill climber: every
 // round draws a batch of per-node move proposals from the seeded
 // generator, evaluates all of them against the incumbent placement —
-// concurrently on the shared worker pool unless Options.Serial is set —
-// and applies the best improving move, with ties broken by proposal
-// index. The proposal sequence depends only on Seed and the option
-// values, never on worker count or completion order, so serial and
-// parallel runs walk the identical trajectory. Each accepted move is
+// concurrently on the shared worker pool, serially under
+// parallel.SetWorkers(1) — and applies the best improving move, with
+// ties broken by proposal index. The proposal sequence depends only on
+// Seed and the option values, never on worker count or completion
+// order, so serial and parallel runs walk the identical trajectory. Each accepted move is
 // recorded in a trace for inspection.
 package placement
 
@@ -62,9 +62,7 @@ func (o Objective) String() string {
 type Options struct {
 	// Objective to minimize.
 	Objective Objective
-	// Synth configures the inner synthesis runs (MaxWL etc.). Its
-	// Serial flag also forces this optimizer to evaluate each round's
-	// proposals sequentially.
+	// Synth configures the inner synthesis runs (MaxWL etc.).
 	Synth core.Options
 	// Iterations is the total number of move proposals (default 100).
 	Iterations int
@@ -192,7 +190,7 @@ func OptimizeCtx(ctx context.Context, net *noc.Network, opt Options) (*noc.Netwo
 	// initial synthesis duration is the per-proposal cost estimate),
 	// evaluate rounds serially on the calling goroutine. Either path
 	// walks the identical trajectory.
-	serialRounds := opt.Synth.Serial || parallel.Workers() == 1 || synthDur < serialEvalThreshold
+	serialRounds := parallel.Workers() == 1 || synthDur < serialEvalThreshold
 
 	for it := 0; it < opt.Iterations; {
 		if err := ctx.Err(); err != nil {

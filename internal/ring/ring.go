@@ -196,7 +196,7 @@ func buildConflicts(net *noc.Network) *conflictTable {
 	if stripes == 0 {
 		return ct
 	}
-	found, ferr := parallel.Map(nil, stripes, func(s int) ([][2]int32, error) {
+	found, ferr := parallel.Map(context.Background(), stripes, func(s int) ([][2]int32, error) {
 		var local [][2]int32
 		// Stripe s owns first-edge indices x ≡ s (mod stripes), which
 		// balances the triangular workload across stripes.

@@ -249,15 +249,11 @@ func (s *Server) runExploration(x *exploration, cells []explore.Cell, rrs []*res
 	defer s.wg.Done()
 	x.start()
 
-	runner := &explore.Runner{
-		Concurrency: s.cfg.ExploreCellConcurrency,
-		Run: func(_ context.Context, c explore.Cell) {
-			s.runCell(x, c, rrs[c.Index], keys[c.Index], deadline)
-		},
-	}
-	// The runner contains cell panics (each cell is additionally
-	// isolated inside run); a study never fails as a whole.
-	_ = runner.RunAll(context.Background(), cells)
+	// RunCells contains cell panics (each cell is additionally
+	// isolated inside runCell); a study never fails as a whole.
+	_ = explore.RunCells(context.Background(), cells, func(_ context.Context, c explore.Cell) {
+		s.runCell(x, c, rrs[c.Index], keys[c.Index], deadline)
+	})
 
 	elapsedMS := float64(time.Since(x.started).Microseconds()) / 1000
 	mExploreStudyMS.Observe(elapsedMS)

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"xring/internal/explore"
+	"xring/internal/parallel"
 )
 
 // exploreGrid is a 2-floorplan grid whose floorplans reuse the
@@ -312,11 +313,13 @@ func TestExploreDegradedCellJoinsFrontier(t *testing.T) {
 }
 
 // TestExploreFrontierDeterministic runs one grid on two fresh servers
-// with different cell concurrency (hence different completion
+// with different worker-pool widths (hence different completion
 // interleavings) and requires byte-identical frontier CSV.
 func TestExploreFrontierDeterministic(t *testing.T) {
-	run := func(conc int) ([]byte, string) {
-		_, ts := newTestServer(t, Config{Workers: 2, ExploreCellConcurrency: conc})
+	defer parallel.SetWorkers(0)
+	run := func(workers int) ([]byte, string) {
+		parallel.SetWorkers(workers)
+		_, ts := newTestServer(t, Config{Workers: 2})
 		resp, data := postExplore(t, ts.URL, &ExploreRequest{Grid: exploreGrid(4, 3)})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("explore: status %d, body %s", resp.StatusCode, data)

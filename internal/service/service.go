@@ -85,11 +85,6 @@ type Config struct {
 	// DefaultDeadline applies when a request sets no deadlineMS
 	// (default none).
 	DefaultDeadline time.Duration
-	// ExploreCellConcurrency bounds concurrently running cells within
-	// one /v1/explore study; 0 (the default) fans cells over the shared
-	// internal/parallel worker budget, so cross-cell and engine-internal
-	// parallelism are bounded together.
-	ExploreCellConcurrency int
 	// Synth overrides the engine call (tests only).
 	Synth SynthFunc
 

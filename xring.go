@@ -111,8 +111,9 @@ func Synthesize(net *Network, opt Options) (*Result, error) {
 
 // Sweep synthesizes once per #wl candidate (nil = 1..N) and returns the
 // best result under the objective together with the chosen #wl.
-// Candidates are evaluated concurrently on the shared worker pool
-// unless Options.Serial is set; both paths return the identical winner.
+// Candidates are evaluated concurrently on the shared worker pool and
+// reduced in canonical order, so any pool width returns the identical
+// winner.
 func Sweep(net *Network, opt Options, objective Objective, candidates []int) (*Result, int, error) {
 	return core.Sweep(net, opt, objective, candidates)
 }
