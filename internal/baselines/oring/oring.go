@@ -1,10 +1,21 @@
-// Package oring implements the ORing baseline [17] used in the paper's
-// Tables I and III: a well-designed manual ring router with a
-// per-waveguide wavelength budget and shortest-direction mapping with
-// wavelength reuse, but without XRing's shortcuts or ring openings. Its
-// PDN is the comb design whose feeds must cross ring waveguides to
-// reach the senders — the property that costs ORing crossing loss and
-// first-order crosstalk in Table III.
+// Package oring implements the paper's two ring-router baselines, which
+// share one design and differ only in wavelength assignment:
+//
+//   - ORing [17] (Tables I and III): a well-designed manual ring router
+//     with a per-waveguide wavelength budget and shortest-direction
+//     mapping with wavelength reuse, but without XRing's shortcuts or
+//     ring openings.
+//   - ORNoC [10] (Tables I and II): as in the paper's own evaluation
+//     (Sec. IV-B), ORNoC contributes only its wavelength-assignment
+//     algorithm — aggressive reuse on as few ring waveguides as
+//     possible, detouring signals through the longer ring direction
+//     rather than adding waveguides. ORNoC never proposed a ring
+//     construction or a PDN.
+//
+// Both build the ring with XRing's Step 1 and use ORing's comb PDN,
+// whose feeds must cross ring waveguides to reach the senders — the
+// property that costs both baselines crossing loss and first-order
+// crosstalk.
 package oring
 
 import (
@@ -28,16 +39,22 @@ type Result struct {
 // per-ring wavelength budget. withPDN attaches the comb PDN
 // (Table III); without it the router matches the Table I configuration.
 func Synthesize(net *noc.Network, par phys.Params, maxWL int, withPDN bool) (*Result, error) {
+	return synthesize(net, par, maxWL, withPDN, false)
+}
+
+// SynthesizeORNoC builds the ORNoC baseline for a network with the
+// given per-ring wavelength budget. withPDN attaches the comb PDN
+// (Table II); without it the router matches the Table I configuration.
+func SynthesizeORNoC(net *noc.Network, par phys.Params, maxWL int, withPDN bool) (*Result, error) {
+	return synthesize(net, par, maxWL, withPDN, true)
+}
+
+// synthesize is the shared body; detour selects ORNoC's assignment.
+func synthesize(net *noc.Network, par phys.Params, maxWL int, withPDN, detour bool) (*Result, error) {
 	rres, err := ring.Construct(net, ring.Options{})
 	if err != nil {
 		return nil, err
 	}
-	return SynthesizeOnRing(net, par, rres, maxWL, withPDN)
-}
-
-// SynthesizeOnRing is Synthesize with a precomputed Step-1 result, so
-// sweeps over #wl share the ring construction.
-func SynthesizeOnRing(net *noc.Network, par phys.Params, rres *ring.Result, maxWL int, withPDN bool) (*Result, error) {
 	d, err := router.NewDesign(net, par, rres.Tour, rres.Orders)
 	if err != nil {
 		return nil, err
@@ -47,6 +64,7 @@ func SynthesizeOnRing(net *noc.Network, par phys.Params, rres *ring.Result, maxW
 		NoOpenings:    true,
 		MaxWaveguides: mapping.WaveguideCap(net, par),
 		PreferSharing: true,
+		AllowDetour:   detour,
 	})
 	if err != nil {
 		return nil, err

@@ -5,7 +5,7 @@ package core
 // moves that revisit a geometry can skip the branch-and-bound. The key
 // is the exact serialized floorplan (positions, die, options) — a
 // perfect hash, so a hit can never return the wrong tour. Entries are
-// shared read-only: SynthesizeOnRing copies the tour and orders into
+// shared read-only: SynthesizeOnRingCtx copies the tour and orders into
 // every design it builds.
 //
 // Eviction is least-recently-used: placement searches stream hundreds
@@ -16,7 +16,6 @@ package core
 // The cache, like the rest of the Step-1 state, belongs to an Engine.
 
 import (
-	"container/list"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -25,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"xring/internal/lru"
 	"xring/internal/milp"
 	"xring/internal/noc"
 	"xring/internal/obs"
@@ -53,70 +53,6 @@ var (
 	mHintUsed           = obs.NewCounter("core.ringhint.used")
 )
 
-// lru is a bounded least-recently-used map from string keys, safe for
-// concurrent use. The front of the list is the most recently used entry.
-type lru[V any] struct {
-	mu  sync.Mutex
-	cap int
-	m   map[string]*list.Element // value: *lruEntry[V]
-	ll  *list.List
-}
-
-type lruEntry[V any] struct {
-	key string
-	val V
-}
-
-func newLRU[V any](capacity int) *lru[V] {
-	return &lru[V]{cap: capacity, m: map[string]*list.Element{}, ll: list.New()}
-}
-
-// get returns key's value, touching the entry to the front on a hit.
-func (c *lru[V]) get(key string) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry[V]).val, true
-}
-
-// put stores v under key at the front, evicting from the back at the
-// cap. If key is already present, its entry moves to the front and
-// keeps its value unless replace is set. put returns the value now
-// stored, the number of entries evicted and the resulting length.
-func (c *lru[V]) put(key string, v V, replace bool) (stored V, evicted, size int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		c.ll.MoveToFront(el)
-		e := el.Value.(*lruEntry[V])
-		if replace {
-			e.val = v
-		}
-		return e.val, 0, c.ll.Len()
-	}
-	for c.ll.Len() >= c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.m, back.Value.(*lruEntry[V]).key)
-		evicted++
-	}
-	c.m[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: v})
-	return v, evicted, c.ll.Len()
-}
-
-// reset empties the cache.
-func (c *lru[V]) reset() {
-	c.mu.Lock()
-	c.m = map[string]*list.Element{}
-	c.ll = list.New()
-	c.mu.Unlock()
-}
-
 // Engine runs the synthesis flow over its own Step-1 state: the ring
 // cache, the warm-start hint cache, the singleflight table of
 // in-flight solves and an optional cluster delegate. Engines share
@@ -125,7 +61,7 @@ func (c *lru[V]) reset() {
 // default engine.
 type Engine struct {
 	// rings caches Step-1 results; see the file comment.
-	rings *lru[*ring.Result]
+	rings *lru.Cache[*ring.Result]
 	// hints remembers the heuristic tour served for a floorplan whose
 	// exact solve fell back (budget or deadline). A later exact attempt
 	// on the same floorplan passes the tour as
@@ -134,7 +70,7 @@ type Engine struct {
 	// prunes harder and often turns a formerly budget-exhausted solve
 	// into a completed one. Only fallback tours are stored — exact
 	// results live in the ring cache and never need re-solving.
-	hints *lru[[]int]
+	hints *lru.Cache[[]int]
 
 	// flights coalesces concurrent misses on the same floorplan key:
 	// the first miss becomes the leader and solves; later misses wait
@@ -152,8 +88,8 @@ type Engine struct {
 // RingDelegateFunc).
 func NewEngine(delegate RingDelegateFunc) *Engine {
 	return &Engine{
-		rings:    newLRU[*ring.Result](ringCacheCap),
-		hints:    newLRU[[]int](hintCacheCap),
+		rings:    lru.New[*ring.Result](ringCacheCap),
+		hints:    lru.New[[]int](hintCacheCap),
 		flights:  map[string]chan struct{}{},
 		delegate: delegate,
 	}
@@ -195,7 +131,7 @@ func floorplanKey(net *noc.Network, opt ring.Options) string {
 // cacheLookup returns the cached Step-1 result for key, touching the
 // entry to the LRU front on a hit.
 func (e *Engine) cacheLookup(key string) (*ring.Result, bool) {
-	r, ok := e.rings.get(key)
+	r, ok := e.rings.Get(key)
 	if ok {
 		mRingCacheHits.Inc()
 	} else {
@@ -208,7 +144,7 @@ func (e *Engine) cacheLookup(key string) (*ring.Result, bool) {
 // cap. If a concurrent miss already inserted the key, its (identical)
 // result is adopted and returned instead.
 func (e *Engine) cacheInsert(key string, r *ring.Result) *ring.Result {
-	r, evicted, size := e.rings.put(key, r, false)
+	r, evicted, size := e.rings.Put(key, r, false)
 	mRingCacheEvicts.Add(int64(evicted))
 	mRingCacheSize.Set(int64(size))
 	return r
@@ -324,7 +260,7 @@ func (e *Engine) constructRingResilient(ctx context.Context, net *noc.Network, o
 	// Retry amnesty: if a previous request for this floorplan degraded,
 	// its heuristic tour warm-starts this attempt at the exact solve.
 	if len(opt.IncumbentHint) == 0 {
-		if tour, ok := e.hints.get(key); ok {
+		if tour, ok := e.hints.Get(key); ok {
 			opt.IncumbentHint = tour
 			mHintUsed.Inc()
 		}
@@ -376,7 +312,7 @@ func (e *Engine) hintStore(key string, tour []int) {
 	if len(tour) == 0 {
 		return
 	}
-	e.hints.put(key, append([]int(nil), tour...), true)
+	e.hints.Put(key, append([]int(nil), tour...), true)
 	mHintStored.Inc()
 }
 
@@ -384,10 +320,10 @@ func (e *Engine) hintStore(key string, tour []int) {
 // Benchmarks call it between timed passes so a warm cache cannot
 // masquerade as a speedup.
 func ResetRingCache() {
-	defaultEngine.rings.reset()
+	defaultEngine.rings.Reset()
 	mRingCacheSize.Set(0)
 }
 
 // ResetHintCache empties the default engine's warm-start hint cache
 // (benchmarks, alongside ResetRingCache).
-func ResetHintCache() { defaultEngine.hints.reset() }
+func ResetHintCache() { defaultEngine.hints.Reset() }

@@ -158,12 +158,6 @@ func (e *Engine) SynthesizeCtx(ctx context.Context, net *noc.Network, opt Option
 	return res, nil
 }
 
-// SynthesizeOnRing runs Steps 2-4 and the analyses on a precomputed
-// Step-1 result, so #wl sweeps share the ring construction.
-func SynthesizeOnRing(net *noc.Network, rres *ring.Result, opt Options) (*Result, error) {
-	return SynthesizeOnRingCtx(context.Background(), net, rres, opt)
-}
-
 func init() {
 	resilience.RegisterFaultPoint("core.ring",
 		"core.stage.entry", "core.stage.mapping", "core.stage.pdn",
@@ -181,8 +175,10 @@ func stageGate(ctx context.Context, stage string) error {
 	return resilience.Fire(ctx, "core.stage."+stage)
 }
 
-// SynthesizeOnRingCtx is SynthesizeOnRing under a context (cancellation
-// between stages and before each analysis, nested trace spans).
+// SynthesizeOnRingCtx runs Steps 2-4 and the analyses on a precomputed
+// Step-1 result, so #wl sweeps share the ring construction. ctx
+// cancels between stages and before each analysis and carries the
+// nested trace spans.
 func SynthesizeOnRingCtx(ctx context.Context, net *noc.Network, rres *ring.Result, opt Options) (*Result, error) {
 	return synthesizeOnRing(ctx, net, rres, opt, nil)
 }

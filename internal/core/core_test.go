@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"xring/internal/baselines/oring"
-	"xring/internal/baselines/ornoc"
 	"xring/internal/loss"
 	"xring/internal/noc"
 	"xring/internal/phys"
@@ -129,12 +128,12 @@ func TestPaperShapeTable2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var onBest *ornoc.Result
+	var onBest *oring.Result
 	var onLoss *loss.Report
 	var onX *xtalk.Report
 	bestP := math.Inf(1)
 	for _, wl := range []int{8, 12, 14, 16} {
-		on, err := ornoc.Synthesize(net, phys.Default(), wl, true)
+		on, err := oring.SynthesizeORNoC(net, phys.Default(), wl, true)
 		if err != nil {
 			continue
 		}

@@ -24,7 +24,7 @@ func TestEnginesDoNotShareRingCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := a.rings.get(key); !ok {
+	if _, ok := a.rings.Get(key); !ok {
 		t.Fatal("engine A did not cache its own solve")
 	}
 	misses := mRingCacheMisses.Value()
@@ -63,7 +63,7 @@ func TestEnginesDoNotShareHints(t *testing.T) {
 	if !degraded.Degraded {
 		t.Fatal("engine A's run not degraded — injection missed")
 	}
-	if _, ok := a.hints.get(floorplanKey(net, ring.Options{})); !ok {
+	if _, ok := a.hints.Get(floorplanKey(net, ring.Options{})); !ok {
 		t.Fatal("engine A stored no hint for its degraded floorplan")
 	}
 

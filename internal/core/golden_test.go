@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -74,7 +75,7 @@ func sweepDigest(t *testing.T) string {
 		for _, wl := range wls {
 			for _, share := range []bool{false, true} {
 				fmt.Fprintf(h, "%s wl=%d share=%v\n", tc.name, wl, share)
-				res, err := SynthesizeOnRing(tc.net, rres, Options{
+				res, err := SynthesizeOnRingCtx(context.Background(), tc.net, rres, Options{
 					WithPDN: true, MaxWL: wl, ShareWavelengths: share, FaultTolerance: tc.ft,
 				})
 				if err != nil {

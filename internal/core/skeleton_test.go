@@ -31,7 +31,7 @@ func TestSkeletonMatchesFreshConstruction(t *testing.T) {
 				opt := base
 				opt.MaxWL = wl
 				opt.ShareWavelengths = share
-				fresh, freshErr := SynthesizeOnRing(net, rres, opt)
+				fresh, freshErr := SynthesizeOnRingCtx(context.Background(), net, rres, opt)
 				shared, sharedErr := synthesizeOnRing(context.Background(), net, rres, opt, skel)
 				if (freshErr == nil) != (sharedErr == nil) {
 					t.Fatalf("wl=%d share=%v: feasibility diverged: %v vs %v", wl, share, freshErr, sharedErr)

@@ -5,7 +5,7 @@ import (
 	"math"
 	"testing"
 
-	"xring/internal/baselines/ornoc"
+	"xring/internal/baselines/oring"
 	"xring/internal/core"
 	"xring/internal/loss"
 	"xring/internal/noc"
@@ -148,7 +148,7 @@ func TestBaselineBERWorseThanXRing(t *testing.T) {
 	}
 
 	// Build the ORNoC baseline.
-	on, err := ornoc.Synthesize(net, phys.Default(), 16, true)
+	on, err := oring.SynthesizeORNoC(net, phys.Default(), 16, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,10 +74,13 @@ type promFamily struct {
 // WritePrometheus renders the current registry snapshot in Prometheus
 // text exposition format 0.0.4.
 func WritePrometheus(w io.Writer) error {
-	return writePrometheusDump(w, SnapshotMetrics())
+	return WritePrometheusDump(w, SnapshotMetrics())
 }
 
-func writePrometheusDump(w io.Writer, d MetricsDump) error {
+// WritePrometheusDump renders d in Prometheus text exposition format
+// 0.0.4, for callers that add their own counters to a registry
+// snapshot before serving it.
+func WritePrometheusDump(w io.Writer, d MetricsDump) error {
 	fams := make([]promFamily, 0, len(d.Counters)+2*len(d.Gauges)+len(d.Histograms))
 	for name, v := range d.Counters {
 		m := promName(name) + "_total"

@@ -4,14 +4,9 @@ package service
 // by canonical request hash (canonical.go). A hit returns the stored
 // response payload — including the exact designio.Save bytes — without
 // touching the engine, so repeated identical requests cost one map
-// lookup. Eviction is least-recently-used, same policy as the Step-1
-// ring cache: load generators and dashboards re-request a small
-// working set while one-off explorations stream through.
-
-import (
-	"container/list"
-	"sync"
-)
+// lookup. Eviction is least-recently-used (internal/lru), same policy
+// as the Step-1 ring cache: load generators and dashboards re-request a
+// small working set while one-off explorations stream through.
 
 // cached is one completed result as stored in the cache. design holds
 // the exact designio.Save bytes, so cache hits stay byte-identical to
@@ -23,55 +18,10 @@ type cached struct {
 	design  []byte
 }
 
-type resultCache struct {
-	mu  sync.Mutex
-	cap int
-	m   map[string]*list.Element // value: *cached
-	lru *list.List               // front = most recently used
-}
-
-func newResultCache(capacity int) *resultCache {
-	return &resultCache{cap: capacity, m: map[string]*list.Element{}, lru: list.New()}
-}
-
-// get returns the cached payload for key, touching it to the LRU
-// front.
-func (c *resultCache) get(key string) (*cached, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*cached), true
-}
-
-// put stores e under its key, evicting from the LRU back at the cap.
-func (c *resultCache) put(e *cached) {
-	if c.cap <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[e.key]; ok {
-		c.lru.MoveToFront(el)
-		el.Value = e
-		return
-	}
-	for c.lru.Len() >= c.cap {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.m, back.Value.(*cached).key)
-		mCacheEvicts.Inc()
-	}
-	c.m[e.key] = c.lru.PushFront(e)
-	mCacheSize.Set(int64(c.lru.Len()))
-}
-
-// len returns the number of cached entries.
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
+// cachePut stores c in the memory tier, replacing any entry under its
+// key and evicting from the LRU back at the cap.
+func (s *Server) cachePut(c *cached) {
+	_, evicted, size := s.cache.Put(c.key, c, true)
+	mCacheEvicts.Add(int64(evicted))
+	mCacheSize.Set(int64(size))
 }

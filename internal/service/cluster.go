@@ -23,8 +23,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"xring/internal/geom"
-	"xring/internal/noc"
 	"xring/internal/ring"
 )
 
@@ -90,17 +88,15 @@ func (s *Server) peerFill(ctx context.Context, key string) (*cached, bool) {
 	}
 	c, reject := decodeEntry(data, key)
 	if reject != "" {
-		s.st.peerFillRejected.Add(1)
 		if reject == rejectStale {
-			mPeerFillStale.Inc()
+			s.st.peerFillStale.Add(1)
 		} else {
-			mPeerFillCorrupt.Inc()
+			s.st.peerFillCorrupt.Add(1)
 		}
 		return nil, false
 	}
 	s.st.peerFills.Add(1)
-	mPeerFillAdopted.Inc()
-	s.cache.put(c)
+	s.cachePut(c)
 	if s.persist != nil {
 		// Adopted entries spill to the local disk tier too, so the next
 		// restart does not re-fetch them; a failed spill costs nothing.
@@ -128,15 +124,14 @@ func (s *Server) handleClusterEntry(w http.ResponseWriter, r *http.Request) {
 	// Deliberately not counted as a cache hit: peer traffic would
 	// otherwise inflate client-facing hit rates.
 	s.st.clusterEntries.Add(1)
-	mClusterEntriesServed.Inc()
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(data)
 }
 
 // ConstructRequest is the POST /v1/cluster/construct body: one Step-1
 // ring-construction problem, as shipped by a peer whose ring-cache miss
-// delegated here. Node IDs are positional (0..N-1 in listed order), the
-// invariant noc.Network.Validate enforces everywhere else.
+// delegated here. The floorplan decodes as a synthesize request's
+// does (NetworkSpec.toNetwork): node IDs default to listed order.
 type ConstructRequest struct {
 	DieW  float64    `json:"dieW"`
 	DieH  float64    `json:"dieH"`
@@ -168,20 +163,11 @@ func (s *Server) handleClusterConstruct(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding construct request: %w", err))
 		return
 	}
-	if len(req.Nodes) < 3 || len(req.Nodes) > maxRequestNodes {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("construct needs 3..%d nodes, got %d", maxRequestNodes, len(req.Nodes)))
-		return
+	net, err := (&NetworkSpec{DieW: req.DieW, DieH: req.DieH, Nodes: req.Nodes}).toNetwork()
+	if err == nil && net.N() < 3 {
+		err = fmt.Errorf("construct needs at least 3 nodes, got %d", net.N())
 	}
-	net := &noc.Network{DieW: req.DieW, DieH: req.DieH}
-	for i, n := range req.Nodes {
-		name := n.Name
-		if name == "" {
-			name = fmt.Sprintf("n%d", i)
-		}
-		net.Nodes = append(net.Nodes, noc.Node{ID: i, Name: name, Pos: geom.Point{X: n.X, Y: n.Y}})
-	}
-	if err := net.Validate(); err != nil {
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -192,7 +178,6 @@ func (s *Server) handleClusterConstruct(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	s.st.clusterConstructs.Add(1)
-	mClusterConstructs.Inc()
 	writeJSON(w, http.StatusOK, &ConstructResponse{Result: res})
 }
 

@@ -225,9 +225,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w, traceID, func() {
 		s.explores.add(x)
 		s.st.exploreStudies.Add(1)
-		mExploreStudies.Inc()
 		s.st.exploreCells.Add(int64(len(cells)))
-		mExploreCells.Add(int64(len(cells)))
 	}) {
 		return
 	}
@@ -288,7 +286,6 @@ func (s *Server) runCell(x *exploration, c explore.Cell, rr *resolved, key strin
 		if attached {
 			s.mu.Unlock()
 			s.st.dedupHits.Add(1)
-			mDedupHits.Inc()
 			source = "dedup"
 			<-j.done
 		} else {
@@ -355,7 +352,6 @@ func (s *Server) runCell(x *exploration, c explore.Cell, rr *resolved, key strin
 	case outcomeDegraded:
 		mExploreCellsDegraded.Inc()
 	case outcomeTimeout, outcomeError:
-		mExploreCellsFailed.Inc()
 		s.st.exploreCellsFailed.Add(1)
 	}
 	ev := Event{Type: "cell", Stage: c.ID, DurMS: durMS, Attrs: map[string]any{

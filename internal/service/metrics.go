@@ -1,12 +1,15 @@
 package service
 
 // Service telemetry, following the repo-wide obs conventions
-// (OBSERVABILITY.md): queue and in-flight gauges for capacity
-// planning, cache and dedup counters for hit-rate dashboards, and a
-// job-duration histogram. All instruments are registered once at
-// package init and gated on the obs metrics flag; the Stats struct
-// below duplicates the admission-critical counters with always-on
-// atomics so tests and the drain path never depend on the global flag.
+// (OBSERVABILITY.md). Two kinds of instrument live here. The event
+// counters (requests, cache tiers, job outcomes, persist recovery,
+// explore, whatif and cluster traffic) belong to the Server: stats
+// below holds them as always-on atomics, GET /v1/stats reports them as
+// Stats and GET /metrics adds them to the registry dump under their
+// registry names, so each server reports its own counts even when one
+// process hosts several. Gauges, histograms and the remaining
+// counters are process-wide obs instruments, registered once at
+// package init and gated on the obs metrics flag.
 
 import (
 	"sync/atomic"
@@ -26,19 +29,12 @@ const (
 var jobDurationBounds = []float64{1, 5, 10, 50, 100, 500, 1000, 5000, 10000, 60000}
 
 var (
-	mRequests        = obs.NewCounter("service.requests")
 	mRequestsInvalid = obs.NewCounter("service.requests.invalid")
-	mRejectedFull    = obs.NewCounter("service.admission.queue_full")
-	mRejectedDrain   = obs.NewCounter("service.admission.draining")
-	mCacheHits       = obs.NewCounter("service.cache.hits")
 	mCacheMisses     = obs.NewCounter("service.cache.misses")
 	mCacheEvicts     = obs.NewCounter("service.cache.evictions")
 	mCacheSize       = obs.NewGauge("service.cache.size")
-	mDedupHits       = obs.NewCounter("service.dedup.hits")
 	mQueueDepth      = obs.NewGauge("service.queue.depth")
 	mInflight        = obs.NewGauge("service.jobs.inflight")
-	mJobsDone        = obs.NewCounter("service.jobs.done")
-	mJobsFailed      = obs.NewCounter("service.jobs.failed")
 	mEventsPublished = obs.NewCounter("service.events.published")
 	mJobDurationMS   = obs.NewHistogram("service.job.duration_ms", "ms", jobDurationBounds)
 
@@ -57,54 +53,31 @@ var (
 		[]float64{0.1, 0.5, 1, 5, 10, 50, 100, 500, 1000, 5000, 10000})
 	mFlightSnapshots = obs.NewCounter("service.flight.snapshots")
 
-	// Resilience layer (see OBSERVABILITY.md): degraded-mode completions,
-	// contained job panics, stage-watchdog expiries, and the persistent
-	// cache tier's disk traffic.
 	// Exploration workload (the /v1/explore grid engine; the frontier's
 	// own churn counters live in internal/explore).
-	mExploreStudies       = obs.NewCounter("explore.studies")
-	mExploreCells         = obs.NewCounter("explore.cells")
 	mExploreCellsDegraded = obs.NewCounter("explore.cells.degraded")
-	mExploreCellsFailed   = obs.NewCounter("explore.cells.failed")
 	mExploreStudyMS       = obs.NewHistogram("explore.study.duration_ms", "ms",
 		[]float64{10, 50, 100, 500, 1000, 5000, 10000, 60000, 300000})
 	mExploreCellMS = obs.NewHistogram("explore.cell.duration_ms", "ms", jobDurationBounds)
 
 	// Fault-replay workload (the /v1/whatif engine; the per-scenario
 	// replay counters live in internal/faults as faults.*).
-	mWhatifRuns      = obs.NewCounter("service.whatif.runs")
-	mWhatifScenarios = obs.NewCounter("service.whatif.scenarios")
-	mWhatifMS        = obs.NewHistogram("service.whatif.duration_ms", "ms", jobDurationBounds)
+	mWhatifMS = obs.NewHistogram("service.whatif.duration_ms", "ms", jobDurationBounds)
 
-	mDegraded         = obs.NewCounter("service.jobs.degraded")
-	mWarmStarted      = obs.NewCounter("service.jobs.warmstarted")
-	mPanicsRecovered  = obs.NewCounter("service.jobs.panics_recovered")
-	mStageTimeouts    = obs.NewCounter("service.jobs.stage_timeouts")
-	mPersistWrites    = obs.NewCounter("service.persist.writes")
-	mPersistErrors    = obs.NewCounter("service.persist.write_errors")
-	mPersistHits      = obs.NewCounter("service.persist.hits")
-	mPersistRecovered = obs.NewCounter("service.persist.recovered")
-	mPersistDiscarded = obs.NewCounter("service.persist.discarded")
-	mPersistEvicts    = obs.NewCounter("service.persist.evictions")
+	// The persistent cache tier's disk traffic.
+	mPersistWrites = obs.NewCounter("service.persist.writes")
+	mPersistErrors = obs.NewCounter("service.persist.write_errors")
+	mPersistEvicts = obs.NewCounter("service.persist.evictions")
 
-	// Cluster peer-fill (the shard-side half; the transport counters
-	// live in internal/cluster as cluster.fill.* / cluster.route.*):
-	// envelopes adopted from a peer instead of solved, envelopes refused
-	// as corrupt (checksum/key damage) or stale (written under another
-	// schema or format version), and fills attempted that found nothing.
-	mPeerFillAdopted = obs.NewCounter("cluster.peerfill.adopted")
-	mPeerFillCorrupt = obs.NewCounter("cluster.peerfill.corrupt")
-	mPeerFillStale   = obs.NewCounter("cluster.peerfill.stale")
-	mPeerFillMisses  = obs.NewCounter("cluster.peerfill.misses")
-	// Cluster serving side: persist envelopes served to fellow shards
-	// and ring-construction RPCs solved on behalf of the fleet.
-	mClusterEntriesServed = obs.NewCounter("cluster.entries.served")
-	mClusterConstructs    = obs.NewCounter("cluster.construct.served")
+	// Cluster peer-fill attempts that found nothing (the transport
+	// counters live in internal/cluster as cluster.fill.* /
+	// cluster.route.*).
+	mPeerFillMisses = obs.NewCounter("cluster.peerfill.misses")
 )
 
 // Stats are the server's own always-on counters (independent of the
-// obs metrics flag). The e2e acceptance test and xbench's load mode
-// read them to assert measured dedup/cache hit counts.
+// obs metrics flag), as GET /v1/stats reports them. GET /metrics
+// serves the same counts under the registry names in stats.metrics.
 type Stats struct {
 	Requests    int64 `json:"requests"`
 	CacheHits   int64 `json:"cacheHits"`
@@ -138,8 +111,8 @@ type Stats struct {
 	WhatifRuns      int64 `json:"whatifRuns"`
 	WhatifScenarios int64 `json:"whatifScenarios"`
 	// Cluster peer-fill: envelopes adopted from a peer instead of
-	// solved locally, envelopes refused (corrupt or stale — split in
-	// the obs metrics), plus the serving side — envelopes handed to
+	// solved locally, envelopes refused (corrupt plus stale, split on
+	// GET /metrics), plus the serving side — envelopes handed to
 	// fellow shards and ring-construction RPCs solved for the fleet.
 	PeerFills            int64 `json:"peerFills"`
 	PeerFillRejected     int64 `json:"peerFillRejected"`
@@ -152,7 +125,8 @@ type Stats struct {
 	BuildInfo *BuildInfo `json:"buildInfo,omitempty"`
 }
 
-// stats is the internal atomic mirror of Stats.
+// stats is the server's count of each event, the one source of Stats
+// and of the server's counters on GET /metrics.
 type stats struct {
 	requests           atomic.Int64
 	cacheHits          atomic.Int64
@@ -174,7 +148,8 @@ type stats struct {
 	whatifRuns         atomic.Int64
 	whatifScenarios    atomic.Int64
 	peerFills          atomic.Int64
-	peerFillRejected   atomic.Int64
+	peerFillCorrupt    atomic.Int64
+	peerFillStale      atomic.Int64
 	clusterEntries     atomic.Int64
 	clusterConstructs  atomic.Int64
 }
@@ -201,8 +176,39 @@ func (s *stats) snapshot() Stats {
 		WhatifRuns:           s.whatifRuns.Load(),
 		WhatifScenarios:      s.whatifScenarios.Load(),
 		PeerFills:            s.peerFills.Load(),
-		PeerFillRejected:     s.peerFillRejected.Load(),
+		PeerFillRejected:     s.peerFillCorrupt.Load() + s.peerFillStale.Load(),
 		ClusterEntriesServed: s.clusterEntries.Load(),
 		ClusterConstructs:    s.clusterConstructs.Load(),
+	}
+}
+
+// metrics returns the counters under their registry names, as GET
+// /metrics serves them (Prometheus xring_<name>_total).
+func (s *stats) metrics() map[string]int64 {
+	return map[string]int64{
+		"service.requests":              s.requests.Load(),
+		"service.cache.hits":            s.cacheHits.Load(),
+		"service.dedup.hits":            s.dedupHits.Load(),
+		"service.admission.queue_full":  s.rejected.Load(),
+		"service.admission.draining":    s.drained.Load(),
+		"service.jobs.done":             s.synthesized.Load(),
+		"service.jobs.failed":           s.failed.Load(),
+		"service.jobs.degraded":         s.degraded.Load(),
+		"service.jobs.warmstarted":      s.warmStarts.Load(),
+		"service.jobs.panics_recovered": s.panics.Load(),
+		"service.jobs.stage_timeouts":   s.stageTimeouts.Load(),
+		"service.persist.hits":          s.persistHits.Load(),
+		"service.persist.recovered":     s.persistRecovered.Load(),
+		"service.persist.discarded":     s.persistDiscarded.Load(),
+		"explore.studies":               s.exploreStudies.Load(),
+		"explore.cells":                 s.exploreCells.Load(),
+		"explore.cells.failed":          s.exploreCellsFailed.Load(),
+		"service.whatif.runs":           s.whatifRuns.Load(),
+		"service.whatif.scenarios":      s.whatifScenarios.Load(),
+		"cluster.peerfill.adopted":      s.peerFills.Load(),
+		"cluster.peerfill.corrupt":      s.peerFillCorrupt.Load(),
+		"cluster.peerfill.stale":        s.peerFillStale.Load(),
+		"cluster.entries.served":        s.clusterEntries.Load(),
+		"cluster.construct.served":      s.clusterConstructs.Load(),
 	}
 }

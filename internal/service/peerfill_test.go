@@ -178,11 +178,19 @@ func TestPeerFillRejectsBadEnvelopes(t *testing.T) {
 			m["checksum"] = "0000000000000000000000000000000000000000000000000000000000000000"
 		}), "corrupt"},
 		{"corrupt-truncated", envelope[:len(envelope)/2], "corrupt"},
-		{"stale-schema", tamper(t, envelope, func(m map[string]any) {
+		// Version fields of the wrong JSON type do not decode at all.
+		{"corrupt-schema-type", tamper(t, envelope, func(m map[string]any) {
 			m["schema"] = float64(99)
+		}), "corrupt"},
+		{"corrupt-design-version-type", tamper(t, envelope, func(m map[string]any) {
+			m["designVersion"] = "v0.0-ancient"
+		}), "corrupt"},
+		// Well-formed envelopes written under another version are stale.
+		{"stale-schema", tamper(t, envelope, func(m map[string]any) {
+			m["schema"] = "xring-service-key-v0"
 		}), "stale"},
 		{"stale-design-version", tamper(t, envelope, func(m map[string]any) {
-			m["designVersion"] = "v0.0-ancient"
+			m["designVersion"] = float64(0)
 		}), "stale"},
 	}
 	for _, tc := range cases {
@@ -210,6 +218,9 @@ func TestPeerFillRejectsBadEnvelopes(t *testing.T) {
 			if st.PeerFills != 0 || st.PeerFillRejected != 1 || st.Synthesized != 1 {
 				t.Errorf("stats: peerFills=%d rejected=%d synthesized=%d, want 0/1/1",
 					st.PeerFills, st.PeerFillRejected, st.Synthesized)
+			}
+			if got := s.st.metrics()["cluster.peerfill."+tc.reject]; got != 1 {
+				t.Errorf("cluster.peerfill.%s = %d, want 1", tc.reject, got)
 			}
 		})
 	}

@@ -91,7 +91,7 @@ type persistStore struct {
 	dir string
 	cap int
 	inj *resilience.Injector
-	st  *stats // server's always-on counters (may be nil in direct tests)
+	st  *stats // the owning server's counters
 
 	mu   sync.Mutex
 	seq  int64
@@ -138,13 +138,13 @@ func (p *persistStore) recover() ([]*cached, error) {
 			// leftover is expected debris, anything else is discarded
 			// noisily enough for the counter but silently for requests.
 			_ = os.Remove(path)
-			p.discarded()
+			p.st.persistDiscarded.Add(1)
 			continue
 		}
 		c, ok := p.load(path, key)
 		if !ok {
 			_ = os.Remove(path)
-			p.discarded()
+			p.st.persistDiscarded.Add(1)
 			continue
 		}
 		info, ierr := de.Info()
@@ -165,20 +165,9 @@ func (p *persistStore) recover() ([]*cached, error) {
 		p.seq++
 		p.ages[a.key] = p.seq
 		entries[i] = a.c
-		mPersistRecovered.Inc()
-		if p.st != nil {
-			p.st.persistRecovered.Add(1)
-		}
+		p.st.persistRecovered.Add(1)
 	}
 	return entries, nil
-}
-
-// discarded counts one corrupt/stale/foreign entry removed from disk.
-func (p *persistStore) discarded() {
-	mPersistDiscarded.Inc()
-	if p.st != nil {
-		p.st.persistDiscarded.Add(1)
-	}
 }
 
 // Entry-rejection verdicts from decodeEntry. The split matters to the
@@ -323,7 +312,7 @@ func (p *persistStore) read(key string) (*cached, bool) {
 	if !ok {
 		if _, err := os.Stat(path); err == nil {
 			_ = os.Remove(path)
-			p.discarded()
+			p.st.persistDiscarded.Add(1)
 		}
 		return nil, false
 	}

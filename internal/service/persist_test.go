@@ -177,7 +177,7 @@ func TestPersistDiskHitPromotesOnMemoryMiss(t *testing.T) {
 
 func TestPersistRejectsTraversalKeys(t *testing.T) {
 	dir := t.TempDir()
-	p, _, err := newPersistStore(dir, 8, nil, nil)
+	p, _, err := newPersistStore(dir, 8, nil, new(stats))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestPersistRejectsTraversalKeys(t *testing.T) {
 
 func TestPersistEvictsOldestPastCap(t *testing.T) {
 	dir := t.TempDir()
-	p, _, err := newPersistStore(dir, 2, nil, nil)
+	p, _, err := newPersistStore(dir, 2, nil, new(stats))
 	if err != nil {
 		t.Fatal(err)
 	}

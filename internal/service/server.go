@@ -168,7 +168,6 @@ func (s *Server) run(j *job) {
 		ctx, wcancel = context.WithCancelCause(ctx)
 		watchdog = time.AfterFunc(s.cfg.StageTimeout, func() {
 			s.st.stageTimeouts.Add(1)
-			mStageTimeouts.Inc()
 			wcancel(&StageTimeoutError{
 				LastStage: lastStage.Load().(string),
 				Timeout:   s.cfg.StageTimeout,
@@ -235,17 +234,14 @@ func (s *Server) run(j *job) {
 		}
 		if err == nil {
 			s.st.synthesized.Add(1)
-			mJobsDone.Inc()
 			if summary.Degraded {
 				s.st.degraded.Add(1)
-				mDegraded.Inc()
 			}
 			if summary.WarmStart {
 				s.st.warmStarts.Add(1)
-				mWarmStarted.Inc()
 			}
 			c := &cached{key: j.key, jobID: j.id, summary: summary, design: design}
-			s.cache.put(c)
+			s.cachePut(c)
 			if s.persist != nil {
 				// A failed spill costs durability, not the request: the result
 				// is already in memory and on its way to the client.
@@ -258,11 +254,9 @@ func (s *Server) run(j *job) {
 	dur := time.Since(t0)
 	if err != nil {
 		s.st.failed.Add(1)
-		mJobsFailed.Inc()
 		var pe *resilience.PanicError
 		if errors.As(err, &pe) {
 			s.st.panics.Add(1)
-			mPanicsRecovered.Inc()
 		}
 	}
 
@@ -360,7 +354,7 @@ const (
 // callers attribute each serve to exactly one tier via countCacheServe,
 // so a persist-tier serve can never double-count as a memory hit.
 func (s *Server) cacheGet(key string) (*cached, string, bool) {
-	if c, ok := s.cache.get(key); ok {
+	if c, ok := s.cache.Get(key); ok {
 		return c, tierMemory, true
 	}
 	if s.persist == nil {
@@ -370,7 +364,7 @@ func (s *Server) cacheGet(key string) (*cached, string, bool) {
 	if !ok {
 		return nil, "", false
 	}
-	s.cache.put(c)
+	s.cachePut(c)
 	return c, tierPersist, true
 }
 
@@ -380,11 +374,9 @@ func (s *Server) cacheGet(key string) (*cached, string, bool) {
 func (s *Server) countCacheServe(tier string) {
 	if tier == tierPersist {
 		s.st.persistHits.Add(1)
-		mPersistHits.Inc()
 		return
 	}
 	s.st.cacheHits.Add(1)
-	mCacheHits.Inc()
 }
 
 // routes builds the HTTP surface.
@@ -421,22 +413,22 @@ func (s *Server) routes() *http.ServeMux {
 	return mux
 }
 
-// handleMetrics serves the metrics registry. The default is Prometheus
-// text exposition (v0.0.4) so a stock scraper works unconfigured; the
-// pre-existing JSON dump stays reachable via ?format=json or an Accept
-// header preferring application/json.
+// handleMetrics serves the metrics registry with this server's
+// counters (stats.metrics) added under their registry names. The
+// default is Prometheus text exposition (v0.0.4) so a stock scraper
+// works unconfigured; the JSON dump stays reachable via ?format=json
+// or an Accept header preferring application/json.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	wantJSON := r.URL.Query().Get("format") == "json" ||
-		strings.Contains(r.Header.Get("Accept"), "application/json")
-	if wantJSON {
-		w.Header().Set("Content-Type", "application/json")
-		if err := obs.WriteMetrics(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+	d := obs.SnapshotMetrics()
+	for name, v := range s.st.metrics() {
+		d.Counters[name] = v
+	}
+	if r.URL.Query().Get("format") == "json" || strings.Contains(r.Header.Get("Accept"), "application/json") {
+		writeJSON(w, http.StatusOK, d)
 		return
 	}
 	w.Header().Set("Content-Type", obs.PrometheusContentType)
-	if err := obs.WritePrometheus(w); err != nil {
+	if err := obs.WritePrometheusDump(w, d); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
@@ -458,7 +450,6 @@ func requestTraceID(r *http.Request) obs.TraceID {
 // rejectDraining answers a request that arrived after Drain began.
 func (s *Server) rejectDraining(w http.ResponseWriter, traceID string) {
 	s.st.drained.Add(1)
-	mRejectedDrain.Inc()
 	w.Header().Set("Retry-After", "5")
 	writeErrorTraced(w, http.StatusServiceUnavailable, errors.New("server is draining"), traceID)
 }
@@ -491,7 +482,6 @@ func decodeBody(w http.ResponseWriter, r *http.Request, traceID string, v any) b
 
 func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	s.st.requests.Add(1)
-	mRequests.Inc()
 	traceID := traceRequest(w, r)
 	var req Request
 	if !decodeBody(w, r, traceID, &req) {
@@ -531,7 +521,6 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	if attached {
 		s.mu.Unlock()
 		s.st.dedupHits.Add(1)
-		mDedupHits.Inc()
 	} else {
 		// Drain closes the queue under s.mu, so this check must share
 		// the enqueue's critical section: a send on it would panic.
@@ -546,7 +535,6 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		default:
 			s.mu.Unlock()
 			s.st.rejected.Add(1)
-			mRejectedFull.Inc()
 			w.Header().Set("Retry-After", "1")
 			writeErrorTraced(w, http.StatusTooManyRequests,
 				fmt.Errorf("job queue full (depth %d)", s.cfg.QueueDepth), traceID)

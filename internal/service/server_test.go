@@ -181,6 +181,21 @@ func TestSynthesizeBoundsFloorplanSize(t *testing.T) {
 	if cresp.StatusCode != http.StatusBadRequest {
 		t.Errorf("65-node construct: status %d, want 400", cresp.StatusCode)
 	}
+
+	// A ring needs three nodes; the floorplan decoder alone admits two.
+	body, err = json.Marshal(&ConstructRequest{DieW: 10, DieH: 1, Nodes: row(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cresp, err = http.Post(ts.URL+"/v1/cluster/construct", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ = io.ReadAll(cresp.Body)
+	cresp.Body.Close()
+	if cresp.StatusCode != http.StatusBadRequest || !bytes.Contains(data, []byte("at least 3 nodes")) {
+		t.Errorf("2-node construct: status %d, body %s; want 400 naming the 3-node minimum", cresp.StatusCode, data)
+	}
 }
 
 func TestDedupSingleflight(t *testing.T) {

@@ -52,6 +52,7 @@ import (
 	"time"
 
 	"xring/internal/core"
+	"xring/internal/lru"
 	"xring/internal/milp"
 	"xring/internal/obs"
 	"xring/internal/resilience"
@@ -183,9 +184,9 @@ type Server struct {
 	explores *registry[*exploration]
 	whatifs  *registry[*whatifRun]
 
-	engine   *core.Engine // this server's Step-1 caches
-	cache    *resultCache
-	persist  *persistStore // nil unless Config.PersistDir is set
+	engine   *core.Engine        // this server's Step-1 caches
+	cache    *lru.Cache[*cached] // memory tier; see cachePut
+	persist  *persistStore       // nil unless Config.PersistDir is set
 	inj      *resilience.Injector
 	flight   *obs.FlightRecorder
 	draining atomic.Bool
@@ -217,7 +218,7 @@ func New(cfg Config) (*Server, error) {
 		explores:  newRegistry[*exploration]("/v1/explore/", "exploration", exploreRetention),
 		whatifs:   newRegistry[*whatifRun]("/v1/whatif/", "whatif", whatifRetention),
 		engine:    core.NewEngine(cfg.RingDelegate),
-		cache:     newResultCache(cfg.CacheEntries),
+		cache:     lru.New[*cached](cfg.CacheEntries),
 		inj:       inj,
 		flight:    obs.NewFlightRecorder(cfg.FlightRecords),
 		startedAt: time.Now(),
@@ -234,7 +235,7 @@ func New(cfg Config) (*Server, error) {
 		// Replay survivors oldest-first so the memory LRU ends up with
 		// the newest entries at the front, mirroring pre-crash order.
 		for _, c := range entries {
-			s.cache.put(c)
+			s.cachePut(c)
 		}
 	}
 	s.mux = s.routes()

@@ -331,9 +331,7 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w, traceID, func() {
 		s.whatifs.add(wr)
 		s.st.whatifRuns.Add(1)
-		mWhatifRuns.Inc()
 		s.st.whatifScenarios.Add(int64(len(scenarios)))
-		mWhatifScenarios.Add(int64(len(scenarios)))
 	}) {
 		return
 	}

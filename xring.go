@@ -37,7 +37,6 @@ import (
 	"context"
 
 	"xring/internal/baselines/oring"
-	"xring/internal/baselines/ornoc"
 	"xring/internal/core"
 	"xring/internal/crossbar"
 	"xring/internal/designio"
@@ -242,7 +241,7 @@ type BaselineResult struct {
 // SynthesizeORNoC builds the ORNoC baseline (aggressive wavelength
 // reuse, comb PDN when withPDN is set) and analyzes it.
 func SynthesizeORNoC(net *Network, par Params, maxWL int, withPDN bool) (*BaselineResult, error) {
-	r, err := ornoc.Synthesize(net, par, maxWL, withPDN)
+	r, err := oring.SynthesizeORNoC(net, par, maxWL, withPDN)
 	if err != nil {
 		return nil, err
 	}
