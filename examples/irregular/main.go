@@ -60,8 +60,8 @@ func main() {
 	fmt.Println("\nshortcut-supported signals:")
 	for sig, r := range full.Design.Routes {
 		if r.Kind == xring.OnShortcut {
-			fl := full.Loss.Signals[sig]
-			bl := bare.Loss.Signals[sig]
+			fl := full.Loss.Signal(sig)
+			bl := bare.Loss.Signal(sig)
 			fmt.Printf("  %v: %.1f mm on shortcut vs %.1f mm on ring (%.2f dB vs %.2f dB)\n",
 				sig, fl.PathLen, bl.PathLen, fl.IL, bl.IL)
 		}

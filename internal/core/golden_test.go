@@ -9,7 +9,6 @@ import (
 	"hash"
 	"math"
 	"os"
-	"sort"
 	"strings"
 	"testing"
 
@@ -87,25 +86,15 @@ func sweepDigest(t *testing.T) string {
 					t.Fatalf("%s wl=%d share=%v: save: %v", tc.name, wl, share, err)
 				}
 				h.Write(data)
-				sigs := make([]noc.Signal, 0, len(res.Loss.Signals))
-				for s := range res.Loss.Signals {
-					sigs = append(sigs, s)
-				}
-				sort.Slice(sigs, func(i, j int) bool {
-					if sigs[i].Src != sigs[j].Src {
-						return sigs[i].Src < sigs[j].Src
-					}
-					return sigs[i].Dst < sigs[j].Dst
-				})
-				for _, s := range sigs {
-					sl := res.Loss.Signals[s]
+				for i, s := range res.Loss.Sigs {
+					sl := res.Loss.Losses[i]
 					fmt.Fprintf(h, "%d>%d wl%d t%d d%d c%d b%d ", s.Src, s.Dst, sl.WL,
 						sl.Throughs, sl.Drops, sl.Crossings, sl.Bends)
 					writeFloat(h, sl.IL)
 					writeFloat(h, sl.ILBeforeDrop)
 					writeFloat(h, sl.PDNLoss)
 					writeFloat(h, sl.PathLen)
-					writeFloat(h, res.Xtalk.NoiseMW[s])
+					writeFloat(h, res.Xtalk.NoiseMW[i])
 				}
 				writeFloat(h, res.Loss.TotalPowerMW)
 				writeFloat(h, res.Xtalk.WorstSNR)

@@ -46,15 +46,16 @@ func TestStressRandomInstances(t *testing.T) {
 		}
 		// Invariant 3: loss entries for every route; worst-case columns
 		// consistent.
-		if len(res.Loss.Signals) != len(d.Routes) {
+		if len(res.Loss.Losses) != len(d.Routes) {
 			t.Fatalf("trial %d: loss entries mismatch", trial)
 		}
-		w := res.Loss.Signals[res.Loss.Worst]
+		w := res.Loss.Signal(res.Loss.Worst)
 		if w == nil || w.IL != res.Loss.WorstIL {
 			t.Fatalf("trial %d: worst-signal bookkeeping", trial)
 		}
 		// Invariant 4: laser power covers every signal's requirement.
-		for sig, sl := range res.Loss.Signals {
+		for _, sl := range res.Loss.Losses {
+			sig := sl.Sig
 			req := sl.IL + sl.PDNLoss
 			p := res.Loss.WavelengthPower[sl.WL]
 			if math.Pow(10, (req+d.Par.ReceiverSensitivityDBm)/10) > p+1e-12 {

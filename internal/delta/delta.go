@@ -125,6 +125,9 @@ type Evaluator struct {
 	engine  *xtalk.Engine
 	sigs    []noc.Signal
 	entries []sigEntry
+	// wavelengths is the structure's #wl column, fixed with the channel
+	// assignment.
+	wavelengths int
 	// scOrders[i] is the L-routing order shortcut i's PathAB was built
 	// with, so the path can be rebuilt when an endpoint moves.
 	scOrders []geom.LOrder
@@ -217,6 +220,7 @@ func (e *Evaluator) index() error {
 	d := e.d
 	banks := loss.NewBanks(d)
 	e.sigs = loss.CanonicalSignals(d)
+	e.wavelengths = d.WavelengthsUsed()
 	e.entries = make([]sigEntry, len(e.sigs))
 	n := d.N()
 	for i, sig := range e.sigs {
@@ -351,6 +355,7 @@ func scDirty(ent *sigEntry, moved int) bool {
 func (e *Evaluator) evaluate(moved int, commit bool) (*Reports, error) {
 	d, par := e.d, e.d.Par
 	losses := make([]*loss.SignalLoss, len(e.entries))
+	slab := make([]loss.SignalLoss, len(e.entries))
 	dirtyCount := 0
 	for i := range e.entries {
 		ent := &e.entries[i]
@@ -399,17 +404,17 @@ func (e *Evaluator) evaluate(moved int, commit bool) (*Reports, error) {
 				Bends:     bends,
 			}
 		}
-		sl := loss.FromCounts(par, sig, r, c)
+		pdnLoss := 0.0
 		if e.plan != nil {
-			pl, err := e.plan.SenderLossDB(par, loss.FeedKeyFor(sig, r))
-			if err != nil {
+			var err error
+			if pdnLoss, err = e.plan.SenderLossDB(par, loss.FeedKeyFor(sig, r)); err != nil {
 				return nil, err
 			}
-			sl.PDNLoss = pl
 		}
-		losses[i] = sl
+		slab[i] = loss.FromCounts(par, sig, r, c, pdnLoss)
+		losses[i] = &slab[i]
 	}
-	lrep := loss.Summarize(d, e.sigs, losses)
+	lrep := loss.Summarize(e.sigs, losses, e.wavelengths)
 	xrep, err := e.engine.Analyze(context.Background(), e.plan, lrep, xtalk.Options{})
 	if err != nil {
 		return nil, err
@@ -538,33 +543,36 @@ func CompareReports(a, b *Reports, eps float64) error {
 	if err := compareLoss(a.Loss, b.Loss, eps); err != nil {
 		return err
 	}
-	return compareXtalk(a.Xtalk, b.Xtalk, eps)
+	return compareXtalk(a.Xtalk, b.Xtalk, a.Loss.Sigs, eps)
 }
 
 func compareLoss(a, b *loss.Report, eps float64) error {
-	if len(a.Signals) != len(b.Signals) {
-		return fmt.Errorf("signal count %d vs %d", len(a.Signals), len(b.Signals))
+	if len(a.Sigs) != len(b.Sigs) || len(a.Losses) != len(b.Losses) {
+		return fmt.Errorf("signal count %d vs %d", len(a.Sigs), len(b.Sigs))
 	}
-	for sig, sa := range a.Signals {
-		sb := b.Signals[sig]
-		if sb == nil {
-			return fmt.Errorf("signal %v missing from reference", sig)
+	for i, sig := range a.Sigs {
+		if b.Sigs[i] != sig {
+			return fmt.Errorf("signal %d is %v vs %v", i, sig, b.Sigs[i])
 		}
+		sa, sb := a.Losses[i], b.Losses[i]
 		if sa.Throughs != sb.Throughs || sa.Drops != sb.Drops ||
 			sa.Crossings != sb.Crossings || sa.Bends != sb.Bends || sa.WL != sb.WL {
 			return fmt.Errorf("signal %v counts %+v vs %+v", sig, *sa, *sb)
 		}
-		if !closeEnough(sa.IL, sb.IL, eps) {
-			return fmt.Errorf("signal %v IL %v vs %v", sig, sa.IL, sb.IL)
-		}
-		if !closeEnough(sa.ILBeforeDrop, sb.ILBeforeDrop, eps) {
-			return fmt.Errorf("signal %v ILBeforeDrop %v vs %v", sig, sa.ILBeforeDrop, sb.ILBeforeDrop)
-		}
-		if !closeEnough(sa.PDNLoss, sb.PDNLoss, eps) {
-			return fmt.Errorf("signal %v PDNLoss %v vs %v", sig, sa.PDNLoss, sb.PDNLoss)
-		}
-		if !closeEnough(sa.PathLen, sb.PathLen, eps) {
-			return fmt.Errorf("signal %v PathLen %v vs %v", sig, sa.PathLen, sb.PathLen)
+		for _, f := range [...]struct {
+			name   string
+			va, vb float64
+		}{
+			{"IL", sa.IL, sb.IL},
+			{"ILBeforeDrop", sa.ILBeforeDrop, sb.ILBeforeDrop},
+			{"PDNLoss", sa.PDNLoss, sb.PDNLoss},
+			{"PathLen", sa.PathLen, sb.PathLen},
+			{"LaserMW", sa.LaserMW, sb.LaserMW},
+			{"DetectorGain", sa.DetectorGain, sb.DetectorGain},
+		} {
+			if !closeEnough(f.va, f.vb, eps) {
+				return fmt.Errorf("signal %v %s %v vs %v", sig, f.name, f.va, f.vb)
+			}
 		}
 	}
 	if a.Worst != b.Worst || a.WorstCrossings != b.WorstCrossings ||
@@ -583,7 +591,7 @@ func compareLoss(a, b *loss.Report, eps float64) error {
 		return fmt.Errorf("TotalPowerMW %v vs %v", a.TotalPowerMW, b.TotalPowerMW)
 	}
 	if len(a.WavelengthPower) != len(b.WavelengthPower) {
-		return fmt.Errorf("wavelength count %d vs %d", len(a.WavelengthPower), len(b.WavelengthPower))
+		return fmt.Errorf("wavelength slots %d vs %d", len(a.WavelengthPower), len(b.WavelengthPower))
 	}
 	for wl, pa := range a.WavelengthPower {
 		if !closeEnough(pa, b.WavelengthPower[wl], eps) {
@@ -593,7 +601,9 @@ func compareLoss(a, b *loss.Report, eps float64) error {
 	return nil
 }
 
-func compareXtalk(a, b *xtalk.Report, eps float64) error {
+// compareXtalk compares two crosstalk reports whose per-signal slices
+// are both aligned with sigs (the loss reports compared equal).
+func compareXtalk(a, b *xtalk.Report, sigs []noc.Signal, eps float64) error {
 	if a.NumNoisy != b.NumNoisy || a.WorstSNRSignal != b.WorstSNRSignal {
 		return fmt.Errorf("noisy %d/%v vs %d/%v",
 			a.NumNoisy, a.WorstSNRSignal, b.NumNoisy, b.WorstSNRSignal)
@@ -605,17 +615,17 @@ func compareXtalk(a, b *xtalk.Report, eps float64) error {
 		return fmt.Errorf("NoiseFreeFrac %v vs %v", a.NoiseFreeFrac, b.NoiseFreeFrac)
 	}
 	if len(a.NoiseMW) != len(b.NoiseMW) || len(a.SignalMW) != len(b.SignalMW) {
-		return fmt.Errorf("noise/signal map sizes %d/%d vs %d/%d",
+		return fmt.Errorf("noise/signal sizes %d/%d vs %d/%d",
 			len(a.NoiseMW), len(a.SignalMW), len(b.NoiseMW), len(b.SignalMW))
 	}
-	for sig, na := range a.NoiseMW {
-		if !closeEnough(na, b.NoiseMW[sig], eps) {
-			return fmt.Errorf("noise for %v: %v vs %v", sig, na, b.NoiseMW[sig])
+	for i, na := range a.NoiseMW {
+		if !closeEnough(na, b.NoiseMW[i], eps) {
+			return fmt.Errorf("noise for %v: %v vs %v", sigs[i], na, b.NoiseMW[i])
 		}
 	}
-	for sig, sa := range a.SignalMW {
-		if !closeEnough(sa, b.SignalMW[sig], eps) {
-			return fmt.Errorf("signal power for %v: %v vs %v", sig, sa, b.SignalMW[sig])
+	for i, sa := range a.SignalMW {
+		if !closeEnough(sa, b.SignalMW[i], eps) {
+			return fmt.Errorf("signal power for %v: %v vs %v", sigs[i], sa, b.SignalMW[i])
 		}
 	}
 	return nil

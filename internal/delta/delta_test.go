@@ -303,3 +303,32 @@ func TestRestoredPlanMatchesRebuild(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkEvalMove scores random single-node proposals on a 16-node
+// tree-PDN design without committing them.
+func BenchmarkEvalMove(b *testing.B) {
+	res, err := core.Synthesize(noc.Irregular(16, 16, 16, 2.0, 5), core.Options{MaxWL: 16, WithPDN: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev, err := Attach(res, Options{CrossCheckEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	moves := make([]struct {
+		node int
+		p    geom.Point
+	}, 64)
+	for i := range moves {
+		moves[i].node, moves[i].p = randomMove(rng, ev.Network(), 1.5)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := moves[i%len(moves)]
+		if _, err := ev.EvalMove(m.node, m.p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

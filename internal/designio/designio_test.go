@@ -73,8 +73,9 @@ func TestRoundTrip(t *testing.T) {
 			if math.Abs(lr.TotalPowerMW-res.Loss.TotalPowerMW) > 1e-9 {
 				t.Fatalf("power changed: %v vs %v", lr.TotalPowerMW, res.Loss.TotalPowerMW)
 			}
-			for sig, sl := range res.Loss.Signals {
-				if math.Abs(lr.Signals[sig].IL-sl.IL) > 1e-9 {
+			for _, sl := range res.Loss.Losses {
+				sig := sl.Sig
+				if math.Abs(lr.Signal(sig).IL-sl.IL) > 1e-9 {
 					t.Fatalf("signal %v IL changed", sig)
 				}
 			}

@@ -285,7 +285,7 @@ type replayer struct {
 	lrep  *loss.Report
 	xrep  *xtalk.Report
 	// sigs[i] rides routes[i] (spares[i] when promoted) at nominal loss
-	// losses[i].
+	// losses[i]; sigs and losses are the nominal loss report's slices.
 	sigs           []noc.Signal
 	routes, spares []*router.Route
 	losses         []*loss.SignalLoss
@@ -294,96 +294,107 @@ type replayer struct {
 // newReplayer indexes a design's nominal analyses for replay.
 func newReplayer(d *router.Design, plan *pdn.Plan, xe *xtalk.Engine, lrep *loss.Report, xrep *xtalk.Report) *replayer {
 	rp := &replayer{d: d, plan: plan, banks: loss.NewBanks(d), xe: xe, lrep: lrep, xrep: xrep,
-		sigs: loss.CanonicalSignals(d)}
+		sigs: lrep.Sigs, losses: lrep.Losses}
 	rp.routes = make([]*router.Route, len(rp.sigs))
 	rp.spares = make([]*router.Route, len(rp.sigs))
-	rp.losses = make([]*loss.SignalLoss, len(rp.sigs))
 	for i, sig := range rp.sigs {
-		rp.routes[i], rp.spares[i], rp.losses[i] = d.Routes[sig], d.SpareRoutes[sig], lrep.Signals[sig]
+		rp.routes[i], rp.spares[i] = d.Routes[sig], d.SpareRoutes[sig]
 	}
 	return rp
 }
 
-// resolved is a fault set's effect on the route table.
+// resolved is a fault set's effect on the route table, by canonical
+// signal index.
 type resolved struct {
-	// surviving, lost, promoted and detuned are in canonical order;
-	// routes[i] is the route surviving[i] ends up on and nominal[i] its
-	// index in the replayer's signal list.
-	surviving, lost, promoted, detuned []noc.Signal
-	routes                             []*router.Route
-	nominal                            []int
-	// detuneDB is the extra drop loss of each detuned signal.
-	detuneDB map[noc.Signal]float64
+	// deadPrimary[i] and deadSpare[i] mark signal i's primary and spare
+	// routes as severed.
+	deadPrimary, deadSpare []bool
+	// lost, promoted and detuned are in canonical order.
+	lost, promoted, detuned []noc.Signal
+	survived                int
+	// detunes holds the extra drop loss of each detuned signal, in
+	// canonical index order.
+	detunes []detune
+}
+
+// detune is the extra drop loss a detuned receiver charges signal i.
+type detune struct {
+	i  int
+	db float64
+}
+
+// route returns the route signal i ends up on: its primary if alive,
+// else its spare (promotion), else nil (lost).
+func (rp *replayer) route(rs *resolved, i int) *router.Route {
+	switch {
+	case !rs.deadPrimary[i]:
+		return rp.routes[i]
+	case rp.spares[i] != nil && !rs.deadSpare[i]:
+		return rp.spares[i]
+	}
+	return nil
 }
 
 // resolve applies a fault set to the route table: each signal keeps its
 // primary route if alive, else is promoted onto its spare, else is
 // lost; detunes then bite the routes the signals end up on.
 func (rp *replayer) resolve(sc Scenario) resolved {
-	d := rp.d
-	deadPrimary := map[noc.Signal]bool{}
-	deadSpare := map[noc.Signal]bool{}
-	var detunes []Fault
+	n := len(rp.sigs)
+	dead := make([]bool, 2*n)
+	rs := resolved{deadPrimary: dead[:n:n], deadSpare: dead[n:]}
 	for _, f := range sc {
 		switch f.Kind {
 		case KindMRR:
-			killChannel(d, f.WG, f.SC, f.Sig, deadPrimary, deadSpare)
+			rp.killChannel(&rs, f.WG, f.SC, f.Sig)
 		case KindSegment:
-			killSegment(d, f, deadPrimary, deadSpare)
-		case KindDetune:
-			detunes = append(detunes, f)
+			rp.killSegment(&rs, f)
 		}
-	}
-
-	// Resolve final routes: primary if alive, else the spare (promotion),
-	// else lost (nil).
-	finalRoute := func(sig noc.Signal, primary, spare *router.Route) *router.Route {
-		switch {
-		case !deadPrimary[sig]:
-			return primary
-		case spare != nil && !deadSpare[sig]:
-			return spare
-		}
-		return nil
-	}
-	rs := resolved{
-		surviving: make([]noc.Signal, 0, len(rp.sigs)),
-		routes:    make([]*router.Route, 0, len(rp.sigs)),
-		nominal:   make([]int, 0, len(rp.sigs)),
 	}
 	for i, sig := range rp.sigs {
-		r := finalRoute(sig, rp.routes[i], rp.spares[i])
-		switch {
+		switch r := rp.route(&rs, i); {
 		case r == nil:
 			rs.lost = append(rs.lost, sig)
 			continue
 		case r != rp.routes[i]:
 			rs.promoted = append(rs.promoted, sig)
 		}
-		rs.surviving = append(rs.surviving, sig)
-		rs.routes = append(rs.routes, r)
-		rs.nominal = append(rs.nominal, i)
+		rs.survived++
 	}
 
 	// A detune only bites when it targets the channel the signal ends up
 	// using after promotion.
-	detuneDB := map[noc.Signal]float64{}
-	for _, f := range detunes {
-		r := finalRoute(f.Sig, d.Routes[f.Sig], d.SpareRoutes[f.Sig])
+	for _, f := range sc {
+		if f.Kind != KindDetune {
+			continue
+		}
+		i, ok := rp.lrep.Index(f.Sig)
+		if !ok {
+			continue
+		}
+		r := rp.route(&rs, i)
 		if r == nil {
 			continue
 		}
 		if (r.Kind == router.OnRing && f.WG == r.WG) || (r.Kind == router.OnShortcut && f.SC == r.SC) {
-			detuneDB[f.Sig] += f.DetuneDB
+			rs.addDetune(i, f.DetuneDB)
 		}
 	}
-	var detuned []noc.Signal
-	for sig := range detuneDB {
-		detuned = append(detuned, sig)
+	for _, dt := range rs.detunes {
+		rs.detuned = append(rs.detuned, rp.sigs[dt.i])
 	}
-	noc.SortSignals(detuned)
-	rs.detuned, rs.detuneDB = detuned, detuneDB
 	return rs
+}
+
+// addDetune charges db to signal i, keeping detunes in index order.
+func (rs *resolved) addDetune(i int, db float64) {
+	k := sort.Search(len(rs.detunes), func(k int) bool { return rs.detunes[k].i >= i })
+	if k < len(rs.detunes) && rs.detunes[k].i == i {
+		rs.detunes[k].db += db
+		return
+	}
+	rs.detunes = append(rs.detunes, detune{})
+	copy(rs.detunes[k+1:], rs.detunes[k:])
+	rs.detunes[k] = detune{i: i, db: db}
 }
 
 // replay evaluates one fault set against the design.
@@ -395,7 +406,7 @@ func (rp *replayer) replay(ctx context.Context, sc Scenario) (Outcome, error) {
 		Lost:     rs.lost,
 		Promoted: rs.promoted,
 		Detuned:  rs.detuned,
-		Survived: len(rs.surviving),
+		Survived: rs.survived,
 	}
 	if len(rs.lost) == 0 && len(rs.promoted) == 0 && len(rs.detuned) == 0 {
 		// No structural or loss effect: the nominal analyses hold
@@ -407,18 +418,27 @@ func (rp *replayer) replay(ctx context.Context, sc Scenario) (Outcome, error) {
 		return out, nil
 	}
 	mReplays.Inc()
-	if len(rs.surviving) == 0 {
+	if rs.survived == 0 {
 		// Nothing survives: there is no surviving-set analysis to run.
 		out.FullReplay = true
 		return out, nil
 	}
 
-	sigs := rs.surviving
-	losses := make([]*loss.SignalLoss, len(sigs))
-	for i, sig := range sigs {
-		r, n := rs.routes[i], rs.nominal[i]
-		sl := rp.losses[n]
-		if r != rp.routes[n] {
+	// The surviving signals keep the canonical order; with nothing lost
+	// they are the nominal list itself.
+	sigs := rp.sigs
+	if len(rs.lost) > 0 {
+		sigs = make([]noc.Signal, 0, rs.survived)
+	}
+	losses := make([]*loss.SignalLoss, 0, rs.survived)
+	detunes := rs.detunes
+	for i, sig := range rp.sigs {
+		r := rp.route(&rs, i)
+		if r == nil {
+			continue
+		}
+		sl := rp.losses[i]
+		if r != rp.routes[i] {
 			// Promoted onto the spare: price the protection route.
 			var err error
 			sl, err = loss.ForRoute(d, rp.banks, plan, sig, r)
@@ -426,14 +446,18 @@ func (rp *replayer) replay(ctx context.Context, sc Scenario) (Outcome, error) {
 				return Outcome{}, fmt.Errorf("faults: pricing spare route for %v: %w", sig, err)
 			}
 		}
-		if db := rs.detuneDB[sig]; db > 0 {
-			cp := *sl
-			cp.IL += db
-			sl = &cp
+		if len(detunes) > 0 && detunes[0].i == i {
+			if detunes[0].db > 0 {
+				sl = loss.WithExtraDrop(d.Par, sl, detunes[0].db)
+			}
+			detunes = detunes[1:]
 		}
-		losses[i] = sl
+		if len(rs.lost) > 0 {
+			sigs = append(sigs, sig)
+		}
+		losses = append(losses, sl)
 	}
-	lrep2 := loss.Summarize(d, sigs, losses)
+	lrep2 := loss.Summarize(sigs, losses, lrep.WavelengthCount)
 	xrep2, err := rp.xe.Analyze(ctx, plan, lrep2, xtalk.Options{})
 	if err != nil {
 		return Outcome{}, fmt.Errorf("faults: replay crosstalk analysis: %w", err)
@@ -448,42 +472,47 @@ func (rp *replayer) replay(ctx context.Context, sc Scenario) (Outcome, error) {
 
 // killChannel marks the channel (element container, sig) dead in
 // whichever route table owns it.
-func killChannel(d *router.Design, wg, sc int, sig noc.Signal, deadPrimary, deadSpare map[noc.Signal]bool) {
+func (rp *replayer) killChannel(rs *resolved, wg, sc int, sig noc.Signal) {
+	i, ok := rp.lrep.Index(sig)
+	if !ok {
+		return
+	}
 	if wg >= 0 {
-		if r := d.Routes[sig]; r != nil && r.Kind == router.OnRing && r.WG == wg {
-			deadPrimary[sig] = true
+		if r := rp.routes[i]; r.Kind == router.OnRing && r.WG == wg {
+			rs.deadPrimary[i] = true
 		}
-		if r := d.SpareRoutes[sig]; r != nil && r.WG == wg {
-			deadSpare[sig] = true
+		if r := rp.spares[i]; r != nil && r.WG == wg {
+			rs.deadSpare[i] = true
 		}
 		return
 	}
-	if r := d.Routes[sig]; r != nil && r.Kind == router.OnShortcut && r.SC == sc {
-		deadPrimary[sig] = true
+	if r := rp.routes[i]; r.Kind == router.OnShortcut && r.SC == sc {
+		rs.deadPrimary[i] = true
 	}
 }
 
 // killSegment kills every channel whose physical path traverses the cut.
-func killSegment(d *router.Design, f Fault, deadPrimary, deadSpare map[noc.Signal]bool) {
+func (rp *replayer) killSegment(rs *resolved, f Fault) {
+	d := rp.d
 	if f.WG >= 0 {
 		w := d.Waveguides[f.WG]
 		for _, c := range w.Channels {
 			if arcCoversEdge(d, c.Sig, w.Dir, f.Edge) {
-				killChannel(d, f.WG, -1, c.Sig, deadPrimary, deadSpare)
+				rp.killChannel(rs, f.WG, -1, c.Sig)
 			}
 		}
 		return
 	}
 	s := d.Shortcuts[f.SC]
 	for _, c := range s.Channels {
-		killChannel(d, -1, f.SC, c.Sig, deadPrimary, deadSpare)
+		rp.killChannel(rs, -1, f.SC, c.Sig)
 	}
 	// CSE traffic entering on the partner exits through this shortcut, so
 	// the cut severs it too.
 	if s.Partner >= 0 {
 		for _, c := range d.Shortcuts[s.Partner].Channels {
 			if c.ViaCSE {
-				killChannel(d, -1, s.Partner, c.Sig, deadPrimary, deadSpare)
+				rp.killChannel(rs, -1, s.Partner, c.Sig)
 			}
 		}
 	}

@@ -9,7 +9,9 @@ import (
 	"xring/internal/core"
 	"xring/internal/loss"
 	"xring/internal/noc"
+	"xring/internal/obs"
 	"xring/internal/pdn"
+	"xring/internal/phys"
 	"xring/internal/router"
 	"xring/internal/xtalk"
 )
@@ -339,40 +341,50 @@ func replayDesign(t *testing.T, d *router.Design, final map[noc.Signal]*router.R
 func naiveOutcome(t *testing.T, d *router.Design, plan *pdn.Plan, nominal *loss.Report, sc Scenario) Outcome {
 	t.Helper()
 	ctx := context.Background()
-	rs := newReplayer(d, plan, nil, nominal, nil).resolve(sc)
+	rp := newReplayer(d, plan, nil, nominal, nil)
+	rs := rp.resolve(sc)
 	noEffect := len(rs.lost) == 0 && len(rs.promoted) == 0 && len(rs.detuned) == 0
 	out := Outcome{
 		Scenario:   sc,
 		Lost:       rs.lost,
 		Promoted:   rs.promoted,
 		Detuned:    rs.detuned,
-		Survived:   len(rs.surviving),
+		Survived:   rs.survived,
 		FullReplay: !noEffect,
 	}
-	if len(rs.surviving) == 0 {
+	if rs.survived == 0 {
 		return out
 	}
-	final := make(map[noc.Signal]*router.Route, len(rs.surviving))
-	for i, sig := range rs.surviving {
-		final[sig] = rs.routes[i]
+	final := make(map[noc.Signal]*router.Route, rs.survived)
+	for i, sig := range rp.sigs {
+		if r := rp.route(&rs, i); r != nil {
+			final[sig] = r
+		}
 	}
 	rd := replayDesign(t, d, final)
 	lrep, err := loss.AnalyzeCtx(ctx, rd, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sigs := loss.CanonicalSignals(rd)
-	losses := make([]*loss.SignalLoss, len(sigs))
-	for i, sig := range sigs {
-		sl := lrep.Signals[sig]
-		if db := rs.detuneDB[sig]; db > 0 {
-			cp := *sl
-			cp.IL += db
-			sl = &cp
+	losses := append([]*loss.SignalLoss(nil), lrep.Losses...)
+	for _, dt := range rs.detunes {
+		if dt.db <= 0 {
+			continue
 		}
-		losses[i] = sl
+		i, ok := lrep.Index(rp.sigs[dt.i])
+		if !ok {
+			t.Fatalf("detuned signal %v did not survive", rp.sigs[dt.i])
+		}
+		// The surcharged copy re-derives its linear powers here rather
+		// than through loss.WithExtraDrop, so a stale power on either
+		// side shows as a mismatch.
+		cp := *losses[i]
+		cp.IL += dt.db
+		cp.LaserMW = phys.LaserPowerMW(cp.IL+cp.PDNLoss, d.Par.ReceiverSensitivityDBm)
+		cp.DetectorGain = phys.DBToLinear(-(cp.PDNLoss + cp.IL))
+		losses[i] = &cp
 	}
-	lrep = loss.Summarize(rd, sigs, losses)
+	lrep = loss.Summarize(lrep.Sigs, losses, lrep.WavelengthCount)
 	xrep, err := xtalk.AnalyzeCtx(ctx, rd, plan, lrep)
 	if err != nil {
 		t.Fatal(err)
@@ -404,7 +416,8 @@ func sameOutcome(a, b Outcome) bool {
 // exhaustive single-fault universe of the k=1 16-node grid. The comb
 // case samples the single faults of the k=1 8-node grid: a 16-node k=1
 // comb design carries thousands of PDN crossings and costs about 0.3 s
-// per replayed scenario.
+// per replayed scenario. The comb-ft0 case has no spare routes, so its
+// faults lose signals whose receivers still sit in the crosstalk walk.
 func TestReplayMatchesNaiveReanalysis(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -415,6 +428,7 @@ func TestReplayMatchesNaiveReanalysis(t *testing.T) {
 	}{
 		{"tree", noc.Floorplan16(), core.Options{MaxWL: 8, WithPDN: true, FaultTolerance: 1}, 0, 200},
 		{"comb", noc.Floorplan8(), core.Options{MaxWL: 8, WithPDN: true, NoOpenings: true, FaultTolerance: 1}, 120, 40},
+		{"comb-ft0", noc.Floorplan8(), core.Options{MaxWL: 8, WithPDN: true, NoOpenings: true}, 120, 40},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := core.Synthesize(tc.net, tc.opt)
@@ -422,7 +436,7 @@ func TestReplayMatchesNaiveReanalysis(t *testing.T) {
 				t.Fatal(err)
 			}
 			d, plan := res.Design, res.Plan
-			if plan == nil || (tc.name == "comb") != (plan.Kind == pdn.Comb) {
+			if plan == nil || (tc.name != "tree") != (plan.Kind == pdn.Comb) {
 				t.Fatalf("fixture: plan %+v", plan)
 			}
 			u := Universe(d, []Kind{KindMRR, KindSegment, KindDetune}, 0)
@@ -465,5 +479,129 @@ func TestReplayMatchesNaiveReanalysis(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLostSignalsAreNotNoisyVictims replays every single MRR and segment
+// fault of a comb-PDN design without spare routes: each scenario loses
+// a signal whose receiver still collects first-order PDN leakage. That
+// receiver carries no signal, so its noise must not be priced as an SNR
+// of -Inf (flattened to 0, the "no crosstalk" value). Every replay keeps
+// the surviving signals' SNR at the nominal level.
+func TestLostSignalsAreNotNoisyVictims(t *testing.T) {
+	res, err := core.Synthesize(noc.Floorplan8(), core.Options{MaxWL: 8, WithPDN: true, NoOpenings: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, plan := res.Design, res.Plan
+	if plan == nil || plan.Kind != pdn.Comb {
+		t.Fatalf("fixture: plan %+v", plan)
+	}
+	scs, err := EnumerateK(Universe(d, []Kind{KindMRR, KindSegment}, 0), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Analyze(context.Background(), d, plan, scs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nominal := rep.NominalWorstSNR
+	if nominal <= 0 {
+		t.Fatalf("fixture: nominal worst SNR %v; the comb design should be noisy", nominal)
+	}
+	for _, o := range rep.Outcomes {
+		if len(o.Lost) == 0 {
+			t.Fatalf("fixture: %v loses no signal", o.Scenario)
+		}
+		if o.WorstSNR <= 0 || math.Abs(o.WorstSNR-nominal) > 0.1 {
+			t.Fatalf("%v (lost %v): worst SNR %v dB, nominal %v dB", o.Scenario, o.Lost, o.WorstSNR, nominal)
+		}
+	}
+	if math.Abs(rep.WorstSNR-nominal) > 0.1 {
+		t.Fatalf("report worst SNR %v dB, nominal %v dB", rep.WorstSNR, nominal)
+	}
+}
+
+// TestReplayAllocsBounded guards the per-scenario cost of a replay:
+// one MRR, one segment and one detune fault of the k=1 16-node design
+// each replay in a bounded number of heap objects, independent of its
+// 240 signals. Telemetry is off, so the bound holds with XRING_OBS set.
+func TestReplayAllocsBounded(t *testing.T) {
+	prevT, prevM := obs.TracingEnabled(), obs.MetricsEnabled()
+	obs.EnableTracing(false)
+	obs.EnableMetrics(false)
+	t.Cleanup(func() {
+		obs.EnableTracing(prevT)
+		obs.EnableMetrics(prevM)
+	})
+	const maxAllocs = 24
+	res, err := core.Synthesize(noc.Floorplan16(), core.Options{MaxWL: 8, WithPDN: true, FaultTolerance: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, plan := res.Design, res.Plan
+	ctx := context.Background()
+	lrep, err := loss.AnalyzeCtx(ctx, d, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xe := xtalk.NewEngine(d)
+	xrep, err := xe.Analyze(ctx, plan, lrep, xtalk.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := newReplayer(d, plan, xe, lrep, xrep)
+	picked := map[Kind]bool{}
+	for _, f := range Universe(d, []Kind{KindMRR, KindSegment, KindDetune}, 0) {
+		if picked[f.Kind] {
+			continue
+		}
+		sc := Scenario{f}
+		o, err := rp.replay(ctx, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !o.FullReplay || len(o.Lost) > 0 {
+			continue
+		}
+		picked[f.Kind] = true
+		n := testing.AllocsPerRun(20, func() {
+			if _, err := rp.replay(ctx, sc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%v: %.0f allocs per replay", f, n)
+		if n > maxAllocs {
+			t.Errorf("%v: replay allocates %.0f objects, want <= %d", f, n, maxAllocs)
+		}
+	}
+	if len(picked) != 3 {
+		t.Fatalf("fixture: full replays found for %v, want all three kinds", picked)
+	}
+}
+
+// BenchmarkAnalyzeSerialBatch replays one serial batch of 32 single and
+// 32 double faults on the k=1 16-node design, nominal analyses included.
+func BenchmarkAnalyzeSerialBatch(b *testing.B) {
+	res, err := core.Synthesize(noc.Floorplan16(), core.Options{MaxWL: 8, WithPDN: true, FaultTolerance: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	u := Universe(res.Design, []Kind{KindMRR, KindSegment, KindDetune}, 0)
+	var scs []Scenario
+	for k := 1; k <= 2; k++ {
+		s, err := SampleK(u, k, 32, int64(k))
+		if err != nil {
+			b.Fatal(err)
+		}
+		scs = append(scs, s...)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Analyze(ctx, res.Design, res.Plan, scs, Options{Serial: true}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -70,12 +70,14 @@ func Analyze(d *router.Design, lrep *loss.Report, xrep *xtalk.Report, srep *spec
 		WorstMarginDB: math.Inf(1),
 		TargetBER:     targetBER,
 	}
-	for sig, sl := range lrep.Signals {
-		sigMW := xrep.SignalMW[sig]
+	// Canonical signal order: ties for the worst BER go to the first
+	// signal.
+	for i, sig := range lrep.Sigs {
+		sigMW := xrep.SignalMW[i]
 		if sigMW <= 0 {
 			return nil, fmt.Errorf("linkbudget: no detector power for %v", sig)
 		}
-		noise := xrep.NoiseMW[sig]
+		noise := xrep.NoiseMW[i]
 		if srep != nil {
 			if sn := srep.Signals[sig]; sn != nil {
 				noise += sn.InterChannelMW
@@ -106,7 +108,6 @@ func Analyze(d *router.Design, lrep *loss.Report, xrep *xtalk.Report, srep *spec
 		if l.BER > targetBER {
 			rep.LinksBelow++
 		}
-		_ = sl
 	}
 	return rep, nil
 }

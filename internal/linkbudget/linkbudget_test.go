@@ -88,17 +88,14 @@ func TestBERClosedForm(t *testing.T) {
 	// Q = 7 gives BER ~ 1.28e-12.
 	res := synth(t, core.Options{MaxWL: 14, WithPDN: true})
 	// Pick any signal and inject synthetic noise with Q = 7.
-	var sig noc.Signal
-	for s := range res.Xtalk.SignalMW {
-		sig = s
-		break
-	}
+	i := 0
+	sig := res.Loss.Sigs[i]
 	x := &xtalk.Report{
-		NoiseMW:  map[noc.Signal]float64{},
+		NoiseMW:  make([]float64, len(res.Xtalk.SignalMW)),
 		SignalMW: res.Xtalk.SignalMW,
 	}
 	q := 7.0
-	x.NoiseMW[sig] = res.Xtalk.SignalMW[sig] / (q * q)
+	x.NoiseMW[i] = res.Xtalk.SignalMW[i] / (q * q)
 	rep, err := Analyze(res.Design, res.Loss, x, nil, 1e-9)
 	if err != nil {
 		t.Fatal(err)
@@ -172,5 +169,49 @@ func TestBaselineBERWorseThanXRing(t *testing.T) {
 	}
 	if xrRep.LinksBelow != 0 {
 		t.Fatal("XRing should have no failing links")
+	}
+}
+
+// TestAnalyzeCanonicalOrder pins the worst-BER pick to the loss
+// report's canonical signal order on the noisy ORNoC baseline: repeated
+// calls agree bit for bit, and a tie goes to the first signal.
+func TestAnalyzeCanonicalOrder(t *testing.T) {
+	on, err := oring.SynthesizeORNoC(noc.Floorplan16(), phys.Default(), 16, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lrep, err := loss.AnalyzeCtx(context.Background(), on.Design, on.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xrep, err := xtalk.AnalyzeCtx(context.Background(), on.Design, on.Plan, lrep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Analyze(on.Design, lrep, xrep, nil, 1e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.WorstBER <= 0 {
+		t.Fatal("fixture: the ORNoC baseline should have noisy links")
+	}
+	for _, sig := range lrep.Sigs {
+		if ref.Links[sig].BER == ref.WorstBER {
+			if ref.WorstBERSignal != sig {
+				t.Fatalf("worst BER signal %v, want the first worst %v", ref.WorstBERSignal, sig)
+			}
+			break
+		}
+	}
+	for call := 0; call < 50; call++ {
+		rep, err := Analyze(on.Design, lrep, xrep, nil, 1e-12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(rep.WorstBER) != math.Float64bits(ref.WorstBER) ||
+			rep.WorstBERSignal != ref.WorstBERSignal || rep.LinksBelow != ref.LinksBelow {
+			t.Fatalf("call %d: worst BER %v at %v (%d below), first call %v at %v (%d below)", call,
+				rep.WorstBER, rep.WorstBERSignal, rep.LinksBelow, ref.WorstBER, ref.WorstBERSignal, ref.LinksBelow)
+		}
 	}
 }

@@ -62,11 +62,22 @@ type SignalLoss struct {
 	Bends     int
 	// WL is the wavelength carrying this signal.
 	WL int
+	// LaserMW is the laser power (mW) this signal alone would need,
+	// P = 10^((IL + PDNLoss + S)/10); the worst of a wavelength's
+	// signals sizes its laser.
+	LaserMW float64
+	// DetectorGain is the linear laser-to-photodetector transmission,
+	// 10^(-(PDNLoss + IL)/10).
+	DetectorGain float64
 }
 
 // Report is the analysis result for a design.
 type Report struct {
-	Signals map[noc.Signal]*SignalLoss
+	// Sigs lists the analyzed signals in canonical (Src, Dst) order and
+	// Losses[i] is the breakdown of Sigs[i]. Every per-signal slice of
+	// the crosstalk report is aligned with this index.
+	Sigs   []noc.Signal
+	Losses []*SignalLoss
 	// WorstIL is il_w (dB) and Worst identifies the worst signal.
 	WorstIL float64
 	Worst   noc.Signal
@@ -74,12 +85,32 @@ type Report struct {
 	// and crossing count of the worst-loss signal.
 	WorstLen       float64
 	WorstCrossings int
-	// WavelengthPower is the required laser power per wavelength in mW.
-	WavelengthPower map[int]float64
+	// WavelengthPower is the required laser power in mW, indexed by
+	// wavelength; 0 marks a wavelength no analyzed signal uses.
+	WavelengthPower []float64
 	// TotalPowerMW is the summed laser power (the P column, mW).
 	TotalPowerMW float64
 	// WavelengthCount is the #wl column: distinct wavelengths used.
 	WavelengthCount int
+}
+
+// Index returns the position of sig in Sigs and whether it was
+// analyzed, by binary search on the canonical order.
+func (r *Report) Index(sig noc.Signal) (int, bool) {
+	i := sort.Search(len(r.Sigs), func(i int) bool {
+		s := r.Sigs[i]
+		return s.Src > sig.Src || (s.Src == sig.Src && s.Dst >= sig.Dst)
+	})
+	return i, i < len(r.Sigs) && r.Sigs[i] == sig
+}
+
+// Signal returns sig's loss breakdown, or nil when sig was not
+// analyzed.
+func (r *Report) Signal(sig noc.Signal) *SignalLoss {
+	if i, ok := r.Index(sig); ok {
+		return r.Losses[i]
+	}
+	return nil
 }
 
 // Banks is the per-waveguide MRR inventory: how many modulators
@@ -146,7 +177,7 @@ func AnalyzeCtx(ctx context.Context, d *router.Design, plan *pdn.Plan) (*Report,
 	if err != nil {
 		return nil, err
 	}
-	rep := Summarize(d, sigs, losses)
+	rep := Summarize(sigs, losses, d.WavelengthsUsed())
 	mSignals.Add(int64(len(sigs)))
 	span.Set(obs.Float("worst_il_db", rep.WorstIL),
 		obs.Float("power_mw", rep.TotalPowerMW),
@@ -177,15 +208,15 @@ func ForRoute(d *router.Design, banks *Banks, plan *pdn.Plan, sig noc.Signal, r 
 	default:
 		return nil, fmt.Errorf("loss: unknown route kind for %v", sig)
 	}
-	sl := FromCounts(d.Par, sig, r, c)
+	pdnLoss := 0.0
 	if plan != nil {
-		pl, err := plan.SenderLossDB(d.Par, FeedKeyFor(sig, r))
-		if err != nil {
+		var err error
+		if pdnLoss, err = plan.SenderLossDB(d.Par, FeedKeyFor(sig, r)); err != nil {
 			return nil, err
 		}
-		sl.PDNLoss = pl
 	}
-	return sl, nil
+	sl := FromCounts(d.Par, sig, r, c, pdnLoss)
+	return &sl, nil
 }
 
 // FeedKeyFor returns the PDN feed key powering a signal's sender.
@@ -200,44 +231,43 @@ func FeedKeyFor(sig noc.Signal, r *router.Route) pdn.FeedKey {
 }
 
 // Summarize folds per-signal losses — losses[i] belongs to sigs[i],
-// which must be in canonical (Src, Dst) order — into a Report: worst
-// signal selection, per-wavelength laser power and the total power sum,
-// all walked in fixed order so the folds are bit-reproducible.
-func Summarize(d *router.Design, sigs []noc.Signal, losses []*SignalLoss) *Report {
-	par := d.Par
+// which must be in canonical (Src, Dst) order — into a Report that
+// keeps both slices: worst signal selection, per-wavelength laser power
+// and the total power sum, all walked in fixed order so the folds are
+// bit-reproducible. wavelengths is the design's #wl column
+// (router.Design.WavelengthsUsed), which callers that summarize many
+// route tables of one design compute once.
+func Summarize(sigs []noc.Signal, losses []*SignalLoss, wavelengths int) *Report {
 	rep := &Report{
-		Signals:         make(map[noc.Signal]*SignalLoss, len(sigs)),
-		WavelengthPower: map[int]float64{},
+		Sigs:            sigs,
+		Losses:          losses,
 		WorstIL:         math.Inf(-1),
-		WavelengthCount: d.WavelengthsUsed(),
+		WavelengthCount: wavelengths,
 	}
-	for i, sig := range sigs {
-		sl := losses[i]
-		rep.Signals[sig] = sl
+	maxWL := -1
+	for i, sl := range losses {
 		if sl.IL > rep.WorstIL {
 			rep.WorstIL = sl.IL
-			rep.Worst = sig
+			rep.Worst = sigs[i]
 			rep.WorstLen = sl.PathLen
 			rep.WorstCrossings = sl.Crossings
+		}
+		if sl.WL > maxWL {
+			maxWL = sl.WL
 		}
 	}
 
 	// Laser power per wavelength: the worst total requirement among the
-	// wavelength's signals sets its laser.
+	// wavelength's signals sets its laser. The sum runs in ascending
+	// wavelength order.
+	rep.WavelengthPower = make([]float64, maxWL+1)
 	for _, sl := range losses {
-		req := sl.IL + sl.PDNLoss
-		power := phys.LaserPowerMW(req, par.ReceiverSensitivityDBm)
-		if power > rep.WavelengthPower[sl.WL] {
-			rep.WavelengthPower[sl.WL] = power
+		if sl.LaserMW > rep.WavelengthPower[sl.WL] {
+			rep.WavelengthPower[sl.WL] = sl.LaserMW
 		}
 	}
-	wls := make([]int, 0, len(rep.WavelengthPower))
-	for wl := range rep.WavelengthPower {
-		wls = append(wls, wl)
-	}
-	sort.Ints(wls)
-	for _, wl := range wls {
-		rep.TotalPowerMW += rep.WavelengthPower[wl]
+	for _, p := range rep.WavelengthPower {
+		rep.TotalPowerMW += p
 	}
 	return rep
 }
@@ -255,15 +285,18 @@ type Counts struct {
 	Bends     int
 }
 
-// FromCounts assembles a SignalLoss from precomputed counts using the
-// exact floating-point expressions of the full analysis, so a cached
-// evaluation is bit-identical to a recomputed one. PDNLoss is left
-// zero for the caller to fill.
-func FromCounts(par phys.Params, sig noc.Signal, r *router.Route, c Counts) *SignalLoss {
-	sl := &SignalLoss{
+// FromCounts assembles a SignalLoss from precomputed counts and the
+// sender's PDN loss (0 without a PDN) using the exact floating-point
+// expressions of the full analysis, so a cached evaluation is
+// bit-identical to a recomputed one. The linear powers are derived here,
+// once the dB losses are final. It returns a value so that callers
+// pricing many signals can store them in one slice.
+func FromCounts(par phys.Params, sig noc.Signal, r *router.Route, c Counts, pdnLoss float64) SignalLoss {
+	sl := SignalLoss{
 		Sig: sig, WL: r.WL,
 		PathLen: c.PathLen, Throughs: c.Throughs,
 		Drops: c.Drops, Crossings: c.Crossings, Bends: c.Bends,
+		PDNLoss: pdnLoss,
 	}
 	sl.ILBeforeDrop = sl.PathLen*par.PropagationDBPerMM +
 		float64(sl.Throughs)*par.ThroughDB +
@@ -275,7 +308,23 @@ func FromCounts(par phys.Params, sig noc.Signal, r *router.Route, c Counts) *Sig
 	if r.ViaCSE {
 		sl.ILBeforeDrop += par.DropDB
 	}
+	sl.setPowers(par)
 	return sl
+}
+
+// WithExtraDrop returns a copy of sl paying extraDB more drop loss (a
+// detuned receiver), with its linear powers re-derived.
+func WithExtraDrop(par phys.Params, sl *SignalLoss, extraDB float64) *SignalLoss {
+	cp := *sl
+	cp.IL += extraDB
+	cp.setPowers(par)
+	return &cp
+}
+
+// setPowers derives the linear powers from the final dB losses.
+func (sl *SignalLoss) setPowers(par phys.Params) {
+	sl.LaserMW = phys.LaserPowerMW(sl.IL+sl.PDNLoss, par.ReceiverSensitivityDBm)
+	sl.DetectorGain = phys.DBToLinear(-(sl.PDNLoss + sl.IL))
 }
 
 // RingPathLen returns a ring signal's travelled length: the arc in the

@@ -58,11 +58,12 @@ func TestAnalyzeGrid8NoPDN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Signals) != 56 {
-		t.Fatalf("analyzed %d signals, want 56", len(rep.Signals))
+	if len(rep.Losses) != 56 {
+		t.Fatalf("analyzed %d signals, want 56", len(rep.Losses))
 	}
 	par := d.Par
-	for sig, sl := range rep.Signals {
+	for _, sl := range rep.Losses {
+		sig := sl.Sig
 		if sl.IL <= 0 {
 			t.Fatalf("signal %v has non-positive IL", sig)
 		}
@@ -82,7 +83,7 @@ func TestAnalyzeGrid8NoPDN(t *testing.T) {
 		t.Fatalf("worst-case columns: il=%v L=%v", rep.WorstIL, rep.WorstLen)
 	}
 	// Worst signal's breakdown matches the report columns.
-	w := rep.Signals[rep.Worst]
+	w := rep.Signal(rep.Worst)
 	if w.IL != rep.WorstIL || w.PathLen != rep.WorstLen || w.Crossings != rep.WorstCrossings {
 		t.Fatal("worst-signal columns inconsistent")
 	}
@@ -106,12 +107,12 @@ func TestShortcutsImproveSupportedSignals(t *testing.T) {
 	if r := dYes.Routes[sig]; r.Kind != router.OnShortcut {
 		t.Fatalf("1->5 should ride a shortcut")
 	}
-	sl := repYes.Signals[sig]
+	sl := repYes.Signal(sig)
 	if math.Abs(sl.PathLen-2) > 1e-9 {
 		t.Fatalf("shortcut path length = %v, want 2", sl.PathLen)
 	}
-	if sl.IL >= repNo.Signals[sig].IL {
-		t.Fatalf("shortcut should cut 1->5 IL: %v >= %v", sl.IL, repNo.Signals[sig].IL)
+	if sl.IL >= repNo.Signal(sig).IL {
+		t.Fatalf("shortcut should cut 1->5 IL: %v >= %v", sl.IL, repNo.Signal(sig).IL)
 	}
 	// And il_w must not regress beyond one through-loss of packing noise.
 	if repYes.WorstIL > repNo.WorstIL+2*dNo.Par.ThroughDB {
@@ -166,7 +167,7 @@ func TestRingLossFormula(t *testing.T) {
 	par := d.Par
 	// Signal 0->2 travels 4mm, passes node 1 (one sender MRR for s2,
 	// no receivers), no other senders at node 0, no other receivers at 2.
-	sl := rep.Signals[s1]
+	sl := rep.Signal(s1)
 	wantThroughs := 1
 	if sl.Throughs != wantThroughs {
 		t.Fatalf("throughs = %d, want %d", sl.Throughs, wantThroughs)
@@ -177,7 +178,7 @@ func TestRingLossFormula(t *testing.T) {
 		t.Fatalf("IL = %v, want %v", sl.IL, want)
 	}
 	// Signal 1->3 passes node 2 (one receiver MRR for s1).
-	sl2 := rep.Signals[s2]
+	sl2 := rep.Signal(s2)
 	if sl2.Throughs != 1 {
 		t.Fatalf("s2 throughs = %d, want 1", sl2.Throughs)
 	}
@@ -199,8 +200,8 @@ func TestCrossingLossCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Signals[sig].Crossings != 2 {
-		t.Fatalf("crossings = %d, want 2", rep.Signals[sig].Crossings)
+	if rep.Signal(sig).Crossings != 2 {
+		t.Fatalf("crossings = %d, want 2", rep.Signal(sig).Crossings)
 	}
 }
 
@@ -226,7 +227,8 @@ func TestPDNLossIncluded(t *testing.T) {
 		t.Fatalf("PDN must increase required laser power: %v <= %v",
 			repPDN.TotalPowerMW, repNoPDN.TotalPowerMW)
 	}
-	for sig, sl := range repPDN.Signals {
+	for _, sl := range repPDN.Losses {
+		sig := sl.Sig
 		if sl.PDNLoss <= 0 {
 			t.Fatalf("signal %v has no PDN loss", sig)
 		}
@@ -276,7 +278,8 @@ func TestWavelengthPowerDominatedByWorstSignal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for sig, sl := range rep.Signals {
+	for _, sl := range rep.Losses {
+		sig := sl.Sig
 		p := phys.LaserPowerMW(sl.IL+sl.PDNLoss, d.Par.ReceiverSensitivityDBm)
 		if p > rep.WavelengthPower[sl.WL]+1e-15 {
 			t.Fatalf("wavelength power below requirement of %v", sig)
@@ -290,8 +293,14 @@ func TestWavelengthPowerDominatedByWorstSignal(t *testing.T) {
 		t.Fatal("total power != sum of per-wavelength lasers")
 	}
 	// One laser per wavelength.
-	if len(rep.WavelengthPower) != rep.WavelengthCount {
-		t.Fatalf("lasers %d != wavelengths %d", len(rep.WavelengthPower), rep.WavelengthCount)
+	lasers := 0
+	for _, p := range rep.WavelengthPower {
+		if p > 0 {
+			lasers++
+		}
+	}
+	if lasers != rep.WavelengthCount {
+		t.Fatalf("lasers %d != wavelengths %d", lasers, rep.WavelengthCount)
 	}
 }
 
@@ -340,7 +349,7 @@ func TestCSERouteLoss(t *testing.T) {
 			continue
 		}
 		cse++
-		sl := rep.Signals[sig]
+		sl := rep.Signal(sig)
 		if sl.Drops != 2 {
 			t.Fatalf("CSE signal %v drops = %d, want 2", sig, sl.Drops)
 		}
@@ -361,9 +370,9 @@ func TestCSERouteLoss(t *testing.T) {
 	// Direct signals on merged shortcuts pass the CSE crossing.
 	for sig, r := range d.Routes {
 		if r.Kind == router.OnShortcut && !r.ViaCSE && d.Shortcuts[r.SC].Partner != -1 {
-			if rep.Signals[sig].Crossings != 1 {
+			if rep.Signal(sig).Crossings != 1 {
 				t.Fatalf("direct merged-shortcut signal %v crossings = %d, want 1",
-					sig, rep.Signals[sig].Crossings)
+					sig, rep.Signal(sig).Crossings)
 			}
 		}
 	}

@@ -69,7 +69,7 @@ type Report struct {
 // mapped design, reusing the loss report's exact per-signal path
 // lengths.
 func Analyze(d *router.Design, lrep *loss.Report, p Params) (*Report, error) {
-	if lrep == nil || len(lrep.Signals) == 0 {
+	if lrep == nil || len(lrep.Sigs) == 0 {
 		return nil, fmt.Errorf("perf: loss report required")
 	}
 	if p.GroupIndex <= 0 || p.LineRateGbps <= 0 {
@@ -77,7 +77,10 @@ func Analyze(d *router.Design, lrep *loss.Report, p Params) (*Report, error) {
 	}
 	rep := &Report{Links: map[noc.Signal]*Link{}}
 	sum := 0.0
-	for sig, sl := range lrep.Signals {
+	// Canonical signal order: the mean sums in a fixed order and ties for
+	// the worst latency go to the first signal.
+	for i, sl := range lrep.Losses {
+		sig := lrep.Sigs[i]
 		l := &Link{
 			Sig:       sig,
 			PathMM:    sl.PathLen,

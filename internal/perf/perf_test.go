@@ -111,3 +111,37 @@ func TestFasterRingsAreFaster(t *testing.T) {
 		t.Fatal("lower group index must reduce latency")
 	}
 }
+
+// TestAnalyzeCanonicalOrder pins the reductions to the loss report's
+// canonical signal order: repeated calls sum the mean latency in the
+// same order (identical bits) and break worst-latency ties toward the
+// first signal.
+func TestAnalyzeCanonicalOrder(t *testing.T) {
+	res, err := core.Synthesize(noc.Floorplan16(), core.Options{MaxWL: 8, WithPDN: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultParams()
+	ref, err := Analyze(res.Design, res.Loss, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sig := range res.Loss.Sigs {
+		if ref.Links[sig].LatencyPS == ref.WorstLatencyPS {
+			if ref.Worst != sig {
+				t.Fatalf("worst is %v, want the first slowest signal %v", ref.Worst, sig)
+			}
+			break
+		}
+	}
+	for call := 0; call < 200; call++ {
+		rep, err := Analyze(res.Design, res.Loss, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(rep.MeanLatencyPS) != math.Float64bits(ref.MeanLatencyPS) || rep.Worst != ref.Worst {
+			t.Fatalf("call %d: mean %v worst %v, first call %v worst %v",
+				call, rep.MeanLatencyPS, rep.Worst, ref.MeanLatencyPS, ref.Worst)
+		}
+	}
+}

@@ -18,7 +18,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -158,9 +157,7 @@ func (s *Server) handleClusterConstruct(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	var req ConstructRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding construct request: %w", err))
+	if !decodeBody(w, r, "", &req) {
 		return
 	}
 	net, err := (&NetworkSpec{DieW: req.DieW, DieH: req.DieH, Nodes: req.Nodes}).toNetwork()
@@ -168,6 +165,7 @@ func (s *Server) handleClusterConstruct(w http.ResponseWriter, r *http.Request) 
 		err = fmt.Errorf("construct needs at least 3 nodes, got %d", net.N())
 	}
 	if err != nil {
+		mRequestsInvalid.Inc()
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}

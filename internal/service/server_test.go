@@ -18,6 +18,7 @@ import (
 	"xring"
 	"xring/internal/core"
 	"xring/internal/designio"
+	"xring/internal/obs"
 )
 
 // newTestServer starts a service plus its HTTP front. Cleanup drains
@@ -195,6 +196,30 @@ func TestSynthesizeBoundsFloorplanSize(t *testing.T) {
 	cresp.Body.Close()
 	if cresp.StatusCode != http.StatusBadRequest || !bytes.Contains(data, []byte("at least 3 nodes")) {
 		t.Errorf("2-node construct: status %d, body %s; want 400 naming the 3-node minimum", cresp.StatusCode, data)
+	}
+
+	// Like every other POST, the construct body decodes strictly: an
+	// unknown field is a 400 counted as an invalid request.
+	prev := obs.MetricsEnabled()
+	obs.EnableMetrics(true)
+	defer obs.EnableMetrics(prev)
+	body, err = json.Marshal(&ConstructRequest{DieW: 10, DieH: 1, Nodes: row(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = append([]byte(`{"maxNodez": 3, `), body[1:]...)
+	invalid := mRequestsInvalid.Value()
+	cresp, err = http.Post(ts.URL+"/v1/cluster/construct", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ = io.ReadAll(cresp.Body)
+	cresp.Body.Close()
+	if cresp.StatusCode != http.StatusBadRequest || !bytes.Contains(data, []byte("unknown field")) {
+		t.Errorf("unknown-field construct: status %d, body %s; want 400 naming the unknown field", cresp.StatusCode, data)
+	}
+	if got := mRequestsInvalid.Value() - invalid; got != 1 {
+		t.Errorf("unknown-field construct counted %d invalid requests, want 1", got)
 	}
 }
 

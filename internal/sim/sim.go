@@ -131,7 +131,7 @@ type Result struct {
 
 // Run simulates the design under the configuration.
 func Run(d *router.Design, lrep *loss.Report, cfg Config) (*Result, error) {
-	if lrep == nil || len(lrep.Signals) == 0 {
+	if lrep == nil || len(lrep.Sigs) == 0 {
 		return nil, fmt.Errorf("sim: loss report required (run the analyses first)")
 	}
 	if cfg.Load <= 0 || cfg.Load >= 1 {
@@ -151,15 +151,10 @@ func Run(d *router.Design, lrep *loss.Report, cfg Config) (*Result, error) {
 	// Flight latency per flow from the loss report's exact path lengths.
 	flight := map[noc.Signal]float64{}
 	speedPSPerMM := cfg.Perf.GroupIndex / 0.299792458
-	for sig, sl := range lrep.Signals {
-		flight[sig] = (sl.PathLen*speedPSPerMM + cfg.Perf.ConversionPS) / 1000 // ps -> ns
+	for i, sl := range lrep.Losses {
+		flight[lrep.Sigs[i]] = (sl.PathLen*speedPSPerMM + cfg.Perf.ConversionPS) / 1000 // ps -> ns
 	}
-
-	flows := make([]noc.Signal, 0, len(lrep.Signals))
-	for sig := range lrep.Signals {
-		flows = append(flows, sig)
-	}
-	noc.SortSignals(flows)
+	flows := lrep.Sigs
 
 	switch cfg.Mode {
 	case ModeWRONoC:

@@ -134,7 +134,7 @@ func AnalyzeWithDrift(d *router.Design, lrep *loss.Report, p Params, driftGHz fl
 	if driftGHz < 0 {
 		return nil, fmt.Errorf("spectral: negative drift %v", driftGHz)
 	}
-	if lrep == nil || len(lrep.Signals) == 0 {
+	if lrep == nil || len(lrep.Sigs) == 0 {
 		return nil, fmt.Errorf("spectral: loss report required")
 	}
 	if p.Q <= 0 || p.Grid.SpacingGHz <= 0 || p.Grid.CenterTHz <= 0 {
@@ -151,7 +151,7 @@ func AnalyzeWithDrift(d *router.Design, lrep *loss.Report, p Params, driftGHz fl
 	// Arrival power of a channel at any point near the end of its path:
 	// conservatively its power just before the final drop.
 	arrival := func(sig noc.Signal) float64 {
-		sl := lrep.Signals[sig]
+		sl := lrep.Signal(sig)
 		return lrep.WavelengthPower[sl.WL] * phys.DBToLinear(-(sl.PDNLoss + sl.ILBeforeDrop))
 	}
 	// Worst-case thermal shift: the receiver moves toward the

@@ -144,14 +144,14 @@ func Run(d *router.Design, plan *pdn.Plan, lrep *loss.Report, opt Options) (*Rep
 		}
 	}
 	under := 0
-	for _, sl := range lrep.Signals {
+	for _, sl := range lrep.Losses {
 		req := math.Pow(10, (sl.IL+sl.PDNLoss+d.Par.ReceiverSensitivityDBm)/10)
 		if req > lrep.WavelengthPower[sl.WL]+1e-12 {
 			under++
 		}
 	}
 	rep.add("laser-coverage", under == 0,
-		fmt.Sprintf("%d of %d signals underpowered", under, len(lrep.Signals)))
+		fmt.Sprintf("%d of %d signals underpowered", under, len(lrep.Losses)))
 
 	// 6. Crossing-free claims for tree-PDN designs.
 	if plan != nil && plan.Kind == pdn.Tree {

@@ -90,16 +90,16 @@ func TestAnalyzeWorkerInvariant(t *testing.T) {
 				t.Fatalf("n=%d workers=%d: %d noisy signals, want %d", net.N(), workers, got.NumNoisy, ref.NumNoisy)
 			}
 			if len(got.NoiseMW) != len(ref.NoiseMW) {
-				t.Fatalf("n=%d workers=%d: noise map size %d, want %d", net.N(), workers, len(got.NoiseMW), len(ref.NoiseMW))
+				t.Fatalf("n=%d workers=%d: noise slice size %d, want %d", net.N(), workers, len(got.NoiseMW), len(ref.NoiseMW))
 			}
-			for sig, want := range ref.NoiseMW {
-				if got.NoiseMW[sig] != want {
-					t.Fatalf("n=%d workers=%d: noise for %v is %v, want %v", net.N(), workers, sig, got.NoiseMW[sig], want)
+			for i, want := range ref.NoiseMW {
+				if got.NoiseMW[i] != want {
+					t.Fatalf("n=%d workers=%d: noise for %v is %v, want %v", net.N(), workers, lrep.Sigs[i], got.NoiseMW[i], want)
 				}
 			}
-			for sig, want := range ref.SignalMW {
-				if got.SignalMW[sig] != want {
-					t.Fatalf("n=%d workers=%d: signal power for %v is %v, want %v", net.N(), workers, sig, got.SignalMW[sig], want)
+			for i, want := range ref.SignalMW {
+				if got.SignalMW[i] != want {
+					t.Fatalf("n=%d workers=%d: signal power for %v is %v, want %v", net.N(), workers, lrep.Sigs[i], got.SignalMW[i], want)
 				}
 			}
 		}

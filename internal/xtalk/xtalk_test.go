@@ -72,6 +72,17 @@ func analyzeOpts(t *testing.T, d *router.Design, plan *pdn.Plan, opts Options) (
 	return lrep, xrep
 }
 
+// at returns sig's index in the loss report, which the crosstalk
+// report's per-signal slices share.
+func at(t *testing.T, lrep *loss.Report, sig noc.Signal) int {
+	t.Helper()
+	i, ok := lrep.Index(sig)
+	if !ok {
+		t.Fatalf("signal %v not analyzed", sig)
+	}
+	return i
+}
+
 // sameReport demands bit-identical crosstalk reports.
 func sameReport(a, b *Report) error {
 	if a.NumNoisy != b.NumNoisy || a.WorstSNRSignal != b.WorstSNRSignal ||
@@ -82,16 +93,16 @@ func sameReport(a, b *Report) error {
 			b.NumNoisy, b.WorstSNRSignal, b.WorstSNR, b.NoiseFreeFrac)
 	}
 	if len(a.NoiseMW) != len(b.NoiseMW) || len(a.SignalMW) != len(b.SignalMW) {
-		return fmt.Errorf("map sizes %d/%d vs %d/%d", len(a.NoiseMW), len(a.SignalMW), len(b.NoiseMW), len(b.SignalMW))
+		return fmt.Errorf("slice sizes %d/%d vs %d/%d", len(a.NoiseMW), len(a.SignalMW), len(b.NoiseMW), len(b.SignalMW))
 	}
-	for sig, v := range a.NoiseMW {
-		if w, ok := b.NoiseMW[sig]; !ok || math.Float64bits(v) != math.Float64bits(w) {
-			return fmt.Errorf("noise for %v: %v vs %v", sig, v, w)
+	for i, v := range a.NoiseMW {
+		if w := b.NoiseMW[i]; math.Float64bits(v) != math.Float64bits(w) {
+			return fmt.Errorf("noise for signal %d: %v vs %v", i, v, w)
 		}
 	}
-	for sig, v := range a.SignalMW {
-		if w, ok := b.SignalMW[sig]; !ok || math.Float64bits(v) != math.Float64bits(w) {
-			return fmt.Errorf("signal power for %v: %v vs %v", sig, v, w)
+	for i, v := range a.SignalMW {
+		if w := b.SignalMW[i]; math.Float64bits(v) != math.Float64bits(w) {
+			return fmt.Errorf("signal power for signal %d: %v vs %v", i, v, w)
 		}
 	}
 	return nil
@@ -105,7 +116,8 @@ func TestDropLeakageReachesNextReceiver(t *testing.T) {
 	lrep, xrep := analyzeLeaky(t, d, nil)
 
 	victim := noc.Signal{Src: 3, Dst: 6}
-	n := xrep.NoiseMW[victim]
+	vi := at(t, lrep, victim)
+	n := xrep.NoiseMW[vi]
 	if n <= 0 {
 		t.Fatal("head-to-tail reuse must leak noise into the next receiver")
 	}
@@ -118,14 +130,14 @@ func TestDropLeakageReachesNextReceiver(t *testing.T) {
 	// where the noise chain is ILBeforeDrop(source) + |XtalkDrop| +
 	// through(sender bank at 3) + prop(3->7->6) + drop + PD.
 	par := d.Par
-	src := lrep.Signals[noc.Signal{Src: 0, Dst: 3}]
-	vic := lrep.Signals[victim]
+	src := lrep.Signal(noc.Signal{Src: 0, Dst: 3})
+	vic := lrep.Losses[vi]
 	noiseDB := src.ILBeforeDrop - par.XtalkDropDB +
 		1*par.ThroughDB + // sender bank at node 3
 		4*par.PropagationDBPerMM + // 3->7->6 is 4 mm
 		par.DropDB + par.PhotodetectorDB
 	wantSNR := noiseDB - vic.IL
-	gotSNR := 10 * math.Log10(xrep.SignalMW[victim]/n)
+	gotSNR := 10 * math.Log10(xrep.SignalMW[vi]/n)
 	if math.Abs(gotSNR-wantSNR) > 1e-6 {
 		t.Fatalf("victim SNR = %v, want %v", gotSNR, wantSNR)
 	}
@@ -145,11 +157,11 @@ func TestOpeningTerminatesLeakage(t *testing.T) {
 	d.Waveguides = []*router.Waveguide{{ID: 0, Dir: router.CW, Opening: 7}}
 	addChannel(d, 0, 0, 3, 0)
 	addChannel(d, 0, 6, 5, 0)
-	_, xrep := analyzeLeaky(t, d, nil)
-	if xrep.NoiseMW[sigB] != 0 {
+	lrep, xrep := analyzeLeaky(t, d, nil)
+	if xrep.NoiseMW[at(t, lrep, sigB)] != 0 {
 		t.Fatalf("opening at 7 should block leakage into %v", sigB)
 	}
-	if xrep.NoiseMW[sigA] <= 0 {
+	if xrep.NoiseMW[at(t, lrep, sigA)] <= 0 {
 		t.Fatalf("leakage from %v into %v is not blocked by the opening", sigB, sigA)
 	}
 	if xrep.NumNoisy != 1 {
@@ -333,9 +345,9 @@ func TestSignalPowerPositive(t *testing.T) {
 	addChannel(d, 0, 0, 3, 0)
 	addChannel(d, 0, 1, 7, 1)
 	_, xrep := analyze(t, d, nil)
-	for sig, p := range xrep.SignalMW {
+	for i, p := range xrep.SignalMW {
 		if p <= 0 {
-			t.Fatalf("signal %v has non-positive detector power", sig)
+			t.Fatalf("signal %d has non-positive detector power", i)
 		}
 	}
 	if len(xrep.SignalMW) != 2 {
