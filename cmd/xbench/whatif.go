@@ -12,14 +12,18 @@ package main
 //     nominal loss+crosstalk analysis per scenario. The gated
 //     serial_amplification (scenarios x nominal analysis time / serial
 //     replay wall-clock) runs both sides on one worker, so the host's
-//     core count cannot move it. The parallel replay is recorded beside
-//     the host's core count for information only.
+//     core count cannot move it. It is the median of 5 samples, each
+//     alternating the two sides for at least 100 ms apiece with the
+//     collector off (whatifSample). The parallel replay is recorded
+//     beside the host's core count for information only.
 
 import (
 	"context"
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
+	"sort"
 
 	"xring/internal/core"
 	"xring/internal/faults"
@@ -30,14 +34,63 @@ import (
 )
 
 const (
-	// whatifTimingReps: best-of reps damp scheduler noise, like the
-	// other benches.
+	// whatifTimingReps is how many samples of the gated ratio one run
+	// takes; the record keeps their median.
 	whatifTimingReps = 5
-	// whatifNominalRuns is how many nominal analyses one timed batch
-	// averages over. A single analysis takes a fraction of a
-	// millisecond, too short to time on its own.
-	whatifNominalRuns = 200
+	// whatifMinBatchMS is the least time each side of one sample runs
+	// for. One nominal analysis (a fraction of a millisecond) or one
+	// serial replay (about ten) is short enough for a scheduler hiccup
+	// to move it by a third.
+	whatifMinBatchMS = 100
+	// whatifNominalChunk is how many nominal analyses run between two
+	// replays of a sample: together they take about as long as one
+	// replay.
+	whatifNominalChunk = 50
 )
+
+// whatifSample times one sample of the gated ratio: it alternates one
+// serial replay with a chunk of nominal analyses until each side has
+// run for at least whatifMinBatchMS, and returns the mean milliseconds
+// per analysis and per replay. Alternating at that grain exposes both
+// sides to the same host load. The collector is off while the sample
+// runs (about 120 MB of garbage), because its cycles land on either
+// side at random and moved single samples by up to a third.
+func whatifSample(nominal, replay func() error) (nominalMS, serialMS float64, err error) {
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	nominals, replays := 0, 0
+	chunk := func() error {
+		for i := 0; i < whatifNominalChunk; i++ {
+			if err := nominal(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for nominalMS < whatifMinBatchMS || serialMS < whatifMinBatchMS {
+		ms, err := timeFastest(1, replay)
+		if err != nil {
+			return 0, 0, fmt.Errorf("serial replay: %w", err)
+		}
+		serialMS += ms
+		replays++
+		if ms, err = timeFastest(1, chunk); err != nil {
+			return 0, 0, err
+		}
+		nominalMS += ms
+		nominals += whatifNominalChunk
+	}
+	return nominalMS / float64(nominals), serialMS / float64(replays), nil
+}
+
+// median returns the median of xs, reordering them.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	if n := len(xs); n%2 == 0 {
+		return (xs[n/2-1] + xs[n/2]) / 2
+	}
+	return xs[len(xs)/2]
+}
 
 func runWhatifBench() (*record, error) {
 	res, err := core.Synthesize(noc.Floorplan16(), core.Options{
@@ -72,36 +125,20 @@ func runWhatifBench() (*record, error) {
 		return faults.Analyze(ctx, d, plan, scenarios, faults.Options{Serial: serial})
 	}
 
-	// Both sides of the gated ratio run on one worker, alternating so a
-	// change in machine load between reps slows both alike.
+	// Both sides of the gated ratio run on one worker.
 	parallel.SetWorkers(1)
 	defer parallel.SetWorkers(0)
-	var nominalMS, serialMS float64
+	var nominals, serials, amps []float64
 	for r := 0; r < whatifTimingReps; r++ {
-		runtime.GC()
-		batch, err := timeFastest(1, func() error {
-			for i := 0; i < whatifNominalRuns; i++ {
-				if err := nominal(); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		nominalMS, serialMS, err := whatifSample(nominal, func() error { _, err := replay(true); return err })
 		if err != nil {
 			return nil, fmt.Errorf("whatif bench: %w", err)
 		}
-		runtime.GC()
-		ms, err := timeFastest(1, func() error { _, err := replay(true); return err })
-		if err != nil {
-			return nil, fmt.Errorf("whatif bench: serial replay: %w", err)
-		}
-		if r == 0 || batch/whatifNominalRuns < nominalMS {
-			nominalMS = batch / whatifNominalRuns
-		}
-		if r == 0 || ms < serialMS {
-			serialMS = ms
-		}
+		nominals = append(nominals, nominalMS)
+		serials = append(serials, serialMS)
+		amps = append(amps, float64(len(scenarios))*nominalMS/serialMS)
 	}
+	nominalMS, serialMS, amplification := median(nominals), median(serials), median(amps)
 	parallel.SetWorkers(0)
 
 	var full *faults.Report
@@ -128,10 +165,6 @@ func runWhatifBench() (*record, error) {
 		promotions += len(o.Promoted)
 	}
 
-	amplification := 0.0
-	if serialMS > 0 {
-		amplification = float64(len(scenarios)) * nominalMS / serialMS
-	}
 	fmt.Fprintf(os.Stderr,
 		"whatif replay %d scenarios over %d signals: serial %.1f ms (nominal analysis %.3f ms) | %.1fx vs naive | parallel %.1f ms | MRR survival %v (%d promotions)\n",
 		len(scenarios), full.Signals, serialMS, nominalMS, amplification, parallelMS,

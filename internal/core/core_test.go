@@ -292,6 +292,11 @@ func TestCustomTrafficRejectsBadInput(t *testing.T) {
 		Traffic: []noc.Signal{{Src: 1, Dst: 2}, {Src: 1, Dst: 2}}}); err == nil {
 		t.Fatal("want error for duplicate traffic")
 	}
+	for _, sig := range []noc.Signal{{Src: 1, Dst: 8}, {Src: -1, Dst: 2}} {
+		if _, err := Synthesize(net, Options{MaxWL: 8, Traffic: []noc.Signal{sig}}); err == nil {
+			t.Fatalf("want error for traffic signal %v outside the 8 nodes", sig)
+		}
+	}
 }
 
 func TestNeighborTrafficUsesShortArcs(t *testing.T) {

@@ -20,9 +20,10 @@
 package mapping
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"xring/internal/noc"
 	"xring/internal/obs"
@@ -110,88 +111,155 @@ var modePasses = [...][]slotPass{
 	shareFirst:     {{fresh: true, shared: true}},
 }
 
-// wlIndex buckets every ring waveguide's channels by wavelength:
-// byWG[w.ID][λ] holds w's channels on λ in w.Channels order. Only
-// same-wavelength channels can collide (router.Design.ChannelsCollide),
-// so a first-fit probe of slot (w, λ) checks that bucket alone, and
-// probing all of w's slots costs O(#wl + w's channels) instead of
-// O(#wl × w's channels). "λ is in use on w" is the bucket's length, not
-// a set built per probe. Every change Step 3 makes to a waveguide's
-// channel list goes through add, newWaveguide or resync, so the buckets
-// never go stale.
+// wlIndex indexes every ring waveguide's channels by (waveguide,
+// wavelength) slot. Only same-wavelength channels can collide
+// (router.Design.ChannelsCollide), so a first-fit probe of slot (w, λ)
+// walks that slot's channels alone, and probing all of w's slots costs
+// O(#wl + w's channels) instead of O(#wl × w's channels). "λ is in use
+// on w" is a non-empty slot, not a set built per probe.
+//
+// The layout is flat: heads[w.ID*stride+λ] is the newest arena entry on
+// slot (w, λ), -1 when the slot is free, and next links each entry to
+// the previous one on its slot. A collision test is an any-match, so
+// the walk order inside a slot does not matter. Entries a resync drops
+// go on a free list and are reused, so the arena holds no more entries
+// than the waveguides carry channels. Every change Step 3 makes to a
+// waveguide's channel list goes through add, newWaveguide, resync or
+// truncate, so the slots never go stale.
+//
+// The index also owns the route slab: Step 3 takes the router.Route
+// value of every route it records from one backing array.
 type wlIndex struct {
-	byWG [][][]router.Channel
+	stride int          // slots per waveguide: #wl
+	heads  []int32      // newest entry per (waveguide, wavelength) slot, -1 = free
+	sig    []noc.Signal // arena: the signal of each entry
+	next   []int32      // arena: the previous entry on the same slot, -1 = none
+	free   int32        // first entry of the free list, -1 = none
+	slab   []router.Route
 }
 
-// newWLIndex indexes the waveguides a design already has.
-func newWLIndex(d *router.Design) *wlIndex {
-	x := &wlIndex{}
+// newWLIndex indexes the waveguides a design already has, with d.MaxWL
+// slots per waveguide and room for chans channels and routes route
+// values.
+func newWLIndex(d *router.Design, chans, routes int) *wlIndex {
+	stride := max(d.MaxWL, 1)
+	// First fit opens a waveguide only when every slot of the earlier
+	// ones in its direction is taken, so chans channels need about chans
+	// slots plus one partly filled waveguide per direction and layer.
+	// Relocation may open a few more; heads grows then.
+	x := &wlIndex{
+		stride: stride,
+		heads:  make([]int32, 0, chans+4*stride),
+		sig:    make([]noc.Signal, 0, chans),
+		next:   make([]int32, 0, chans),
+		free:   -1,
+		slab:   make([]router.Route, 0, routes),
+	}
 	for _, w := range d.Waveguides {
 		x.resync(w)
 	}
 	return x
 }
 
-// buckets returns w's wavelength buckets, growing the index to w.ID.
-func (x *wlIndex) buckets(w *router.Waveguide) [][]router.Channel {
-	for len(x.byWG) <= w.ID {
-		x.byWG = append(x.byWG, nil)
+// slots returns w's slot heads, or nil when w has none yet.
+func (x *wlIndex) slots(w *router.Waveguide) []int32 {
+	lo := w.ID * x.stride
+	if lo >= len(x.heads) {
+		return nil
 	}
-	return x.byWG[w.ID]
+	return x.heads[lo : lo+x.stride]
 }
 
-// add appends a channel to w and to its wavelength bucket.
+// add appends a channel to w and to its slot.
 func (x *wlIndex) add(w *router.Waveguide, c router.Channel) {
 	w.Channels = append(w.Channels, c)
-	x.index(w, c)
+	x.index(w.ID, c)
 }
 
-// index appends a channel of w to its wavelength bucket.
-func (x *wlIndex) index(w *router.Waveguide, c router.Channel) {
-	b := x.buckets(w)
-	for len(b) <= c.WL {
-		b = append(b, nil)
+// index links a channel of waveguide id into its slot.
+func (x *wlIndex) index(id int, c router.Channel) {
+	for len(x.heads) < (id+1)*x.stride {
+		x.heads = append(x.heads, -1)
 	}
-	b[c.WL] = append(b[c.WL], c)
-	x.byWG[w.ID] = b
+	e := x.free
+	if e >= 0 {
+		x.free = x.next[e]
+		x.sig[e] = c.Sig
+	} else {
+		e = int32(len(x.sig))
+		x.sig = append(x.sig, c.Sig)
+		x.next = append(x.next, -1)
+	}
+	s := id*x.stride + c.WL
+	x.next[e] = x.heads[s]
+	x.heads[s] = e
 }
 
-// resync rebuilds w's buckets from w.Channels after the list was
-// filtered or rewritten, reusing the buckets' storage.
+// clear frees every entry on waveguide id's slots.
+func (x *wlIndex) clear(id int) {
+	lo := id * x.stride
+	if lo >= len(x.heads) {
+		return
+	}
+	for s := lo; s < lo+x.stride; s++ {
+		for e := x.heads[s]; e >= 0; {
+			nx := x.next[e]
+			x.next[e] = x.free
+			x.free = e
+			e = nx
+		}
+		x.heads[s] = -1
+	}
+}
+
+// resync rebuilds w's slots from w.Channels after the list was filtered
+// or rewritten, reusing the freed entries.
 func (x *wlIndex) resync(w *router.Waveguide) {
-	b := x.buckets(w)
-	for wl := range b {
-		b[wl] = b[wl][:0]
-	}
+	x.clear(w.ID)
 	for _, c := range w.Channels {
-		x.index(w, c)
+		x.index(w.ID, c)
+	}
+}
+
+// truncate frees the slots of every waveguide with ID >= n, after a
+// repack dropped or renumbered them.
+func (x *wlIndex) truncate(n int) {
+	for id := n; id*x.stride < len(x.heads); id++ {
+		x.clear(id)
 	}
 }
 
 // distinct returns how many wavelengths w carries.
 func (x *wlIndex) distinct(w *router.Waveguide) int {
 	n := 0
-	for _, on := range x.buckets(w) {
-		if len(on) > 0 {
+	for _, h := range x.slots(w) {
+		if h >= 0 {
 			n++
 		}
 	}
 	return n
 }
 
-// place records sig on slot (w, wl) in w's channels and the route table.
-func (x *wlIndex) place(routes map[noc.Signal]*router.Route, w *router.Waveguide, sig noc.Signal, wl int) {
-	x.add(w, router.Channel{Sig: sig, WL: wl})
-	routes[sig] = &router.Route{Sig: sig, Kind: router.OnRing, WG: w.ID, WL: wl}
+// take returns a pointer to a copy of r in the slab. Should the slab
+// outgrow its size, earlier pointers still point at their own values.
+func (x *wlIndex) take(r router.Route) *router.Route {
+	x.slab = append(x.slab, r)
+	return &x.slab[len(x.slab)-1]
 }
 
-// newWaveguide appends a fresh waveguide of direction dir to the design
-// and places sig on it at λ0.
-func (x *wlIndex) newWaveguide(d *router.Design, routes map[noc.Signal]*router.Route, sig noc.Signal, dir router.Direction) {
-	w := &router.Waveguide{ID: len(d.Waveguides), Dir: dir, Opening: -1}
+// ringRoute returns a route for sig on ring slot (wg, wl).
+func (x *wlIndex) ringRoute(sig noc.Signal, wg, wl int) *router.Route {
+	return x.take(router.Route{Sig: sig, Kind: router.OnRing, WG: wg, WL: wl})
+}
+
+// newWaveguide appends a fresh waveguide of direction dir to the design,
+// places sig on it at λ0 and returns it.
+func (x *wlIndex) newWaveguide(d *router.Design, sig noc.Signal, dir router.Direction) *router.Waveguide {
+	w := &router.Waveguide{ID: len(d.Waveguides), Dir: dir, Opening: -1,
+		Channels: make([]router.Channel, 0, x.stride)}
 	d.Waveguides = append(d.Waveguides, w)
-	x.resync(w) // the ID may index buckets of a waveguide a repack dropped
-	x.place(routes, w, sig, 0)
+	x.add(w, router.Channel{Sig: sig})
+	return w
 }
 
 // Stats reports what Step 3 did.
@@ -265,17 +333,30 @@ func Run(d *router.Design, opt Options) (*Stats, error) {
 	if opt.FaultTolerance < 0 || opt.FaultTolerance > 1 {
 		return nil, fmt.Errorf("mapping: FaultTolerance must be 0 or 1, got %d", opt.FaultTolerance)
 	}
+	n := d.N()
+	traffic := opt.Traffic
+	if traffic == nil {
+		traffic = noc.AllToAll(n)
+	} else if err := checkTraffic(traffic, n); err != nil {
+		return nil, err
+	}
 	d.MaxWL = opt.MaxWL
-	stats := &Stats{}
-	idx := newWLIndex(d)
-
-	supported, err := assignShortcutChannels(d, opt.Traffic)
+	if len(d.Routes) == 0 {
+		d.Routes = make(map[noc.Signal]*router.Route, len(traffic))
+	}
+	sup, err := shortcut.SupportedSignals(d, opt.Traffic)
 	if err != nil {
 		return nil, err
 	}
-	stats.ShortcutSignals = len(supported)
+	// Every signal gets one route, and with fault tolerance one spare;
+	// relocation moves a route instead of making a new one, so the
+	// route slab is exact. Shortcut signals take no ring channel.
+	routes := len(traffic) * (1 + opt.FaultTolerance)
+	idx := newWLIndex(d, routes-len(sup), routes)
+	stats := &Stats{ShortcutSignals: len(sup)}
+	owned := assignShortcutChannels(d, idx, sup)
 
-	if err := mapRingSignals(d, idx, supported, opt, stats); err != nil {
+	if err := mapRingSignals(d, idx, traffic, owned, opt, stats); err != nil {
 		return nil, err
 	}
 	if !opt.NoOpenings {
@@ -292,6 +373,24 @@ func Run(d *router.Design, opt Options) (*Stats, error) {
 	stats.ChannelLowerBound = channelLowerBound(d)
 	recordMappingMetrics(d, idx, stats)
 	return stats, nil
+}
+
+// checkTraffic rejects out-of-range, self and duplicate signals.
+func checkTraffic(traffic []noc.Signal, n int) error {
+	seen := make([]bool, n*n)
+	for _, sig := range traffic {
+		if sig.Src < 0 || sig.Src >= n || sig.Dst < 0 || sig.Dst >= n {
+			return fmt.Errorf("mapping: traffic signal %v is outside the %d nodes", sig, n)
+		}
+		if sig.Src == sig.Dst {
+			return fmt.Errorf("mapping: traffic contains self-signal %v", sig)
+		}
+		if seen[sig.Src*n+sig.Dst] {
+			return fmt.Errorf("mapping: traffic contains duplicate signal %v", sig)
+		}
+		seen[sig.Src*n+sig.Dst] = true
+	}
+	return nil
 }
 
 // Step-3 telemetry: how many distinct wavelengths each realized ring
@@ -317,13 +416,10 @@ func recordMappingMetrics(d *router.Design, idx *wlIndex, stats *Stats) {
 
 // assignShortcutChannels gives every shortcut-supported signal its
 // wavelength per the Sec. III-C rules and records its route. It returns
-// the set of signals now owned by shortcuts.
-func assignShortcutChannels(d *router.Design, traffic []noc.Signal) (map[noc.Signal]bool, error) {
-	sup, err := shortcut.SupportedSignals(d, traffic)
-	if err != nil {
-		return nil, err
-	}
-	owned := map[noc.Signal]bool{}
+// the signals now owned by shortcuts as an N×N table indexed Src*N+Dst.
+func assignShortcutChannels(d *router.Design, idx *wlIndex, sup []shortcut.Supported) []bool {
+	n := d.N()
+	owned := make([]bool, n*n)
 	for _, s := range sup {
 		sc := d.Shortcuts[s.SC]
 		wl := 0
@@ -340,60 +436,55 @@ func assignShortcutChannels(d *router.Design, traffic []noc.Signal) (map[noc.Sig
 			}
 		}
 		sc.Channels = append(sc.Channels, router.ShortcutChannel{Sig: s.Sig, WL: wl, ViaCSE: s.ViaCSE})
-		d.Routes[s.Sig] = &router.Route{Sig: s.Sig, Kind: router.OnShortcut, SC: s.SC, ViaCSE: s.ViaCSE, WL: wl}
-		owned[s.Sig] = true
+		d.Routes[s.Sig] = idx.take(router.Route{Sig: s.Sig, Kind: router.OnShortcut, SC: s.SC, ViaCSE: s.ViaCSE, WL: wl})
+		owned[s.Sig.Src*n+s.Sig.Dst] = true
 	}
-	return owned, nil
+	return owned
 }
 
-// mapRingSignals places every remaining signal onto a ring waveguide in
-// its shortest direction, first-fit with wavelength reuse, creating
-// waveguides on demand.
-func mapRingSignals(d *router.Design, idx *wlIndex, owned map[noc.Signal]bool, opt Options, stats *Stats) error {
-	traffic := opt.Traffic
-	if traffic == nil {
-		traffic = noc.AllToAll(d.N())
-	}
-	var sigs []noc.Signal
-	seen := map[noc.Signal]bool{}
-	for _, sig := range traffic {
-		if sig.Src == sig.Dst {
-			return fmt.Errorf("mapping: traffic contains self-signal %v", sig)
-		}
-		if seen[sig] {
-			return fmt.Errorf("mapping: traffic contains duplicate signal %v", sig)
-		}
-		seen[sig] = true
-		if !owned[sig] {
-			sigs = append(sigs, sig)
-		}
-	}
-	// Longest arcs first: they are the hardest to pack alongside others.
-	type job struct {
-		sig noc.Signal
-		dir router.Direction
-		len float64
-	}
-	jobs := make([]job, 0, len(sigs))
+// ringJob is one signal to place on the ring.
+type ringJob struct {
+	sig noc.Signal
+	dir router.Direction
+	len float64
+}
+
+// ringJobs returns one job per signal not marked in skip (an N×N table
+// indexed Src*N+Dst, or nil), in the signal's shortest travel direction
+// (CW on a tie), longest arcs first: they are the hardest to pack
+// alongside others. Ties go in (src, dst) order, so over distinct
+// signals the order is total and does not depend on the input order.
+func ringJobs(d *router.Design, sigs []noc.Signal, skip []bool) []ringJob {
+	n := d.N()
+	jobs := make([]ringJob, 0, len(sigs))
 	for _, sig := range sigs {
+		if skip != nil && skip[sig.Src*n+sig.Dst] {
+			continue
+		}
 		cw := d.ArcLen(sig.Src, sig.Dst, router.CW)
 		ccw := d.ArcLen(sig.Src, sig.Dst, router.CCW)
 		dir, l := router.CW, cw
 		if ccw < cw {
 			dir, l = router.CCW, ccw
 		}
-		jobs = append(jobs, job{sig, dir, l})
+		jobs = append(jobs, ringJob{sig, dir, l})
 	}
-	sort.SliceStable(jobs, func(i, j int) bool {
-		if jobs[i].len != jobs[j].len {
-			return jobs[i].len > jobs[j].len
+	slices.SortFunc(jobs, func(a, b ringJob) int {
+		if c := cmp.Compare(b.len, a.len); c != 0 {
+			return c
 		}
-		if jobs[i].sig.Src != jobs[j].sig.Src {
-			return jobs[i].sig.Src < jobs[j].sig.Src
+		if c := cmp.Compare(a.sig.Src, b.sig.Src); c != 0 {
+			return c
 		}
-		return jobs[i].sig.Dst < jobs[j].sig.Dst
+		return cmp.Compare(a.sig.Dst, b.sig.Dst)
 	})
+	return jobs
+}
 
+// mapRingSignals places every signal of the traffic that no shortcut
+// owns onto a ring waveguide in its shortest direction, first-fit with
+// wavelength reuse, creating waveguides on demand.
+func mapRingSignals(d *router.Design, idx *wlIndex, traffic []noc.Signal, owned []bool, opt Options, stats *Stats) error {
 	mode := freshOnly
 	if opt.PreferSharing {
 		mode = shareFirst
@@ -401,26 +492,26 @@ func mapRingSignals(d *router.Design, idx *wlIndex, owned map[noc.Signal]bool, o
 	underCap := func() bool {
 		return opt.MaxWaveguides == 0 || len(d.Waveguides) < opt.MaxWaveguides
 	}
-	place := func(sig noc.Signal, dir router.Direction, mode placeMode) bool {
-		return idx.placeFirstFit(d, d.Routes, 0, sig, dir, opt.MaxWL, mode)
+	place := func(sig noc.Signal, dir router.Direction, mode placeMode) (*router.Waveguide, int) {
+		return idx.placeFirstFit(d, 0, sig, dir, opt.MaxWL, mode)
 	}
-	for _, jb := range jobs {
-		placed := place(jb.sig, jb.dir, mode)
-		if !placed && opt.AllowDetour {
-			placed = place(jb.sig, 1-jb.dir, mode)
+	for _, jb := range ringJobs(d, traffic, owned) {
+		w, wl := place(jb.sig, jb.dir, mode)
+		if w == nil && opt.AllowDetour {
+			w, wl = place(jb.sig, 1-jb.dir, mode)
 		}
-		if !placed && underCap() {
-			idx.newWaveguide(d, d.Routes, jb.sig, jb.dir)
-			placed = true
+		if w == nil && underCap() {
+			w, wl = idx.newWaveguide(d, jb.sig, jb.dir), 0
 		}
-		if !placed && mode == freshOnly {
+		if w == nil && mode == freshOnly {
 			// The die is full: fall back to wavelength sharing.
-			placed = place(jb.sig, jb.dir, freshThenShare)
+			w, wl = place(jb.sig, jb.dir, freshThenShare)
 		}
-		if !placed {
+		if w == nil {
 			return fmt.Errorf("mapping: signal %v does not fit: #wl=%d with at most %d waveguides is infeasible",
 				jb.sig, opt.MaxWL, opt.MaxWaveguides)
 		}
+		d.Routes[jb.sig] = idx.ringRoute(jb.sig, w.ID, wl)
 		stats.RingSignals++
 	}
 	return nil
@@ -446,16 +537,16 @@ func (x *wlIndex) firstFit(d *router.Design, minWG int, sig noc.Signal, dir rout
 			if w.Opening >= 0 && d.PassesNode(sig.Src, sig.Dst, w.Opening, dir) {
 				continue
 			}
-			buckets := x.buckets(w)
+			slots := x.slots(w)
 			for wl := 0; wl < maxWL; wl++ {
-				var on []router.Channel
-				if wl < len(buckets) {
-					on = buckets[wl]
+				head := int32(-1)
+				if wl < len(slots) {
+					head = slots[wl]
 				}
-				if len(on) > 0 && !pass.shared || len(on) == 0 && !pass.fresh {
+				if head >= 0 && !pass.shared || head < 0 && !pass.fresh {
 					continue
 				}
-				if !collidesAny(d, dir, router.Channel{Sig: sig, WL: wl}, on) {
+				if !x.collides(d, dir, router.Channel{Sig: sig, WL: wl}, head) {
 					return w, wl
 				}
 			}
@@ -464,32 +555,36 @@ func (x *wlIndex) firstFit(d *router.Design, minWG int, sig noc.Signal, dir rout
 	return nil, 0
 }
 
-// collidesAny reports whether cand collides with any of the channels.
-func collidesAny(d *router.Design, dir router.Direction, cand router.Channel, chans []router.Channel) bool {
-	for _, c := range chans {
-		if d.ChannelsCollide(dir, cand, c) {
+// collides reports whether cand collides with any channel on the slot
+// whose newest entry is head.
+func (x *wlIndex) collides(d *router.Design, dir router.Direction, cand router.Channel, head int32) bool {
+	for e := head; e >= 0; e = x.next[e] {
+		if d.ChannelsCollide(dir, cand, router.Channel{Sig: x.sig[e], WL: cand.WL}) {
 			return true
 		}
 	}
 	return false
 }
 
-// placeFirstFit places sig on the firstFit slot, recording the route in
-// routes. It returns false when no admissible slot exists.
-func (x *wlIndex) placeFirstFit(d *router.Design, routes map[noc.Signal]*router.Route, minWG int,
-	sig noc.Signal, dir router.Direction, maxWL int, mode placeMode) bool {
+// placeFirstFit places sig on the firstFit slot and returns it; the
+// waveguide is nil when no admissible slot exists.
+func (x *wlIndex) placeFirstFit(d *router.Design, minWG int, sig noc.Signal, dir router.Direction,
+	maxWL int, mode placeMode) (*router.Waveguide, int) {
 	w, wl := x.firstFit(d, minWG, sig, dir, maxWL, mode)
-	if w == nil {
-		return false
+	if w != nil {
+		x.add(w, router.Channel{Sig: sig, WL: wl})
 	}
-	x.place(routes, w, sig, wl)
-	return true
+	return w, wl
 }
 
 // passerCounts returns, per node ID, how many channels of w traverse
-// that node's sender/receiver gap.
-func passerCounts(d *router.Design, w *router.Waveguide) []int {
-	counts := make([]int, d.N())
+// that node's sender/receiver gap, counting into buf when it has room.
+func passerCounts(d *router.Design, w *router.Waveguide, buf []int) []int {
+	if cap(buf) < d.N() {
+		buf = make([]int, d.N())
+	}
+	counts := buf[:d.N()]
+	clear(counts)
 	for _, c := range w.Channels {
 		d.ForEachGapNode(c.Sig.Src, c.Sig.Dst, w.Dir, func(k int) { counts[k]++ })
 	}
@@ -510,13 +605,19 @@ func openWaveguidesIn(d *router.Design, idx *wlIndex, routes map[noc.Signal]*rou
 			openingUsed[w.Opening] = true
 		}
 	}
+	mode := freshThenShare
+	if opt.PreferSharing {
+		mode = shareFirst
+	}
+	var counts []int
+	var move []router.Channel
 	maxPasses := 4 * (len(d.Waveguides) + 1)
 	for i := start; i < len(d.Waveguides); i++ {
 		if i-start > maxPasses {
 			return fmt.Errorf("mapping: opening relocation did not converge after %d waveguides", i-start)
 		}
 		w := d.Waveguides[i]
-		counts := passerCounts(d, w)
+		counts = passerCounts(d, w, counts)
 		// Candidate: least-passed node; prefer nodes already used as
 		// openings elsewhere, then smallest ID.
 		best, bestCount, bestAligned := -1, int(^uint(0)>>1), false
@@ -533,9 +634,11 @@ func openWaveguidesIn(d *router.Design, idx *wlIndex, routes map[noc.Signal]*rou
 				best, bestCount, bestAligned = id, cnt, aligned
 			}
 		}
-		// Relocate every channel passing the chosen opening.
-		var keep []router.Channel
-		var move []router.Channel
+		// Relocate every channel passing the chosen opening. The kept
+		// channels are filtered in place: relocation never lands on w,
+		// whose opening every moved channel passes.
+		keep := w.Channels[:0]
+		move = move[:0]
 		for _, c := range w.Channels {
 			if d.PassesNode(c.Sig.Src, c.Sig.Dst, best, w.Dir) {
 				move = append(move, c)
@@ -547,17 +650,15 @@ func openWaveguidesIn(d *router.Design, idx *wlIndex, routes map[noc.Signal]*rou
 		idx.resync(w)
 		w.Opening = best
 		openingUsed[best] = true
-		mode := freshThenShare
-		if opt.PreferSharing {
-			mode = shareFirst
-		}
 		for _, c := range move {
 			stats.Relocated++
-			if idx.placeFirstFit(d, routes, start, c.Sig, w.Dir, d.MaxWL, mode) {
-				continue
+			to, wl := idx.placeFirstFit(d, start, c.Sig, w.Dir, d.MaxWL, mode)
+			if to == nil {
+				to, wl = idx.newWaveguide(d, c.Sig, w.Dir), 0
+				stats.ExtraWGs++
 			}
-			idx.newWaveguide(d, routes, c.Sig, w.Dir)
-			stats.ExtraWGs++
+			r := routes[c.Sig]
+			r.WG, r.WL = to.ID, wl
 		}
 	}
 	return nil

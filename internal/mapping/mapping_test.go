@@ -167,7 +167,7 @@ func TestPasserCounts(t *testing.T) {
 		{Sig: noc.Signal{Src: 0, Dst: 3}, WL: 0}, // passes 1, 2
 		{Sig: noc.Signal{Src: 1, Dst: 3}, WL: 1}, // passes 2
 	}}
-	counts := passerCounts(d, w)
+	counts := passerCounts(d, w, nil)
 	if counts[1] != 1 || counts[2] != 2 || counts[0] != 0 || counts[7] != 0 {
 		t.Fatalf("passerCounts = %v", counts)
 	}
@@ -293,14 +293,14 @@ func refFirstFit(d *router.Design, minWG int, sig noc.Signal, dir router.Directi
 
 // TestFirstFitMatchesReference probes every signal, in both directions
 // and under every placement mode and a range of floors, on finished
-// designs, and demands the bucketed probe pick the same slot as the
+// designs, and demands the slot-index probe pick the same slot as the
 // reference scan.
 func TestFirstFitMatchesReference(t *testing.T) {
 	for _, net := range []*noc.Network{noc.Floorplan8(), noc.Irregular(12, 12, 12, 2.0, 5)} {
 		for _, wl := range []int{1, 2, 4, net.N()} {
 			for _, share := range []bool{false, true} {
 				d, _ := synth(t, net, Options{MaxWL: wl, PreferSharing: share, AlignOpenings: true})
-				idx := newWLIndex(d)
+				idx := newWLIndex(d, 0, 0)
 				for _, sig := range noc.AllToAll(net.N()) {
 					for _, dir := range []router.Direction{router.CW, router.CCW} {
 						for _, mode := range []placeMode{freshOnly, freshThenShare, shareFirst} {
@@ -324,7 +324,7 @@ func TestFirstFitMatchesReference(t *testing.T) {
 // a warm waveguide for a slot must not touch the heap.
 func TestFirstFitProbeAllocatesNothing(t *testing.T) {
 	d, _ := synth(t, noc.Floorplan16(), Options{MaxWL: 4, PreferSharing: true})
-	idx := newWLIndex(d)
+	idx := newWLIndex(d, 0, 0)
 	w := d.Waveguides[0]
 	if len(w.Channels) < 2 {
 		t.Fatalf("waveguide 0 carries %d channels, want a warm one", len(w.Channels))
@@ -335,5 +335,42 @@ func TestFirstFitProbeAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("first-fit probe: %v allocs, want 0", allocs)
+	}
+}
+
+// TestRunAllocsBounded guards Step 3's allocation budget on a 17-node
+// irregular floorplan: building the design, Step 2 and Run together
+// stay under a fixed allocation count at every tested #wl and policy.
+// The slot index, the route slab and the sized route table keep Run's
+// own share to a few hundred allocations; a per-channel or per-slot
+// allocation would add thousands.
+func TestRunAllocsBounded(t *testing.T) {
+	net := noc.Irregular(17, 16.5, 16.5, 2.5, 11)
+	res, err := ring.Construct(net, ring.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 900
+	for _, wl := range []int{2, 5, 9, 17} {
+		for _, share := range []bool{false, true} {
+			opt := Options{MaxWL: wl, PreferSharing: share, AlignOpenings: true,
+				MaxWaveguides: WaveguideCap(net, phys.Default())}
+			allocs := testing.AllocsPerRun(10, func() {
+				d, err := router.NewDesign(net, phys.Default(), res.Tour, res.Orders)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := shortcut.Construct(d, shortcut.Options{}); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := Run(d, opt); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("#wl=%d share=%v: %v allocs", wl, share, allocs)
+			if allocs > bound {
+				t.Errorf("#wl=%d share=%v: %v allocs, want <= %d", wl, share, allocs, bound)
+			}
+		}
 	}
 }

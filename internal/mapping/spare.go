@@ -14,7 +14,6 @@ package mapping
 
 import (
 	"fmt"
-	"sort"
 
 	"xring/internal/milp"
 	"xring/internal/noc"
@@ -40,51 +39,28 @@ var mSpareRepacks = obs.NewCounter("mapping.spare_repacks")
 // protection waveguides appended after the primaries.
 func addSpareLayer(d *router.Design, idx *wlIndex, opt Options, stats *Stats) error {
 	firstSpare := len(d.Waveguides)
-	d.SpareRoutes = map[noc.Signal]*router.Route{}
+	d.SpareRoutes = make(map[noc.Signal]*router.Route, len(d.Routes))
 
-	// Same job ordering as the primary pass: shortest travel direction,
-	// longest arcs first (hardest to pack), ties in (src, dst) order.
-	type job struct {
-		sig noc.Signal
-		dir router.Direction
-		len float64
-	}
-	jobs := make([]job, 0, len(d.Routes))
+	// Same job order as the primary pass, over every routed signal.
+	sigs := make([]noc.Signal, 0, len(d.Routes))
 	for sig := range d.Routes {
-		cw := d.ArcLen(sig.Src, sig.Dst, router.CW)
-		ccw := d.ArcLen(sig.Src, sig.Dst, router.CCW)
-		dir, l := router.CW, cw
-		if ccw < cw {
-			dir, l = router.CCW, ccw
-		}
-		jobs = append(jobs, job{sig, dir, l})
+		sigs = append(sigs, sig)
 	}
-	sort.Slice(jobs, func(i, j int) bool {
-		if jobs[i].len != jobs[j].len {
-			return jobs[i].len > jobs[j].len
+	for _, jb := range ringJobs(d, sigs, nil) {
+		w, wl := idx.placeFirstFit(d, firstSpare, jb.sig, jb.dir, opt.MaxWL, freshThenShare)
+		if w == nil {
+			if opt.MaxWaveguides != 0 && len(d.Waveguides) >= opt.MaxWaveguides {
+				return fmt.Errorf("mapping: fault-tolerant spare for %v does not fit: #wl=%d with at most %d waveguides",
+					jb.sig, opt.MaxWL, opt.MaxWaveguides)
+			}
+			w, wl = idx.newWaveguide(d, jb.sig, jb.dir), 0
 		}
-		if jobs[i].sig.Src != jobs[j].sig.Src {
-			return jobs[i].sig.Src < jobs[j].sig.Src
-		}
-		return jobs[i].sig.Dst < jobs[j].sig.Dst
-	})
-
-	underCap := func() bool {
-		return opt.MaxWaveguides == 0 || len(d.Waveguides) < opt.MaxWaveguides
-	}
-	for _, jb := range jobs {
-		if idx.placeFirstFit(d, d.SpareRoutes, firstSpare, jb.sig, jb.dir, opt.MaxWL, freshThenShare) {
-			continue
-		}
-		if !underCap() {
-			return fmt.Errorf("mapping: fault-tolerant spare for %v does not fit: #wl=%d with at most %d waveguides",
-				jb.sig, opt.MaxWL, opt.MaxWaveguides)
-		}
-		idx.newWaveguide(d, d.SpareRoutes, jb.sig, jb.dir)
+		d.SpareRoutes[jb.sig] = idx.ringRoute(jb.sig, w.ID, wl)
 	}
 
 	if repackSpares(d, firstSpare, opt, stats) {
 		// The repack rewrote and renumbered the protection waveguides.
+		idx.truncate(firstSpare)
 		for _, w := range d.Waveguides[firstSpare:] {
 			idx.resync(w)
 		}
@@ -226,7 +202,7 @@ func repackSpares(d *router.Design, firstSpare int, opt Options, stats *Stats) b
 		return false
 	}
 	// Drop emptied protection waveguides, renumber the spare section, and
-	// re-derive the spare route table from the surviving channels.
+	// point every spare route at its new slot.
 	spares := d.Waveguides[firstSpare:]
 	d.Waveguides = d.Waveguides[:firstSpare]
 	for _, w := range spares {
@@ -236,7 +212,8 @@ func repackSpares(d *router.Design, firstSpare int, opt Options, stats *Stats) b
 		w.ID = len(d.Waveguides)
 		d.Waveguides = append(d.Waveguides, w)
 		for _, c := range w.Channels {
-			d.SpareRoutes[c.Sig] = &router.Route{Sig: c.Sig, Kind: router.OnRing, WG: w.ID, WL: c.WL}
+			r := d.SpareRoutes[c.Sig]
+			r.WG, r.WL = w.ID, c.WL
 		}
 	}
 	stats.SpareRepacked = true

@@ -64,17 +64,30 @@ type Options struct {
 	Traffic []noc.Signal
 }
 
-// trafficSet normalizes a traffic slice into a lookup set; nil yields
-// the all-to-all pattern for n nodes.
-func trafficSet(traffic []noc.Signal, n int) map[noc.Signal]bool {
+// trafficSet is a traffic lookup set; the nil set stands for the
+// all-to-all pattern and is built without a map.
+type trafficSet map[noc.Signal]bool
+
+// newTrafficSet normalizes a traffic slice into a lookup set; nil
+// traffic yields the nil (all-to-all) set.
+func newTrafficSet(traffic []noc.Signal) trafficSet {
 	if traffic == nil {
-		traffic = noc.AllToAll(n)
+		return nil
 	}
-	set := make(map[noc.Signal]bool, len(traffic))
+	set := make(trafficSet, len(traffic))
 	for _, s := range traffic {
 		set[s] = true
 	}
 	return set
+}
+
+// has reports whether the traffic contains s. Every signal passed in
+// joins two of the design's nodes, so all-to-all needs only Src != Dst.
+func (t trafficSet) has(s noc.Signal) bool {
+	if t == nil {
+		return s.Src != s.Dst
+	}
+	return t[s]
 }
 
 // ringPaths returns the physical polyline of every ring edge.
@@ -130,12 +143,12 @@ func ringGain(d *router.Design, a, b int) float64 {
 // considered; a nil traffic means all-to-all.
 func Collect(d *router.Design, traffic []noc.Signal) []Candidate {
 	n := d.N()
-	want := trafficSet(traffic, n)
+	want := newTrafficSet(traffic)
 	ring := ringPaths(d)
 	var out []Candidate
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
-			if !want[noc.Signal{Src: a, Dst: b}] && !want[noc.Signal{Src: b, Dst: a}] {
+			if !want.has(noc.Signal{Src: a, Dst: b}) && !want.has(noc.Signal{Src: b, Dst: a}) {
 				continue
 			}
 			gain := ringGain(d, a, b)
@@ -249,14 +262,14 @@ type Supported struct {
 // ring after the extra CSE drop loss. traffic restricts the emitted
 // signals (nil = all-to-all).
 func SupportedSignals(d *router.Design, traffic []noc.Signal) ([]Supported, error) {
-	want := trafficSet(traffic, d.N())
+	want := newTrafficSet(traffic)
 	var out []Supported
 	for si, s := range d.Shortcuts {
 		length := s.Length()
 		passes := s.Partner != -1 // direct traffic passes the CSE crossing
 		bends := s.PathAB.Bends()
 		for _, sig := range [2]noc.Signal{{Src: s.A, Dst: s.B}, {Src: s.B, Dst: s.A}} {
-			if want[sig] {
+			if want.has(sig) {
 				out = append(out, Supported{Sig: sig, SC: si, Length: length, Bends: bends, PassesCrossing: passes})
 			}
 		}
@@ -304,12 +317,12 @@ func SupportedSignals(d *router.Design, traffic []noc.Signal) ([]Supported, erro
 					continue // the ring route is at least as good
 				}
 				// Forward and reverse directions of the swapped pair.
-				if want[sig] {
+				if want.has(sig) {
 					out = append(out, Supported{Sig: sig, SC: si, ViaCSE: true, Length: bestP.lens[k],
 						Bends: s.PathAB.Bends() + p.PathAB.Bends() + 1})
 				}
 				rev := noc.Signal{Src: sig.Dst, Dst: sig.Src}
-				if want[rev] {
+				if want.has(rev) {
 					out = append(out, Supported{Sig: rev, SC: s.Partner, ViaCSE: true,
 						Length: bestP.lens[k], Bends: s.PathAB.Bends() + p.PathAB.Bends() + 1})
 				}

@@ -221,9 +221,16 @@ func AnalyzeWithDrift(d *router.Design, lrep *loss.Report, p Params, driftGHz fl
 		}
 	}
 
-	// Summaries.
+	// Summaries, in signal order: the float sum and the first of tied
+	// worst signals must not depend on map iteration order.
+	sigs := make([]noc.Signal, 0, len(rep.Signals))
+	for sig := range rep.Signals {
+		sigs = append(sigs, sig)
+	}
+	noc.SortSignals(sigs)
 	sum, cnt := 0.0, 0
-	for sig, sn := range rep.Signals {
+	for _, sig := range sigs {
+		sn := rep.Signals[sig]
 		sn.SNRdB = phys.SNRdB(sn.SelfMW, sn.InterChannelMW)
 		if sn.Contributors > 0 {
 			sum += sn.SNRdB

@@ -300,3 +300,27 @@ func TestAnalyzeRejectsBadInput(t *testing.T) {
 		t.Fatal("want error for zero params")
 	}
 }
+
+// TestDriftSummaryRepeatable pins the report summary across repeated
+// calls on one design: MeanSNR is a float sum and Worst the first of
+// tied minima, so both must come out of a fixed signal order.
+func TestDriftSummaryRepeatable(t *testing.T) {
+	res, err := core.Synthesize(noc.Floorplan16(), core.Options{MaxWL: 8, WithPDN: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := AnalyzeWithDrift(res.Design, res.Loss, DefaultParams(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		rep, err := AnalyzeWithDrift(res.Design, res.Loss, DefaultParams(), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(rep.MeanSNR) != math.Float64bits(first.MeanSNR) || rep.Worst != first.Worst {
+			t.Fatalf("call %d: MeanSNR %v worst %v, first call %v worst %v",
+				i, rep.MeanSNR, rep.Worst, first.MeanSNR, first.Worst)
+		}
+	}
+}
