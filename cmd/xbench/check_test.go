@@ -165,7 +165,7 @@ func TestGateKinds(t *testing.T) {
 func TestCheckMissingCommittedRatioFails(t *testing.T) {
 	ratios := map[string]string{
 		"solver":  "calibration_ratio",
-		"delta":   "speedup",
+		"delta":   "recompute_speedup",
 		"explore": "amplification",
 		"whatif":  "serial_amplification",
 		"cluster": "amplification",

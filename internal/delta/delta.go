@@ -467,6 +467,22 @@ func (e *Evaluator) Commit(node int, p geom.Point) (*Reports, error) {
 	return rep, nil
 }
 
+// RecomputeMove scores moving node to position p the slow way: the
+// move and PDN rebuild of EvalMove, then FullRecompute in place of the
+// dirty-set evaluation, then the same revert. It is the reference the
+// xbench delta gate divides by EvalMove.
+func (e *Evaluator) RecomputeMove(node int, p geom.Point) (*Reports, error) {
+	var rep *Reports
+	err := e.tentative(node, p, func() (err error) {
+		rep, err = e.FullRecompute()
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
 // CheckMove is EvalMove plus an immediate full-recompute equivalence
 // check at the proposed geometry, for tests and the xbench gate. The
 // move is reverted either way; a non-nil error means the delta engine

@@ -116,7 +116,8 @@ func TestRandomMovesBitIdentical(t *testing.T) {
 }
 
 // TestEvalMoveMatchesCommit asserts a scratch evaluation of a move
-// produces the exact reports committing the same move produces.
+// produces the exact reports committing the same move produces, and
+// that RecomputeMove (the delta bench's reference) scores it the same.
 func TestEvalMoveMatchesCommit(t *testing.T) {
 	res := synthesize(t, 8, 5, core.Options{MaxWL: 8, WithPDN: true})
 	ev, err := Attach(res, Options{})
@@ -129,6 +130,13 @@ func TestEvalMoveMatchesCommit(t *testing.T) {
 		scratch, err := ev.EvalMove(node, p)
 		if err != nil {
 			t.Fatalf("move %d: eval: %v", move, err)
+		}
+		full, err := ev.RecomputeMove(node, p)
+		if err != nil {
+			t.Fatalf("move %d: recompute: %v", move, err)
+		}
+		if err := CompareReports(scratch, full, 0); err != nil {
+			t.Fatalf("move %d: scratch vs recompute: %v", move, err)
 		}
 		committed, err := ev.Commit(node, p)
 		if err != nil {

@@ -1,10 +1,10 @@
 // Package parallel is the concurrency substrate of the synthesis
 // engine: a bounded, shared worker budget with ordered fan-out/fan-in
 // helpers. Every hot loop of the flow — the #wl sweep, placement move
-// rounds, the per-signal loss walks, per-waveguide crosstalk
-// propagation and the Step-1 conflict-table stripes — funnels through
-// this package, so total CPU oversubscription stays bounded no matter
-// how the loops nest.
+// rounds, the per-signal loss walks, fault-replay scenarios and the
+// Step-1 conflict-table stripes — funnels through this package, so
+// total CPU oversubscription stays bounded no matter how the loops
+// nest.
 //
 // Design rules:
 //

@@ -258,12 +258,12 @@ func (s *Server) runExploration(x *exploration, cells []explore.Cell, rrs []*res
 	x.finish(nil, map[string]any{"frontier": x.frontier.Size()}, func() { x.elapsedMS = elapsedMS })
 }
 
-// runCell executes one cell: cache tiers first, then singleflight
-// attach, then a direct engine run on the controller's goroutine
-// (bypassing the admission queue — a study must not be able to wedge
-// itself by filling the queue it is also draining). The completed
-// cell's summary is offered to the frontier; errors and timeouts are
-// recorded on the cell and the study continues.
+// runCell executes one cell: cache tiers first, then admitJob's
+// singleflight attach, or a direct engine run on the controller's
+// goroutine (bypassing the admission queue — a study must not be able
+// to wedge itself by filling the queue it is also draining). The
+// completed cell's summary is offered to the frontier; errors and
+// timeouts are recorded on the cell and the study continues.
 func (s *Server) runCell(x *exploration, c explore.Cell, rr *resolved, key string, deadline time.Duration) {
 	t0 := time.Now()
 	var (
@@ -280,20 +280,11 @@ func (s *Server) runCell(x *exploration, c explore.Cell, rr *resolved, key strin
 		}
 		summary, jobid = hit.summary, hit.jobID
 	} else {
-		s.mu.Lock()
-		j, attached := s.inflight[key]
-		attached = attached && !j.terminal()
+		j, attached, _ := s.admitJob(key, x.traceID, rr, deadline, false)
 		if attached {
-			s.mu.Unlock()
-			s.st.dedupHits.Add(1)
 			source = "dedup"
 			<-j.done
 		} else {
-			mCacheMisses.Inc()
-			j = newJob(jobID(s.jobs.next(), key), key, x.traceID, rr, deadline)
-			s.inflight[key] = j
-			s.jobs.add(j)
-			s.mu.Unlock()
 			source = "synthesized"
 			s.run(j)
 		}

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"xring/internal/explore"
+	"xring/internal/obs"
 	"xring/internal/parallel"
 )
 
@@ -199,6 +200,73 @@ func TestExploreEndToEnd(t *testing.T) {
 	resubmitFromCache(t, ts.URL, exploreGrid(4), st)
 	if got := s.Stats().ExploreStudies; got != 2 {
 		t.Errorf("exploreStudies = %d, want 2", got)
+	}
+}
+
+// TestExploreCellAttachCountsMiss pins the one admission path: a cell
+// that attaches to an in-flight /v1/synthesize job is one dedup hit and
+// one cache miss, exactly like a /v1/synthesize request that attaches.
+func TestExploreCellAttachCountsMiss(t *testing.T) {
+	prev := obs.MetricsEnabled()
+	obs.EnableMetrics(true)
+	defer obs.EnableMetrics(prev)
+	g := newGate()
+	s, ts := newTestServer(t, Config{QueueDepth: 4, Workers: 1, Synth: g.synth})
+
+	grid := explore.Grid{Floorplans: exploreGrid(4).Floorplans[:1], Budgets: []int{4}}
+	cells, err := grid.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := cellRequest(&grid, cells[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := mCacheMisses.Value()
+	req.Async = true
+	if resp, data := postSynth(t, ts.URL, req); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async synthesize: status %d, body %s", resp.StatusCode, data)
+	}
+	<-g.started // the job is in flight, held at the gate
+
+	resp, data := postExplore(t, ts.URL, &ExploreRequest{Grid: grid, Async: true})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async explore: status %d, body %s", resp.StatusCode, data)
+	}
+	id := decodeExplore(t, data).ID
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Stats().DedupHits < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the cell never attached to the in-flight job")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	g.open()
+	var st *ExploreStatus
+	for {
+		hresp, err := http.Get(ts.URL + "/v1/explore/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st = decodeExplore(t, readAll(t, hresp)); st.State == StateDone {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("study never finished: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st.DedupHits != 1 || st.Cells != 1 || st.OK != 1 {
+		t.Errorf("study dedupHits=%d cells=%d ok=%d, want 1/1/1", st.DedupHits, st.Cells, st.OK)
+	}
+	if got := s.Stats().DedupHits; got != 1 {
+		t.Errorf("server dedupHits = %d, want 1", got)
+	}
+	if got := mCacheMisses.Value() - misses; got != 2 {
+		t.Errorf("service.cache.misses rose by %d, want 2 (the request and the attached cell)", got)
+	}
+	if got := g.calls.Load(); got != 1 {
+		t.Errorf("synth calls = %d, want 1", got)
 	}
 }
 

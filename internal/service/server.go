@@ -451,7 +451,7 @@ func requestTraceID(r *http.Request) obs.TraceID {
 func (s *Server) rejectDraining(w http.ResponseWriter, traceID string) {
 	s.st.drained.Add(1)
 	w.Header().Set("Retry-After", "5")
-	writeErrorTraced(w, http.StatusServiceUnavailable, errors.New("server is draining"), traceID)
+	writeErrorTraced(w, http.StatusServiceUnavailable, errDraining, traceID)
 }
 
 // traceRequest resolves the request's trace ID and echoes it in the
@@ -506,44 +506,22 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	mCacheMisses.Inc()
 
 	deadline := s.cfg.DefaultDeadline
 	if req.DeadlineMS > 0 {
 		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
 	}
-
-	// Admission under the lock: singleflight attach, drain rejection,
-	// then a non-blocking enqueue against the bounded queue.
-	s.mu.Lock()
-	j, attached := s.inflight[key]
-	attached = attached && !j.terminal()
-	if attached {
-		s.mu.Unlock()
-		s.st.dedupHits.Add(1)
-	} else {
-		// Drain closes the queue under s.mu, so this check must share
-		// the enqueue's critical section: a send on it would panic.
-		if s.draining.Load() {
-			s.mu.Unlock()
-			s.rejectDraining(w, traceID)
-			return
-		}
-		j = newJob(jobID(s.jobs.next(), key), key, traceID, rr, deadline)
-		select {
-		case s.queue <- j:
-		default:
-			s.mu.Unlock()
-			s.st.rejected.Add(1)
-			w.Header().Set("Retry-After", "1")
-			writeErrorTraced(w, http.StatusTooManyRequests,
-				fmt.Errorf("job queue full (depth %d)", s.cfg.QueueDepth), traceID)
-			return
-		}
-		mQueueDepth.Set(int64(len(s.queue)))
-		s.inflight[key] = j
-		s.jobs.add(j)
-		s.mu.Unlock()
+	j, attached, err := s.admitJob(key, traceID, rr, deadline, true)
+	switch err {
+	case errDraining:
+		s.rejectDraining(w, traceID)
+		return
+	case errQueueFull:
+		s.st.rejected.Add(1)
+		w.Header().Set("Retry-After", "1")
+		writeErrorTraced(w, http.StatusTooManyRequests,
+			fmt.Errorf("job queue full (depth %d)", s.cfg.QueueDepth), traceID)
+		return
 	}
 
 	source := "synthesized"
@@ -580,6 +558,50 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	}
 	j.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// Refusals of admitJob for a queued job.
+var (
+	errDraining  = errors.New("server is draining")
+	errQueueFull = errors.New("job queue full")
+)
+
+// admitJob is the one job-admission path for a content key that
+// neither cache tier served: it counts the cache miss, then under s.mu
+// attaches to the key's live in-flight job (a dedup hit) or creates and
+// registers a new one. With queued set — /v1/synthesize — the new job
+// goes on the bounded queue, and a draining server or a full queue
+// refuses it with errDraining or errQueueFull, returned bare; otherwise
+// — an explore cell — the caller runs the job itself, bypassing the
+// queue.
+func (s *Server) admitJob(key, traceID string, rr *resolved, deadline time.Duration, queued bool) (j *job, attached bool, err error) {
+	mCacheMisses.Inc()
+	s.mu.Lock()
+	if j, ok := s.inflight[key]; ok && !j.terminal() {
+		s.mu.Unlock()
+		s.st.dedupHits.Add(1)
+		return j, true, nil
+	}
+	// Drain closes the queue under s.mu, so this check must share the
+	// enqueue's critical section: a send on it would panic.
+	if queued && s.draining.Load() {
+		s.mu.Unlock()
+		return nil, false, errDraining
+	}
+	j = newJob(jobID(s.jobs.next(), key), key, traceID, rr, deadline)
+	if queued {
+		select {
+		case s.queue <- j:
+		default:
+			s.mu.Unlock()
+			return nil, false, errQueueFull
+		}
+		mQueueDepth.Set(int64(len(s.queue)))
+	}
+	s.inflight[key] = j
+	s.jobs.add(j)
+	s.mu.Unlock()
+	return j, false, nil
 }
 
 // handleJobDesign serves the job result's exact designio.Save bytes —

@@ -2,12 +2,14 @@ package xtalk
 
 import (
 	"context"
+	"fmt"
+	"sync"
 	"testing"
 
+	"xring/internal/baselines/oring"
 	"xring/internal/loss"
 	"xring/internal/mapping"
 	"xring/internal/noc"
-	"xring/internal/parallel"
 	"xring/internal/pdn"
 	"xring/internal/phys"
 	"xring/internal/ring"
@@ -53,55 +55,87 @@ func synthesizeForTest(t *testing.T, net *noc.Network) (*router.Design, *pdn.Pla
 	return d, plan, lrep
 }
 
-// TestAnalyzeWorkerInvariant checks that the sharded noise propagation
-// produces bit-identical reports for any worker count: shard-local
-// accumulators are merged in waveguide order, so the FP addition order
-// never depends on scheduling.
-func TestAnalyzeWorkerInvariant(t *testing.T) {
-	defer parallel.SetWorkers(0)
-	nets := []*noc.Network{noc.Floorplan8(), noc.Floorplan16()}
-	for _, net := range nets {
-		d, plan, lrep := synthesizeForTest(t, net)
+// ornocComb synthesizes the ORNoC baseline with its comb PDN, whose
+// feeds cross the ring waveguides and inject laser leakage.
+func ornocComb(tb testing.TB, net *noc.Network, maxWL int) (*router.Design, *pdn.Plan, *loss.Report) {
+	tb.Helper()
+	res, err := oring.SynthesizeORNoC(net, phys.Default(), maxWL, true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if res.Plan.CrossingsAdded == 0 {
+		tb.Fatal("comb fixture has no PDN crossings")
+	}
+	lrep, err := loss.AnalyzeCtx(context.Background(), res.Design, res.Plan)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res.Design, res.Plan, lrep
+}
 
-		parallel.SetWorkers(1)
-		ref, err := AnalyzeOptsCtx(context.Background(), d, plan, lrep, Options{IncludeDropLeakage: true})
+// TestAnalyzeWorkerInvariant checks that one Engine shared by 8
+// goroutines returns reports bit-identical to a serial call: every call
+// builds its own lanes and noise buffers, and sums a waveguide's noise
+// into the report in waveguide order. The comb design exercises the
+// lanes on every waveguide; the tree designs with drop leakage exercise
+// reuse chains.
+func TestAnalyzeWorkerInvariant(t *testing.T) {
+	type fixture struct {
+		name string
+		opts Options
+		d    *router.Design
+		plan *pdn.Plan
+		lrep *loss.Report
+	}
+	var fixtures []fixture
+	for _, net := range []*noc.Network{noc.Floorplan8(), noc.Floorplan16()} {
+		d, plan, lrep := synthesizeForTest(t, net)
+		fixtures = append(fixtures, fixture{fmt.Sprintf("tree%d", net.N()), Options{IncludeDropLeakage: true}, d, plan, lrep})
+	}
+	d, plan, lrep := ornocComb(t, noc.Floorplan16(), 8)
+	fixtures = append(fixtures, fixture{"ornoc-comb16", Options{}, d, plan, lrep})
+
+	const workers = 8
+	for _, f := range fixtures {
+		ref, err := NewEngine(f.d).Analyze(context.Background(), f.plan, f.lrep, f.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The serial cached-index engine walks in the merge order.
-		erep, err := NewEngine(d).Analyze(context.Background(), plan, lrep, Options{IncludeDropLeakage: true})
-		if err != nil {
-			t.Fatal(err)
+		if f.plan.CrossingsAdded > 0 && ref.NumNoisy == 0 {
+			t.Fatalf("%s: comb crossings injected no noise", f.name)
 		}
-		if err := sameReport(erep, ref); err != nil {
-			t.Fatalf("n=%d: engine vs parallel path: %v", net.N(), err)
+		e := NewEngine(f.d)
+		reps := make([]*Report, workers)
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for g := range reps {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				reps[g], errs[g] = e.Analyze(context.Background(), f.plan, f.lrep, f.opts)
+			}()
 		}
-		for _, workers := range []int{2, 8} {
-			parallel.SetWorkers(workers)
-			got, err := AnalyzeOptsCtx(context.Background(), d, plan, lrep, Options{IncludeDropLeakage: true})
-			if err != nil {
-				t.Fatal(err)
+		wg.Wait()
+		for g, rep := range reps {
+			if errs[g] != nil {
+				t.Fatal(errs[g])
 			}
-			if got.WorstSNR != ref.WorstSNR || got.WorstSNRSignal != ref.WorstSNRSignal {
-				t.Fatalf("n=%d workers=%d: worst SNR %v@%v, want %v@%v", net.N(), workers,
-					got.WorstSNR, got.WorstSNRSignal, ref.WorstSNR, ref.WorstSNRSignal)
+			if err := sameReport(rep, ref); err != nil {
+				t.Fatalf("%s: goroutine %d: %v", f.name, g, err)
 			}
-			if got.NumNoisy != ref.NumNoisy {
-				t.Fatalf("n=%d workers=%d: %d noisy signals, want %d", net.N(), workers, got.NumNoisy, ref.NumNoisy)
-			}
-			if len(got.NoiseMW) != len(ref.NoiseMW) {
-				t.Fatalf("n=%d workers=%d: noise slice size %d, want %d", net.N(), workers, len(got.NoiseMW), len(ref.NoiseMW))
-			}
-			for i, want := range ref.NoiseMW {
-				if got.NoiseMW[i] != want {
-					t.Fatalf("n=%d workers=%d: noise for %v is %v, want %v", net.N(), workers, lrep.Sigs[i], got.NoiseMW[i], want)
-				}
-			}
-			for i, want := range ref.SignalMW {
-				if got.SignalMW[i] != want {
-					t.Fatalf("n=%d workers=%d: signal power for %v is %v, want %v", net.N(), workers, lrep.Sigs[i], got.SignalMW[i], want)
-				}
-			}
+		}
+	}
+}
+
+// BenchmarkAnalyzeComb32 times one crosstalk analysis of the 32-node
+// ORNoC baseline at #wl 16 with its comb PDN, the heaviest walk in
+// Table II.
+func BenchmarkAnalyzeComb32(b *testing.B) {
+	d, plan, lrep := ornocComb(b, noc.Floorplan32(), 16)
+	b.ResetTimer()
+	for range b.N {
+		if _, err := AnalyzeCtx(context.Background(), d, plan, lrep); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
