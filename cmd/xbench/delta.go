@@ -15,9 +15,8 @@ package main
 // PDN rebuild, then Evaluator.FullRecompute) by the cost of EvalMove.
 // Both sides run the same move, PDN and crosstalk code and no synthesis
 // step, so a synthesis speedup cannot move it; losing more than 25% of
-// it means incremental scoring stopped paying. dirty_frac, the share of
-// signals the dirty rules re-derive, is deterministic and gated not to
-// rise. The speedup over full re-synthesis moves with every synthesis
+// it means incremental scoring stopped paying. The speedup over full
+// re-synthesis moves with every synthesis
 // speedup, so it is recorded only, but its >=5x acceptance floor is
 // enforced on every run, with or without -check.
 
@@ -32,8 +31,6 @@ import (
 	"xring/internal/delta"
 	"xring/internal/geom"
 	"xring/internal/noc"
-	"xring/internal/obs"
-	"xring/internal/parallel"
 )
 
 const (
@@ -125,9 +122,9 @@ func runDeltaBench() (*record, error) {
 	}
 	// The delta pass and a reference pass scoring the same proposals by
 	// a full recompute alternate rep by rep, so a slow phase of the host
-	// slows both, and each keeps its fastest rep. Both run on a
-	// one-worker pool (EvalMove is serial; the full loss analysis would
-	// fan out), so their ratio does not depend on the core count.
+	// slows both, and each keeps its fastest rep. Neither side fans out
+	// over the worker pool, so their ratio does not depend on the core
+	// count.
 	pass := func(score func(int, geom.Point) (*delta.Reports, error)) func() error {
 		return func() error {
 			for _, pr := range props {
@@ -138,8 +135,6 @@ func runDeltaBench() (*record, error) {
 			return nil
 		}
 	}
-	parallel.SetWorkers(1)
-	defer parallel.SetWorkers(0)
 	deltaMS, recomputeMS := math.Inf(1), math.Inf(1)
 	for r := 0; r < deltaBenchTimingReps; r++ {
 		ms, err := timeFastest(1, pass(ev.EvalMove))
@@ -157,25 +152,12 @@ func runDeltaBench() (*record, error) {
 
 	// Equivalence: every proposal's delta reports must be bit-identical
 	// to a full analysis recompute at the same geometry, and a committed
-	// walk with per-commit cross-checks must hold as well. The first
-	// pass also counts the signals the dirty rules re-derive: the share
-	// is deterministic, and it is what shows a dirty set that stopped
-	// sparing signals, which costs too little of an EvalMove for the
-	// timed ratio to see.
-	metricsOn := obs.MetricsEnabled()
-	obs.EnableMetrics(true)
-	before := obs.SnapshotMetrics().Counters
+	// walk with per-commit cross-checks must hold as well.
 	for i, pr := range props {
 		if _, err := ev.CheckMove(pr.node, pr.to); err != nil {
-			obs.EnableMetrics(metricsOn)
 			return nil, fmt.Errorf("delta bench: proposal %d NOT equivalent to full recompute: %w", i, err)
 		}
 	}
-	after := obs.SnapshotMetrics().Counters
-	obs.EnableMetrics(metricsOn)
-	dirty := after["delta.signals.dirty"] - before["delta.signals.dirty"]
-	clean := after["delta.signals.clean"] - before["delta.signals.clean"]
-	dirtyFrac := float64(dirty) / float64(max(dirty+clean, 1))
 	walker, err := delta.Attach(res, delta.Options{CrossCheckEvery: 1})
 	if err != nil {
 		return nil, fmt.Errorf("delta bench: attach walker: %w", err)
@@ -215,8 +197,5 @@ func runDeltaBench() (*record, error) {
 	rec.add("equivalence_checked", float64(checked), "")
 	rec.add("speedup", speedup, "")
 	rec.add("recompute_speedup", recomputeSpeedup, gateRatio)
-	// Share of signals the dirty rules re-derived across the checked
-	// proposals.
-	rec.add("dirty_frac", dirtyFrac, gateMax)
 	return rec, nil
 }

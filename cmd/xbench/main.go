@@ -129,24 +129,28 @@ func main() {
 	case "3":
 		table3(os.Stdout)
 	case "all":
-		// Render every section concurrently into its own buffer, print
-		// in order.
-		sections := []func(io.Writer){table1, table2, table3, runAblation}
-		bufs, err := parallel.Map(context.Background(), len(sections), func(i int) (string, error) {
-			var b bytes.Buffer
-			sections[i](&b)
-			return b.String(), nil
-		})
-		mustFanout(err)
-		for i, s := range bufs {
-			if i > 0 {
-				fmt.Println()
-			}
-			fmt.Print(s)
-		}
+		tablesAll(os.Stdout)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown -table %q\n", *table)
 		os.Exit(2)
+	}
+}
+
+// tablesAll prints -table all: Tables I-III and the ablation, each
+// rendered concurrently into its own buffer and printed in order.
+func tablesAll(w io.Writer) {
+	sections := []func(io.Writer){table1, table2, table3, runAblation}
+	bufs, err := parallel.Map(context.Background(), len(sections), func(i int) (string, error) {
+		var b bytes.Buffer
+		sections[i](&b)
+		return b.String(), nil
+	})
+	mustFanout(err)
+	for i, s := range bufs {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		fmt.Fprint(w, s)
 	}
 }
 

@@ -2,28 +2,14 @@
 // for the placement and sweep hot loops. A placement proposal moves one
 // node; re-synthesizing the whole design to score it repeats work that
 // the move cannot have changed. The Evaluator attaches to a synthesized
-// design, caches every contribution keyed by the structural facts it
-// depends on, and on a move recomputes only the dirty subset:
-//
-//   - structural counts (through MRRs, drops, the CSE crossing, MRR bank
-//     sizes, the crosstalk walker's node orders and receiver maps) depend
-//     only on the tour order and the channel assignment — they are never
-//     dirty across node moves and are cached once at attach;
-//   - a ring signal's bend count depends on the L-paths of the tour edges
-//     its arc covers — it is dirty only when the move touches one of the
-//     two tour edges adjacent to the moved node AND that edge lies inside
-//     the signal's covered interval;
-//   - a shortcut signal's path length and bends depend on its shortcut
-//     endpoints (plus the CSE partner's for merged traffic) — dirty only
-//     when the moved node is one of them;
-//   - everything else that is floating-point and position-derived (arc
-//     lengths, the perimeter-dependent radial scale, PDN feed losses,
-//     ring-crossing positions) shifts at the last bit whenever *any* node
-//     moves, so it is deliberately NOT cached: those inputs are cheap
-//     O(1) expressions recomputed from fresh geometry on every
-//     evaluation. Caching only exact integers and recomputing every
-//     float from the same expressions the full analysis uses is what
-//     makes a delta evaluation bit-identical to a full recompute.
+// design and keeps what its structure fixes: a loss.Pricer (canonical
+// signal order, exact element counts, PDN feeds) and an xtalk.Engine
+// (walker node orders and receiver maps). A move re-derives everything
+// floating-point and position-derived from fresh geometry — arc
+// lengths, bends, the perimeter-dependent radial scale, shortcut paths,
+// PDN feed losses and ring-crossing positions — with the expressions
+// the full analysis uses. Caching only exact integers is what makes a
+// delta evaluation bit-identical to a full recompute.
 //
 // The synthesized structure (tour, waveguides, channels, routes,
 // shortcut pairings) is held fixed for the lifetime of an Evaluator;
@@ -51,18 +37,11 @@ import (
 	"xring/internal/xtalk"
 )
 
-// Metrics: evaluation counts and dirty-set sizes. delta.signals.clean /
-// delta.signals.dirty expose the cache economics (a healthy placement
-// run is overwhelmingly clean); delta.dirty_signals is the per-move
-// dirty-set size distribution.
+// Metrics: evaluation, commit and cross-check counts.
 var (
 	mEvals       = obs.NewCounter("delta.evals")
 	mCommits     = obs.NewCounter("delta.commits")
 	mCrossChecks = obs.NewCounter("delta.crosschecks")
-	mClean       = obs.NewCounter("delta.signals.clean")
-	mDirty       = obs.NewCounter("delta.signals.dirty")
-	hDirty       = obs.NewHistogram("delta.dirty_signals", "signals",
-		[]float64{1, 2, 4, 8, 16, 32, 64, 128})
 )
 
 // DefaultCrossCheckEvery is the default cross-check cadence: one full
@@ -92,26 +71,6 @@ const (
 	pdnComb
 )
 
-// sigEntry is the per-signal cache line.
-type sigEntry struct {
-	sig noc.Signal
-	r   *router.Route
-	// Structural counts — never dirty across node moves.
-	throughs  int
-	drops     int
-	crossings int // shortcut CSE crossing; ring crossings are recomputed
-	// Geometry-derived, dirty-tracked.
-	bends int     // ring: bends on the arc; shortcut: path bends
-	scLen float64 // shortcut only: travelled length
-	// Ring covered-edge interval [lo, lo+span) in tour-edge indices:
-	// the move of node m dirties tour edges (tm-1) and tm; the bends
-	// cache is stale iff one of them lies inside this interval.
-	lo, span int
-	// Shortcut dependency nodes (endpoint set, plus the CSE partner's
-	// endpoints for merged traffic). Empty for ring signals.
-	deps []int
-}
-
 // Evaluator incrementally evaluates single-node moves against a fixed
 // synthesized structure. It owns a private clone of the network, so
 // moves never touch the caller's data. Not safe for concurrent use.
@@ -122,12 +81,8 @@ type Evaluator struct {
 	kind pdnKind
 	plan *pdn.Plan
 
-	engine  *xtalk.Engine
-	sigs    []noc.Signal
-	entries []sigEntry
-	// wavelengths is the structure's #wl column, fixed with the channel
-	// assignment.
-	wavelengths int
+	pricer *loss.Pricer
+	engine *xtalk.Engine
 	// scOrders[i] is the L-routing order shortcut i's PathAB was built
 	// with, so the path can be rebuilt when an endpoint moves.
 	scOrders []geom.LOrder
@@ -197,11 +152,11 @@ func Attach(res *core.Result, opt Options) (*Evaluator, error) {
 	if err := e.rebuildPlan(); err != nil {
 		return nil, err
 	}
-	e.engine = xtalk.NewEngine(d)
-	if err := e.index(); err != nil {
+	if e.pricer, err = loss.NewPricer(d); err != nil {
 		return nil, err
 	}
-	rep, err := e.evaluate(-1, true)
+	e.engine = xtalk.NewEngine(d)
+	rep, err := e.evaluate()
 	if err != nil {
 		return nil, err
 	}
@@ -212,45 +167,6 @@ func Attach(res *core.Result, opt Options) (*Evaluator, error) {
 		}
 	}
 	return e, nil
-}
-
-// index builds the per-signal cache lines. Structural counts are filled
-// here; geometry-derived fields are filled by the first evaluation.
-func (e *Evaluator) index() error {
-	d := e.d
-	banks := loss.NewBanks(d)
-	e.sigs = loss.CanonicalSignals(d)
-	e.wavelengths = d.WavelengthsUsed()
-	e.entries = make([]sigEntry, len(e.sigs))
-	n := d.N()
-	for i, sig := range e.sigs {
-		r := d.Routes[sig]
-		ent := sigEntry{sig: sig, r: r}
-		switch r.Kind {
-		case router.OnRing:
-			w := d.Waveguides[r.WG]
-			ent.throughs = loss.RingThroughs(d, banks, sig, r)
-			ent.drops = 1
-			si, di := d.TourPos(sig.Src), d.TourPos(sig.Dst)
-			if w.Dir == router.CW {
-				ent.lo, ent.span = si, (di-si+n)%n
-			} else {
-				ent.lo, ent.span = di, (si-di+n)%n
-			}
-		case router.OnShortcut:
-			ent.throughs, ent.drops, ent.crossings = loss.ShortcutStructural(d, sig, r)
-			sc := d.Shortcuts[r.SC]
-			ent.deps = []int{sc.A, sc.B}
-			if r.ViaCSE {
-				p := d.Shortcuts[sc.Partner]
-				ent.deps = append(ent.deps, p.A, p.B)
-			}
-		default:
-			return fmt.Errorf("delta: unknown route kind for %v", sig)
-		}
-		e.entries[i] = ent
-	}
-	return nil
 }
 
 // rebuildPlan re-synthesizes the PDN from the current geometry.
@@ -321,118 +237,29 @@ func (e *Evaluator) tentative(node int, p geom.Point, fn func() error) error {
 	return err
 }
 
-// ringDirty reports whether the move of node moved invalidates a ring
-// signal's cached bend count: one of the two tour edges adjacent to the
-// moved node lies inside the signal's covered interval.
-func (e *Evaluator) ringDirty(ent *sigEntry, moved int) bool {
-	n := e.d.N()
-	tm := e.d.TourPos(moved)
-	for _, edge := range [2]int{(tm + n - 1) % n, tm} {
-		if (edge-ent.lo+n)%n < ent.span {
-			return true
-		}
+// evaluate produces the analysis reports for the current geometry
+// from the cached structure.
+func (e *Evaluator) evaluate() (*Reports, error) {
+	ctx := context.Background()
+	lrep, err := e.pricer.Price(ctx, e.plan)
+	if err != nil {
+		return nil, err
 	}
-	return false
-}
-
-// scDirty reports whether the move invalidates a shortcut signal's
-// cached geometry: the moved node is one of its dependency endpoints.
-func scDirty(ent *sigEntry, moved int) bool {
-	for _, dep := range ent.deps {
-		if dep == moved {
-			return true
-		}
-	}
-	return false
-}
-
-// evaluate produces the analysis reports for the current geometry.
-// moved identifies the node whose position differs from the cached
-// state (-1 treats every signal as dirty, as the initial evaluation
-// must). With commit set, recomputed geometry facts are written back to
-// the cache; a scratch evaluation (a proposal that may be rejected)
-// leaves the cache at the pre-move state.
-func (e *Evaluator) evaluate(moved int, commit bool) (*Reports, error) {
-	d, par := e.d, e.d.Par
-	losses := make([]*loss.SignalLoss, len(e.entries))
-	slab := make([]loss.SignalLoss, len(e.entries))
-	dirtyCount := 0
-	for i := range e.entries {
-		ent := &e.entries[i]
-		sig, r := ent.sig, ent.r
-		var c loss.Counts
-		switch r.Kind {
-		case router.OnRing:
-			bends := ent.bends
-			if moved < 0 || e.ringDirty(ent, moved) {
-				dirtyCount++
-				bends = d.BendsOnArc(sig.Src, sig.Dst, d.Waveguides[r.WG].Dir)
-				if commit {
-					ent.bends = bends
-				}
-			}
-			w := d.Waveguides[r.WG]
-			crossings := 0
-			if len(w.Crossings) > 0 {
-				// Crossing positions are arc coordinates — geometry, not
-				// structure — so a ring that has any (comb PDN baselines
-				// only; the XRing flow produces none) is recounted from
-				// the fresh interval every time.
-				crossings = d.CrossingsOnArc(w, sig.Src, sig.Dst)
-			}
-			c = loss.Counts{
-				PathLen:   loss.RingPathLen(d, sig, r),
-				Throughs:  ent.throughs,
-				Drops:     ent.drops,
-				Crossings: crossings,
-				Bends:     bends,
-			}
-		case router.OnShortcut:
-			scLen, bends := ent.scLen, ent.bends
-			if moved < 0 || scDirty(ent, moved) {
-				dirtyCount++
-				scLen, bends = loss.ShortcutGeometry(d, sig, r)
-				if commit {
-					ent.scLen, ent.bends = scLen, bends
-				}
-			}
-			c = loss.Counts{
-				PathLen:   scLen,
-				Throughs:  ent.throughs,
-				Drops:     ent.drops,
-				Crossings: ent.crossings,
-				Bends:     bends,
-			}
-		}
-		pdnLoss := 0.0
-		if e.plan != nil {
-			var err error
-			if pdnLoss, err = e.plan.SenderLossDB(par, loss.FeedKeyFor(sig, r)); err != nil {
-				return nil, err
-			}
-		}
-		slab[i] = loss.FromCounts(par, sig, r, c, pdnLoss)
-		losses[i] = &slab[i]
-	}
-	lrep := loss.Summarize(e.sigs, losses, e.wavelengths)
-	xrep, err := e.engine.Analyze(context.Background(), e.plan, lrep, xtalk.Options{})
+	xrep, err := e.engine.Analyze(ctx, e.plan, lrep, xtalk.Options{})
 	if err != nil {
 		return nil, err
 	}
 	mEvals.Inc()
-	mDirty.Add(int64(dirtyCount))
-	mClean.Add(int64(len(e.entries) - dirtyCount))
-	hDirty.Observe(float64(dirtyCount))
 	return &Reports{Loss: lrep, Xtalk: xrep}, nil
 }
 
 // EvalMove scores moving node to position p without committing: the
-// move is applied, the dirty subset evaluated, and the move reverted.
+// move is applied, evaluated, and reverted.
 // The evaluator state afterwards is bit-identical to the state before.
 func (e *Evaluator) EvalMove(node int, p geom.Point) (*Reports, error) {
 	var rep *Reports
 	err := e.tentative(node, p, func() (err error) {
-		rep, err = e.evaluate(node, false)
+		rep, err = e.evaluate()
 		return err
 	})
 	if err != nil {
@@ -441,9 +268,8 @@ func (e *Evaluator) EvalMove(node int, p geom.Point) (*Reports, error) {
 	return rep, nil
 }
 
-// Commit applies a move permanently: geometry is updated, the dirty
-// cache lines are rewritten, and the committed reports become the
-// evaluator's current reports. Every CrossCheckEvery commits, a full
+// Commit applies a move permanently: geometry is updated and the
+// committed reports become the evaluator's current reports. Every CrossCheckEvery commits, a full
 // recompute verifies the delta-maintained reports.
 func (e *Evaluator) Commit(node int, p geom.Point) (*Reports, error) {
 	if node < 0 || node >= e.net.N() {
@@ -452,7 +278,7 @@ func (e *Evaluator) Commit(node int, p geom.Point) (*Reports, error) {
 	if err := e.applyGeometry(node, p); err != nil {
 		return nil, err
 	}
-	rep, err := e.evaluate(node, true)
+	rep, err := e.evaluate()
 	if err != nil {
 		return nil, err
 	}
@@ -469,7 +295,7 @@ func (e *Evaluator) Commit(node int, p geom.Point) (*Reports, error) {
 
 // RecomputeMove scores moving node to position p the slow way: the
 // move and PDN rebuild of EvalMove, then FullRecompute in place of the
-// dirty-set evaluation, then the same revert. It is the reference the
+// cached-structure evaluation, then the same revert. It is the reference the
 // xbench delta gate divides by EvalMove.
 func (e *Evaluator) RecomputeMove(node int, p geom.Point) (*Reports, error) {
 	var rep *Reports
@@ -491,7 +317,7 @@ func (e *Evaluator) CheckMove(node int, p geom.Point) (*Reports, error) {
 	var rep *Reports
 	var checkErr error
 	err := e.tentative(node, p, func() (err error) {
-		if rep, err = e.evaluate(node, false); err != nil {
+		if rep, err = e.evaluate(); err != nil {
 			return err
 		}
 		var full *Reports

@@ -7,9 +7,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"xring/internal/core"
 	"xring/internal/geom"
+	"xring/internal/loss"
 	"xring/internal/noc"
 	"xring/internal/parallel"
 	"xring/internal/pdn"
@@ -184,21 +186,28 @@ func TestEvaluatorIsolation(t *testing.T) {
 	}
 }
 
-// TestCrossCheckCatchesCorruption corrupts a cached structural count
-// and asserts the periodic cross-check hard-fails instead of silently
-// drifting.
+// TestCrossCheckCatchesCorruption corrupts a structural count cached in
+// the evaluator's Pricer and asserts the periodic cross-check hard-fails
+// instead of silently drifting. It also pins that EvalMove and Commit
+// reuse the Pricer built at Attach: an evaluator that rebuilt it per
+// move would price from fresh counts, and the corruption would vanish.
 func TestCrossCheckCatchesCorruption(t *testing.T) {
 	res := synthesize(t, 8, 3, core.Options{MaxWL: 8, WithPDN: true})
 	ev, err := Attach(res, Options{CrossCheckEvery: 1})
 	if err != nil {
 		t.Fatalf("attach: %v", err)
 	}
-	if len(ev.entries) == 0 {
-		t.Fatal("no cached entries")
-	}
-	ev.entries[0].throughs += 3 // simulate a stale structural cache
+	want := ev.Reports().Loss.Losses[0].Throughs + 3
+	corruptThroughs(t, ev.pricer, 3) // simulate a stale structural cache
 	rng := rand.New(rand.NewSource(4))
 	node, p := randomMove(rng, ev.Network(), 1.0)
+	scratch, err := ev.EvalMove(node, p)
+	if err != nil {
+		t.Fatalf("eval: %v", err)
+	}
+	if got := scratch.Loss.Losses[0].Throughs; got != want {
+		t.Fatalf("EvalMove priced %d throughs for %v, the corrupted cache holds %d", got, scratch.Loss.Sigs[0], want)
+	}
 	_, err = ev.Commit(node, p)
 	if err == nil {
 		t.Fatal("commit with corrupted cache passed its cross-check")
@@ -206,6 +215,23 @@ func TestCrossCheckCatchesCorruption(t *testing.T) {
 	if !strings.Contains(err.Error(), "cross-check failed") {
 		t.Fatalf("unexpected error: %v", err)
 	}
+}
+
+// corruptThroughs adds by to the through count loss.Pricer caches for
+// its first signal. The count is unexported, so the test reaches it by
+// reflection; it fails loudly if the field layout changes.
+func corruptThroughs(t *testing.T, p *loss.Pricer, by int) {
+	t.Helper()
+	st := reflect.ValueOf(p).Elem().FieldByName("st")
+	if !st.IsValid() || st.Kind() != reflect.Slice || st.Len() == 0 {
+		t.Fatal("loss.Pricer has no cached structure slice st")
+	}
+	f := st.Index(0).FieldByName("throughs")
+	if !f.IsValid() || !f.CanInt() {
+		t.Fatal("loss.Pricer's structure has no integer field throughs")
+	}
+	v := reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+	v.SetInt(v.Int() + int64(by))
 }
 
 // TestWorstSNRInfinity exercises the ±Inf comparison path: a design

@@ -18,6 +18,7 @@ package explore
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"regexp"
 	"strings"
 )
@@ -186,6 +187,31 @@ func (g *Grid) normalized() (Grid, error) {
 func (g *Grid) Validate() error {
 	_, err := g.normalized()
 	return err
+}
+
+// Size validates the grid and returns how many cells Expand would
+// return, without expanding it, so a caller can bound a grid before
+// allocating its cells. The count saturates at math.MaxInt.
+func (g *Grid) Size() (int, error) {
+	n, err := g.normalized()
+	if err != nil {
+		return 0, err
+	}
+	sweeps := 0
+	for _, b := range n.Budgets {
+		if b == 0 {
+			sweeps++
+		}
+	}
+	size := 1
+	for _, f := range []int{len(n.Floorplans), len(n.Policies), len(n.Share),
+		len(n.Budgets) - sweeps + sweeps*len(n.Objectives)} {
+		if f != 0 && size > math.MaxInt/f {
+			return math.MaxInt, nil
+		}
+		size *= f
+	}
+	return size, nil
 }
 
 // Expand validates the grid and returns its cells in the deterministic

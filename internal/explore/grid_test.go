@@ -72,6 +72,27 @@ func keys(m map[string]bool) []string {
 	return out
 }
 
+// TestSizeMatchesExpand pins Size to the length of Expand over grids
+// with and without sweep budgets, objectives, policies and share
+// variants, and to Expand's validation errors.
+func TestSizeMatchesExpand(t *testing.T) {
+	fps := []Floorplan{{Name: "a", Network: rawNet(`{"standard": 8}`)}, {Name: "b", Network: rawNet(`{"standard": 16}`)}}
+	for _, g := range []Grid{
+		{Floorplans: fps[:1], Budgets: []int{7}},
+		{Floorplans: fps, Budgets: []int{6, 0}, Objectives: []string{"min-power", "min-il"},
+			Policies: []Policy{{Name: "base"}, {Name: "nocse", NoCSE: true}}, Share: []bool{false, true}},
+		{Floorplans: fps, Budgets: []int{0}, Objectives: []string{"min-power", "min-il", "max-snr"}},
+		{Floorplans: fps, Budgets: []int{0, 3, 5}},
+		{Floorplans: fps, Budgets: []int{4, 4}},
+	} {
+		size, err := g.Size()
+		cells, xerr := g.Expand()
+		if (err == nil) != (xerr == nil) || size != len(cells) {
+			t.Errorf("grid %+v: Size %d (%v), Expand %d cells (%v)", g, size, err, len(cells), xerr)
+		}
+	}
+}
+
 func TestExpandDefaults(t *testing.T) {
 	g := Grid{
 		Floorplans: []Floorplan{{Network: rawNet(`{"standard": 8}`)}},

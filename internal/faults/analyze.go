@@ -144,17 +144,22 @@ func (r *Role) UnmarshalJSON(b []byte) error {
 //
 // Replays are delta-evaluated: a scenario that perturbs nothing reuses
 // the nominal loss/crosstalk reports byte-identically; otherwise only
-// the routes promoted onto spares are re-priced (loss.ForRoute) and the
-// surviving set is re-summarized before a crosstalk pass. A scenario
-// changes only the route table — failed signals removed, promoted
-// signals rewritten onto their spare routes — while the geometry,
-// waveguides and shortcuts stay nominal. Neither the loss pricing nor
-// the crosstalk walk reads the route table, so every scenario is priced
-// against the nominal design, and one xtalk.Engine indexed on it serves
-// the nominal analysis, every scenario and every worker of the parallel
-// fan-out (the engine is read-only).
+// the routes promoted onto spares are re-priced (loss.Pricer.PriceRoute)
+// and the surviving set is re-summarized before a crosstalk pass. A
+// scenario changes only the route table — failed signals removed,
+// promoted signals rewritten onto their spare routes — while the
+// geometry, waveguides and shortcuts stay nominal. Neither the loss
+// pricing nor the crosstalk walk reads the route table, so every
+// scenario is priced against the nominal design: one loss.Pricer and
+// one xtalk.Engine indexed on it serve the nominal analysis, every
+// scenario and every worker of the parallel fan-out (both are
+// read-only).
 func Analyze(ctx context.Context, d *router.Design, plan *pdn.Plan, scenarios []Scenario, opt Options) (*Report, error) {
-	lrep, err := loss.AnalyzeCtx(ctx, d, plan)
+	pr, err := loss.NewPricer(d)
+	if err != nil {
+		return nil, fmt.Errorf("faults: nominal loss analysis: %w", err)
+	}
+	lrep, err := pr.Price(ctx, plan)
 	if err != nil {
 		return nil, fmt.Errorf("faults: nominal loss analysis: %w", err)
 	}
@@ -163,7 +168,7 @@ func Analyze(ctx context.Context, d *router.Design, plan *pdn.Plan, scenarios []
 	if err != nil {
 		return nil, fmt.Errorf("faults: nominal crosstalk analysis: %w", err)
 	}
-	rp := newReplayer(d, plan, xe, lrep, xrep)
+	rp := newReplayer(d, plan, pr, xe, lrep, xrep)
 
 	replay := func(i int) (Outcome, error) {
 		o, err := rp.replay(ctx, scenarios[i])
@@ -274,16 +279,16 @@ func rankCritical(outcomes []Outcome) []CriticalElement {
 }
 
 // replayer holds what every scenario of one batch shares: the nominal
-// design, plan and analyses, its MRR banks and crosstalk engine, and its
+// design, plan and analyses, its pricer and crosstalk engine, and its
 // signals in canonical order with their primary and spare routes and
 // nominal losses. It is read-only, so the parallel fan-out shares one.
 type replayer struct {
-	d     *router.Design
-	plan  *pdn.Plan
-	banks *loss.Banks
-	xe    *xtalk.Engine
-	lrep  *loss.Report
-	xrep  *xtalk.Report
+	d    *router.Design
+	plan *pdn.Plan
+	pr   *loss.Pricer
+	xe   *xtalk.Engine
+	lrep *loss.Report
+	xrep *xtalk.Report
 	// sigs[i] rides routes[i] (spares[i] when promoted) at nominal loss
 	// losses[i]; sigs and losses are the nominal loss report's slices.
 	sigs           []noc.Signal
@@ -292,8 +297,8 @@ type replayer struct {
 }
 
 // newReplayer indexes a design's nominal analyses for replay.
-func newReplayer(d *router.Design, plan *pdn.Plan, xe *xtalk.Engine, lrep *loss.Report, xrep *xtalk.Report) *replayer {
-	rp := &replayer{d: d, plan: plan, banks: loss.NewBanks(d), xe: xe, lrep: lrep, xrep: xrep,
+func newReplayer(d *router.Design, plan *pdn.Plan, pr *loss.Pricer, xe *xtalk.Engine, lrep *loss.Report, xrep *xtalk.Report) *replayer {
+	rp := &replayer{d: d, plan: plan, pr: pr, xe: xe, lrep: lrep, xrep: xrep,
 		sigs: lrep.Sigs, losses: lrep.Losses}
 	rp.routes = make([]*router.Route, len(rp.sigs))
 	rp.spares = make([]*router.Route, len(rp.sigs))
@@ -441,7 +446,7 @@ func (rp *replayer) replay(ctx context.Context, sc Scenario) (Outcome, error) {
 		if r != rp.routes[i] {
 			// Promoted onto the spare: price the protection route.
 			var err error
-			sl, err = loss.ForRoute(d, rp.banks, plan, sig, r)
+			sl, err = rp.pr.PriceRoute(plan, sig, r)
 			if err != nil {
 				return Outcome{}, fmt.Errorf("faults: pricing spare route for %v: %w", sig, err)
 			}

@@ -341,7 +341,7 @@ func replayDesign(t *testing.T, d *router.Design, final map[noc.Signal]*router.R
 func naiveOutcome(t *testing.T, d *router.Design, plan *pdn.Plan, nominal *loss.Report, sc Scenario) Outcome {
 	t.Helper()
 	ctx := context.Background()
-	rp := newReplayer(d, plan, nil, nominal, nil)
+	rp := newReplayer(d, plan, nil, nil, nominal, nil)
 	rs := rp.resolve(sc)
 	noEffect := len(rs.lost) == 0 && len(rs.promoted) == 0 && len(rs.detuned) == 0
 	out := Outcome{
@@ -541,7 +541,11 @@ func TestReplayAllocsBounded(t *testing.T) {
 	}
 	d, plan := res.Design, res.Plan
 	ctx := context.Background()
-	lrep, err := loss.AnalyzeCtx(ctx, d, plan)
+	pr, err := loss.NewPricer(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lrep, err := pr.Price(ctx, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +554,7 @@ func TestReplayAllocsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp := newReplayer(d, plan, xe, lrep, xrep)
+	rp := newReplayer(d, plan, pr, xe, lrep, xrep)
 	picked := map[Kind]bool{}
 	for _, f := range Universe(d, []Kind{KindMRR, KindSegment, KindDetune}, 0) {
 		if picked[f.Kind] {

@@ -291,7 +291,9 @@ func (p Polyline) End() Point { return p[len(p)-1] }
 
 // Bends returns the number of 90-degree bends along the polyline.
 func (p Polyline) Bends() int {
-	segs := p.Segments()
+	// L-shaped routes have at most two segments: keep them on the stack.
+	var buf [4]Segment
+	segs := p.appendSegments(buf[:0])
 	bends := 0
 	for i := 0; i+1 < len(segs); i++ {
 		if segs[i].Horizontal() != segs[i+1].Horizontal() {

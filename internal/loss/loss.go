@@ -22,18 +22,19 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"xring/internal/geom"
 	"xring/internal/noc"
 	"xring/internal/obs"
-	"xring/internal/parallel"
 	"xring/internal/pdn"
 	"xring/internal/phys"
 	"xring/internal/router"
 )
 
-// mSignals counts per-signal loss walks across all analyses.
+// mSignals counts the signals every Price call prices, in full analyses
+// and delta moves alike.
 var mSignals = obs.NewCounter("loss.signals")
 
 // A laser group is one wavelength: following the paper's power model
@@ -116,9 +117,7 @@ func (r *Report) Signal(sig noc.Signal) *SignalLoss {
 // Banks is the per-waveguide MRR inventory: how many modulators
 // (senders) and receiver MRRs each node carries on each ring waveguide.
 // The counts are structural — they depend on the channel assignment
-// only, never on node positions — so the incremental evaluator caches
-// one Banks across a whole placement search. Both are indexed
-// [waveguide][node ID].
+// only, never on node positions. Both are indexed [waveguide][node ID].
 type Banks struct {
 	Senders   [][]int
 	Receivers [][]int
@@ -143,84 +142,201 @@ func NewBanks(d *router.Design) *Banks {
 	return b
 }
 
-// CanonicalSignals returns the design's routed signals in canonical
-// (Src, Dst) order — the order every deterministic reduction uses.
-func CanonicalSignals(d *router.Design) []noc.Signal {
-	sigs := make([]noc.Signal, 0, len(d.Routes))
-	for sig := range d.Routes {
-		sigs = append(sigs, sig)
-	}
-	noc.SortSignals(sigs)
-	return sigs
-}
-
 // AnalyzeCtx computes the loss report. plan may be nil for the no-PDN
-// comparisons (Table I); PDN losses are then zero. The per-signal
-// fan-out stops promptly on cancellation (returning the context error)
-// and the analysis records a trace span.
+// comparisons (Table I); PDN losses are then zero. It is NewPricer
+// followed by one Price; callers that price one structure many times
+// keep the Pricer instead.
 func AnalyzeCtx(ctx context.Context, d *router.Design, plan *pdn.Plan) (*Report, error) {
-	if len(d.Routes) == 0 {
-		return nil, fmt.Errorf("loss: design has no routed signals; run the mapping step first")
-	}
-	ctx, span := obs.Start(ctx, "loss.analyze", obs.Int("signals", len(d.Routes)))
-	defer span.End()
-	banks := NewBanks(d)
-
-	// The per-signal walks are independent: fan them out over the shared
-	// worker pool, then reduce in canonical (Src, Dst) order so worst-
-	// signal selection and the power sums are deterministic regardless
-	// of worker count and completion order.
-	sigs := CanonicalSignals(d)
-	losses, err := parallel.Map(ctx, len(sigs), func(i int) (*SignalLoss, error) {
-		return ForRoute(d, banks, plan, sigs[i], d.Routes[sigs[i]])
-	})
+	p, err := NewPricer(d)
 	if err != nil {
 		return nil, err
 	}
-	rep := Summarize(sigs, losses, d.WavelengthsUsed())
-	mSignals.Add(int64(len(sigs)))
+	return p.Price(ctx, plan)
+}
+
+// Pricer prices the routed signals of one design structure (tour,
+// channel assignment, routes, shortcut pairings). It caches what that
+// structure fixes: the canonical signal order, each signal's route, its
+// exact element counts and its PDN feed. Price re-derives every
+// floating-point input from the design's current geometry, so one
+// Pricer serves a whole placement search and prices bit-identically to
+// a fresh one. A Pricer is read-only after NewPricer and safe to share
+// between goroutines.
+type Pricer struct {
+	d     *router.Design
+	banks *Banks
+	// sigs is the canonical (Src, Dst) order; st[i] belongs to sigs[i].
+	sigs []noc.Signal
+	st   []structure
+	// feeds lists the distinct PDN feed keys of the signals' senders.
+	feeds []pdn.FeedKey
+	// wavelengths is the #wl column, fixed with the channel assignment.
+	wavelengths int
+}
+
+// structure is the position-independent part of a signal's loss: its
+// route, its integer element counts, exact across node moves, and its
+// feed.
+type structure struct {
+	r               *router.Route
+	throughs, drops int32
+	// crossings is a shortcut's CSE crossing; ring crossings sit at arc
+	// coordinates, which are geometry.
+	crossings int32
+	// feed indexes Pricer.feeds.
+	feed int32
+}
+
+// NewPricer indexes a mapped design's structure for pricing.
+func NewPricer(d *router.Design) (*Pricer, error) {
+	if len(d.Routes) == 0 {
+		return nil, fmt.Errorf("loss: design has no routed signals; run the mapping step first")
+	}
+	// An N x N route table walked in (Src, Dst) order is the canonical
+	// order, without a comparison sort.
+	n := d.N()
+	table := make([]*router.Route, n*n)
+	for sig, r := range d.Routes {
+		if sig.Src < 0 || sig.Src >= n || sig.Dst < 0 || sig.Dst >= n {
+			return nil, fmt.Errorf("loss: signal %v outside the %d nodes", sig, n)
+		}
+		table[sig.Src*n+sig.Dst] = r
+	}
+	p := &Pricer{d: d, banks: NewBanks(d), wavelengths: d.WavelengthsUsed(),
+		sigs:  make([]noc.Signal, 0, len(d.Routes)),
+		st:    make([]structure, 0, len(d.Routes)),
+		feeds: make([]pdn.FeedKey, 0, len(d.Routes)),
+	}
+	srcFeeds := 0 // feeds[srcFeeds:] are the current source's keys
+	for k, r := range table {
+		if r == nil {
+			continue
+		}
+		sig := noc.Signal{Src: k / n, Dst: k % n}
+		if len(p.sigs) > 0 && p.sigs[len(p.sigs)-1].Src != sig.Src {
+			srcFeeds = len(p.feeds)
+		}
+		st, err := p.structure(sig, r)
+		if err != nil {
+			return nil, err
+		}
+		key := feedKeyFor(sig, r)
+		feed := slices.Index(p.feeds[srcFeeds:], key)
+		if feed < 0 {
+			feed = len(p.feeds) - srcFeeds
+			p.feeds = append(p.feeds, key)
+		}
+		st.feed = int32(srcFeeds + feed)
+		p.sigs = append(p.sigs, sig)
+		p.st = append(p.st, st)
+	}
+	return p, nil
+}
+
+// Price computes the loss report at the design's current geometry into
+// one slab of SignalLoss values. plan may be nil (no PDN); each
+// distinct sender's feed loss is looked up once.
+func (p *Pricer) Price(ctx context.Context, plan *pdn.Plan) (*Report, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	_, span := obs.Start(ctx, "loss.analyze", obs.Int("signals", len(p.sigs)))
+	defer span.End()
+	par := p.d.Par
+	var feedLoss []float64
+	if plan != nil {
+		feedLoss = make([]float64, len(p.feeds))
+		for i, key := range p.feeds {
+			var err error
+			if feedLoss[i], err = plan.SenderLossDB(par, key); err != nil {
+				return nil, err
+			}
+		}
+	}
+	slab := make([]SignalLoss, len(p.sigs))
+	losses := make([]*SignalLoss, len(p.sigs))
+	for i, sig := range p.sigs {
+		pdnLoss := 0.0
+		if feedLoss != nil {
+			pdnLoss = feedLoss[p.st[i].feed]
+		}
+		p.price(&slab[i], sig, &p.st[i], pdnLoss)
+		losses[i] = &slab[i]
+	}
+	rep := Summarize(p.sigs, losses, p.wavelengths)
+	mSignals.Add(int64(len(p.sigs)))
 	span.Set(obs.Float("worst_il_db", rep.WorstIL),
 		obs.Float("power_mw", rep.TotalPowerMW),
 		obs.Int("wavelengths", rep.WavelengthCount))
 	return rep, nil
 }
 
-// ForRoute computes one signal's loss over a specific route. AnalyzeCtx
-// prices every signal through it, and the survivability replay engine
-// uses it to delta-evaluate signals promoted onto spare routes without
-// re-walking the unchanged ones; banks must be NewBanks of the same
-// design, and plan may be nil.
-func ForRoute(d *router.Design, banks *Banks, plan *pdn.Plan, sig noc.Signal, r *router.Route) (*SignalLoss, error) {
-	var c Counts
-	switch r.Kind {
-	case router.OnRing:
-		w := d.Waveguides[r.WG]
-		c = Counts{
-			PathLen:   RingPathLen(d, sig, r),
-			Throughs:  RingThroughs(d, banks, sig, r),
-			Drops:     1,
-			Crossings: d.CrossingsOnArc(w, sig.Src, sig.Dst),
-			Bends:     d.BendsOnArc(sig.Src, sig.Dst, w.Dir),
-		}
-	case router.OnShortcut:
-		c.Throughs, c.Drops, c.Crossings = ShortcutStructural(d, sig, r)
-		c.PathLen, c.Bends = ShortcutGeometry(d, sig, r)
-	default:
-		return nil, fmt.Errorf("loss: unknown route kind for %v", sig)
+// PriceRoute prices one signal over a route outside the Pricer's route
+// table, such as a spare route a fault promotes, at the design's current
+// geometry. plan may be nil.
+func (p *Pricer) PriceRoute(plan *pdn.Plan, sig noc.Signal, r *router.Route) (*SignalLoss, error) {
+	st, err := p.structure(sig, r)
+	if err != nil {
+		return nil, err
 	}
 	pdnLoss := 0.0
 	if plan != nil {
-		var err error
-		if pdnLoss, err = plan.SenderLossDB(d.Par, FeedKeyFor(sig, r)); err != nil {
+		if pdnLoss, err = plan.SenderLossDB(p.d.Par, feedKeyFor(sig, r)); err != nil {
 			return nil, err
 		}
 	}
-	sl := FromCounts(d.Par, sig, r, c, pdnLoss)
-	return &sl, nil
+	sl := new(SignalLoss)
+	p.price(sl, sig, &st, pdnLoss)
+	return sl, nil
 }
 
-// FeedKeyFor returns the PDN feed key powering a signal's sender.
-func FeedKeyFor(sig noc.Signal, r *router.Route) pdn.FeedKey {
+// structure counts a route's position-independent elements: through
+// MRRs, drops and the shortcut CSE crossing.
+func (p *Pricer) structure(sig noc.Signal, r *router.Route) (structure, error) {
+	switch r.Kind {
+	case router.OnRing:
+		return structure{r: r, throughs: int32(ringThroughs(p.d, p.banks, sig, r)), drops: 1}, nil
+	case router.OnShortcut:
+		t, dr, c := shortcutStructural(p.d, sig, r)
+		return structure{r: r, throughs: int32(t), drops: int32(dr), crossings: int32(c)}, nil
+	}
+	return structure{}, fmt.Errorf("loss: unknown route kind for %v", sig)
+}
+
+// price is the one per-route pricing function: it re-derives a route's
+// path length, bends and ring crossings from the current geometry and
+// assembles sl from them, st's counts and the sender's PDN loss (0
+// without a PDN).
+func (p *Pricer) price(sl *SignalLoss, sig noc.Signal, st *structure, pdnLoss float64) {
+	d, par, r := p.d, p.d.Par, st.r
+	*sl = SignalLoss{Sig: sig, WL: r.WL, Throughs: int(st.throughs), Drops: int(st.drops),
+		Crossings: int(st.crossings), PDNLoss: pdnLoss}
+	if r.Kind == router.OnRing {
+		w := d.Waveguides[r.WG]
+		sl.PathLen = d.ArcLen(sig.Src, sig.Dst, w.Dir) * d.RadialScale(w)
+		sl.Bends = d.BendsOnArc(sig.Src, sig.Dst, w.Dir)
+		if len(w.Crossings) > 0 {
+			// Crossings only exist on comb-PDN baselines.
+			sl.Crossings = d.CrossingsOnArc(w, sig.Src, sig.Dst)
+		}
+	} else {
+		sl.PathLen, sl.Bends = shortcutGeometry(d, sig, r)
+	}
+	sl.ILBeforeDrop = sl.PathLen*par.PropagationDBPerMM +
+		float64(sl.Throughs)*par.ThroughDB +
+		float64(sl.Crossings)*par.CrossingDB +
+		float64(sl.Bends)*par.BendDB
+	// The CSE drop happens before the receiver drop; both are DropDB.
+	sl.IL = sl.ILBeforeDrop + float64(sl.Drops)*par.DropDB + par.PhotodetectorDB
+	// ILBeforeDrop must include the CSE drop for leakage accounting.
+	if r.ViaCSE {
+		sl.ILBeforeDrop += par.DropDB
+	}
+	sl.setPowers(par)
+}
+
+// feedKeyFor returns the PDN feed key powering a signal's sender.
+func feedKeyFor(sig noc.Signal, r *router.Route) pdn.FeedKey {
 	key := pdn.FeedKey{OnShortcut: r.Kind == router.OnShortcut, Node: sig.Src}
 	if r.Kind == router.OnShortcut {
 		key.Index = r.SC
@@ -272,46 +388,6 @@ func Summarize(sigs []noc.Signal, losses []*SignalLoss, wavelengths int) *Report
 	return rep
 }
 
-// Counts are the walk-derived inputs a signal's insertion loss is
-// assembled from. The integer element counts are exact (immune to
-// floating-point drift), which is what lets the incremental evaluator
-// cache them across node moves and still reproduce a full analysis
-// bit for bit; PathLen is recomputed from fresh geometry every time.
-type Counts struct {
-	PathLen   float64
-	Throughs  int
-	Drops     int
-	Crossings int
-	Bends     int
-}
-
-// FromCounts assembles a SignalLoss from precomputed counts and the
-// sender's PDN loss (0 without a PDN) using the exact floating-point
-// expressions of the full analysis, so a cached evaluation is
-// bit-identical to a recomputed one. The linear powers are derived here,
-// once the dB losses are final. It returns a value so that callers
-// pricing many signals can store them in one slice.
-func FromCounts(par phys.Params, sig noc.Signal, r *router.Route, c Counts, pdnLoss float64) SignalLoss {
-	sl := SignalLoss{
-		Sig: sig, WL: r.WL,
-		PathLen: c.PathLen, Throughs: c.Throughs,
-		Drops: c.Drops, Crossings: c.Crossings, Bends: c.Bends,
-		PDNLoss: pdnLoss,
-	}
-	sl.ILBeforeDrop = sl.PathLen*par.PropagationDBPerMM +
-		float64(sl.Throughs)*par.ThroughDB +
-		float64(sl.Crossings)*par.CrossingDB +
-		float64(sl.Bends)*par.BendDB
-	// The CSE drop happens before the receiver drop; both are DropDB.
-	sl.IL = sl.ILBeforeDrop + float64(sl.Drops)*par.DropDB + par.PhotodetectorDB
-	// ILBeforeDrop must include the CSE drop for leakage accounting.
-	if r.ViaCSE {
-		sl.ILBeforeDrop += par.DropDB
-	}
-	sl.setPowers(par)
-	return sl
-}
-
 // WithExtraDrop returns a copy of sl paying extraDB more drop loss (a
 // detuned receiver), with its linear powers re-derived.
 func WithExtraDrop(par phys.Params, sl *SignalLoss, extraDB float64) *SignalLoss {
@@ -327,21 +403,10 @@ func (sl *SignalLoss) setPowers(par phys.Params) {
 	sl.DetectorGain = phys.DBToLinear(-(sl.PDNLoss + sl.IL))
 }
 
-// RingPathLen returns a ring signal's travelled length: the arc in the
-// waveguide's direction scaled by the replica's radial offset. Both
-// factors shift whenever any node moves (the perimeter is global), so
-// this is recomputed from fresh geometry on every evaluation.
-func RingPathLen(d *router.Design, sig noc.Signal, r *router.Route) float64 {
-	w := d.Waveguides[r.WG]
-	return d.ArcLen(sig.Src, sig.Dst, w.Dir) * d.RadialScale(w)
-}
-
-// RingThroughs counts the off-resonance MRRs a ring signal passes:
+// ringThroughs counts the off-resonance MRRs a ring signal passes:
 // the other modulators of its source bank, both banks of every gap
-// node, and the other receivers at its destination. The count depends
-// only on the tour order and the channel assignment — never on node
-// positions — so it is cacheable across placement moves.
-func RingThroughs(d *router.Design, b *Banks, sig noc.Signal, r *router.Route) int {
+// node, and the other receivers at its destination.
+func ringThroughs(d *router.Design, b *Banks, sig noc.Signal, r *router.Route) int {
 	w := d.Waveguides[r.WG]
 	senders, receivers := b.Senders[r.WG], b.Receivers[r.WG]
 	throughs := senders[sig.Src] - 1 // other modulators of the source bank
@@ -352,11 +417,11 @@ func RingThroughs(d *router.Design, b *Banks, sig noc.Signal, r *router.Route) i
 	return throughs
 }
 
-// ShortcutStructural returns the position-independent element counts of
+// shortcutStructural returns the position-independent element counts of
 // a shortcut signal: through MRRs at the entry/exit banks (plus the two
 // CSE MRRs for direct traffic on a merged pair), drops, and the CSE
 // crossing passed straight through. All derive from the channel lists.
-func ShortcutStructural(d *router.Design, sig noc.Signal, r *router.Route) (throughs, drops, crossings int) {
+func shortcutStructural(d *router.Design, sig noc.Signal, r *router.Route) (throughs, drops, crossings int) {
 	sc := d.Shortcuts[r.SC]
 	// Entry-bank through losses: other channels entering at the same
 	// node of this shortcut.
@@ -401,11 +466,11 @@ func ShortcutStructural(d *router.Design, sig noc.Signal, r *router.Route) (thro
 	return maxInt(throughs, 0), drops, crossings
 }
 
-// ShortcutGeometry returns the position-dependent pieces of a shortcut
+// shortcutGeometry returns the position-dependent pieces of a shortcut
 // signal's loss — travelled length and bend count — recomputed from the
 // current shortcut paths. For CSE traffic the length walks the entry
 // shortcut to the crossing point, then the partner to the destination.
-func ShortcutGeometry(d *router.Design, sig noc.Signal, r *router.Route) (pathLen float64, bends int) {
+func shortcutGeometry(d *router.Design, sig noc.Signal, r *router.Route) (pathLen float64, bends int) {
 	sc := d.Shortcuts[r.SC]
 	if r.ViaCSE {
 		p := d.Shortcuts[sc.Partner]

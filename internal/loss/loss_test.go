@@ -382,11 +382,14 @@ func TestCSERouteLoss(t *testing.T) {
 // through count of a ring signal must not touch the heap.
 func TestRingThroughsAllocatesNothing(t *testing.T) {
 	d := synth(t, noc.Floorplan16(), true, true)
-	banks := NewBanks(d)
+	p, err := NewPricer(d)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sig noc.Signal
 	var r *router.Route
-	for _, s := range CanonicalSignals(d) {
-		rr := d.Routes[s]
+	for i, s := range p.sigs {
+		rr := p.st[i].r
 		if rr.Kind != router.OnRing {
 			continue
 		}
@@ -401,8 +404,8 @@ func TestRingThroughsAllocatesNothing(t *testing.T) {
 		t.Fatal("no ring-routed signal passes a node")
 	}
 	sink := 0
-	allocs := testing.AllocsPerRun(100, func() { sink += RingThroughs(d, banks, sig, r) })
+	allocs := testing.AllocsPerRun(100, func() { sink += ringThroughs(d, p.banks, sig, r) })
 	if allocs != 0 {
-		t.Fatalf("RingThroughs: %v allocs, want 0 (%d)", allocs, sink)
+		t.Fatalf("ringThroughs: %v allocs, want 0 (%d)", allocs, sink)
 	}
 }

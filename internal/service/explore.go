@@ -183,16 +183,19 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, traceID, &req) {
 		return
 	}
-	cells, err := req.Grid.Expand()
+	// The cell count is checked before the grid is expanded: a few KB of
+	// axes can name millions of cells.
+	size, err := req.Grid.Size()
+	if err == nil && size > maxExploreCells {
+		err = fmt.Errorf("grid expands to %d cells (max %d)", size, maxExploreCells)
+	}
+	var cells []explore.Cell
+	if err == nil {
+		cells, err = req.Grid.Expand()
+	}
 	if err != nil {
 		mRequestsInvalid.Inc()
 		writeErrorTraced(w, http.StatusBadRequest, err, traceID)
-		return
-	}
-	if len(cells) > maxExploreCells {
-		mRequestsInvalid.Inc()
-		writeErrorTraced(w, http.StatusBadRequest,
-			fmt.Errorf("grid expands to %d cells (max %d)", len(cells), maxExploreCells), traceID)
 		return
 	}
 	// Resolve every cell up front: an invalid axis value fails the whole

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -531,6 +532,42 @@ func TestExploreRejectsBadGrids(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown study: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestExploreBoundsGridBeforeExpanding posts a grid of 300 budgets x
+// 300 policies: about 6 KB of JSON naming 90,000 cells. The study must
+// be refused with a 400 for its cell count, and the refusal must not
+// expand the grid (which allocated about 58 MB).
+func TestExploreBoundsGridBeforeExpanding(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	g := explore.Grid{Floorplans: []explore.Floorplan{{Name: "std8", Network: json.RawMessage(`{"standard": 8}`)}}}
+	for i := 0; i < 300; i++ {
+		g.Budgets = append(g.Budgets, i+1)
+		g.Policies = append(g.Policies, explore.Policy{Name: fmt.Sprintf("p%d", i)})
+	}
+	body, err := json.Marshal(&ExploreRequest{Grid: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, err := http.Post(ts.URL+"/v1/explore", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "grid expands to 90000 cells (max 4096)") {
+		t.Fatalf("status %d, body %s; want 400 naming the cell count", resp.StatusCode, data)
+	}
+	const maxBytes = 4 << 20
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > maxBytes {
+		t.Fatalf("refusing a %d-byte grid allocated %d bytes, want <= %d", len(body), alloc, maxBytes)
 	}
 }
 
