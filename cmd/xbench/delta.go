@@ -23,7 +23,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 
@@ -38,7 +37,9 @@ const (
 	// pass scores deltaBenchFullProposals of the same sequence.
 	deltaBenchProposals     = 64
 	deltaBenchFullProposals = 6
-	deltaBenchTimingReps    = 9
+	// deltaBenchTimingReps is how many paired samples of the gated
+	// ratio one run takes; the record keeps their median.
+	deltaBenchTimingReps = 5
 	// deltaSpeedupFloor is the acceptance bar: delta evaluation must be
 	// at least this much faster per proposal than full re-synthesis.
 	deltaSpeedupFloor = 5.0
@@ -121,34 +122,34 @@ func runDeltaBench() (*record, error) {
 		return nil, fmt.Errorf("delta bench: attach: %w", err)
 	}
 	// The delta pass and a reference pass scoring the same proposals by
-	// a full recompute alternate rep by rep, so a slow phase of the host
-	// slows both, and each keeps its fastest rep. Neither side fans out
-	// over the worker pool, so their ratio does not depend on the core
-	// count.
-	pass := func(score func(int, geom.Point) (*delta.Reports, error)) func() error {
+	// a full recompute alternate pass by pass in pairedSample, each side
+	// for at least sampleMinBatchMS with the collector off, and the
+	// record keeps the median of deltaBenchTimingReps samples. Neither
+	// side fans out over the worker pool, so their ratio does not depend
+	// on the core count.
+	pass := func(score func(int, geom.Point) (*delta.Reports, error), what string) func() error {
 		return func() error {
 			for _, pr := range props {
 				if _, err := score(pr.node, pr.to); err != nil {
-					return err
+					return fmt.Errorf("delta bench: %s of proposal: %w", what, err)
 				}
 			}
 			return nil
 		}
 	}
-	deltaMS, recomputeMS := math.Inf(1), math.Inf(1)
+	var deltas, recomputes, ratios []float64
 	for r := 0; r < deltaBenchTimingReps; r++ {
-		ms, err := timeFastest(1, pass(ev.EvalMove))
+		deltaMS, recomputeMS, err := pairedSample(pass(ev.EvalMove, "delta eval"), 1, pass(ev.RecomputeMove, "full recompute"))
 		if err != nil {
-			return nil, fmt.Errorf("delta bench: delta eval of proposal: %w", err)
+			return nil, err
 		}
-		deltaMS = min(deltaMS, ms)
-		if ms, err = timeFastest(1, pass(ev.RecomputeMove)); err != nil {
-			return nil, fmt.Errorf("delta bench: full recompute of proposal: %w", err)
-		}
-		recomputeMS = min(recomputeMS, ms)
+		deltas = append(deltas, deltaMS)
+		recomputes = append(recomputes, recomputeMS)
+		ratios = append(ratios, recomputeMS/deltaMS)
 	}
-	deltaPerProposal := deltaMS / float64(len(props))
-	recomputePerProposal := recomputeMS / float64(len(props))
+	deltaPerProposal := median(deltas) / float64(len(props))
+	recomputePerProposal := median(recomputes) / float64(len(props))
+	recomputeSpeedup := median(ratios)
 
 	// Equivalence: every proposal's delta reports must be bit-identical
 	// to a full analysis recompute at the same geometry, and a committed
@@ -169,11 +170,7 @@ func runDeltaBench() (*record, error) {
 	}
 	checked := len(props) + 8
 
-	speedup, recomputeSpeedup := 0.0, 0.0
-	if deltaPerProposal > 0 {
-		speedup = fullPerProposal / deltaPerProposal
-		recomputeSpeedup = recomputePerProposal / deltaPerProposal
-	}
+	speedup := fullPerProposal / deltaPerProposal
 	fmt.Fprintf(os.Stderr,
 		"delta bench: full %.2f ms/proposal | recompute %.4f | delta %.4f | speedup %.0fx | vs recompute %.2fx | %d equivalence checks OK\n",
 		fullPerProposal, recomputePerProposal, deltaPerProposal, speedup, recomputeSpeedup, checked)

@@ -14,7 +14,7 @@ package main
 //     replay wall-clock) runs both sides on one worker, so the host's
 //     core count cannot move it. It is the median of 5 samples, each
 //     alternating the two sides for at least 100 ms apiece with the
-//     collector off (whatifSample). The parallel replay is recorded
+//     collector off (pairedSample). The parallel replay is recorded
 //     beside the host's core count for information only.
 
 import (
@@ -37,50 +37,50 @@ const (
 	// whatifTimingReps is how many samples of the gated ratio one run
 	// takes; the record keeps their median.
 	whatifTimingReps = 5
-	// whatifMinBatchMS is the least time each side of one sample runs
-	// for. One nominal analysis (a fraction of a millisecond) or one
+	// sampleMinBatchMS is the least time each side of one pairedSample
+	// runs for. One nominal analysis (a fraction of a millisecond) or one
 	// serial replay (about ten) is short enough for a scheduler hiccup
 	// to move it by a third.
-	whatifMinBatchMS = 100
+	sampleMinBatchMS = 100
 	// whatifNominalChunk is how many nominal analyses run between two
 	// replays of a sample: together they take about as long as one
 	// replay.
 	whatifNominalChunk = 50
 )
 
-// whatifSample times one sample of the gated ratio: it alternates one
-// serial replay with a chunk of nominal analyses until each side has
-// run for at least whatifMinBatchMS, and returns the mean milliseconds
-// per analysis and per replay. Alternating at that grain exposes both
-// sides to the same host load. The collector is off while the sample
-// runs (about 120 MB of garbage), because its cycles land on either
+// pairedSample times one sample of a gated ratio: it alternates one call
+// of single with chunk calls of chunked until each side has run for at
+// least sampleMinBatchMS, and returns the mean milliseconds per call of
+// each. Alternating at that grain exposes both sides to the same host
+// load. The collector is off while the sample runs (the whatif sample
+// makes about 120 MB of garbage), because its cycles land on either
 // side at random and moved single samples by up to a third.
-func whatifSample(nominal, replay func() error) (nominalMS, serialMS float64, err error) {
+func pairedSample(chunked func() error, chunk int, single func() error) (chunkedMS, singleMS float64, err error) {
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	nominals, replays := 0, 0
-	chunk := func() error {
-		for i := 0; i < whatifNominalChunk; i++ {
-			if err := nominal(); err != nil {
+	chunks, singles := 0, 0
+	batch := func() error {
+		for i := 0; i < chunk; i++ {
+			if err := chunked(); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	for nominalMS < whatifMinBatchMS || serialMS < whatifMinBatchMS {
-		ms, err := timeFastest(1, replay)
+	for chunkedMS < sampleMinBatchMS || singleMS < sampleMinBatchMS {
+		ms, err := timeFastest(1, single)
 		if err != nil {
-			return 0, 0, fmt.Errorf("serial replay: %w", err)
-		}
-		serialMS += ms
-		replays++
-		if ms, err = timeFastest(1, chunk); err != nil {
 			return 0, 0, err
 		}
-		nominalMS += ms
-		nominals += whatifNominalChunk
+		singleMS += ms
+		singles++
+		if ms, err = timeFastest(1, batch); err != nil {
+			return 0, 0, err
+		}
+		chunkedMS += ms
+		chunks += chunk
 	}
-	return nominalMS / float64(nominals), serialMS / float64(replays), nil
+	return chunkedMS / float64(chunks), singleMS / float64(singles), nil
 }
 
 // median returns the median of xs, reordering them.
@@ -130,7 +130,12 @@ func runWhatifBench() (*record, error) {
 	defer parallel.SetWorkers(0)
 	var nominals, serials, amps []float64
 	for r := 0; r < whatifTimingReps; r++ {
-		nominalMS, serialMS, err := whatifSample(nominal, func() error { _, err := replay(true); return err })
+		nominalMS, serialMS, err := pairedSample(nominal, whatifNominalChunk, func() error {
+			if _, err := replay(true); err != nil {
+				return fmt.Errorf("serial replay: %w", err)
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, fmt.Errorf("whatif bench: %w", err)
 		}

@@ -463,6 +463,7 @@ func (rp *replayer) replay(ctx context.Context, sc Scenario) (Outcome, error) {
 		losses = append(losses, sl)
 	}
 	lrep2 := loss.Summarize(sigs, losses, lrep.WavelengthCount)
+	lrep2.Banks = lrep.Banks // the replay keeps the nominal MRR inventory
 	xrep2, err := rp.xe.Analyze(ctx, plan, lrep2, xtalk.Options{})
 	if err != nil {
 		return Outcome{}, fmt.Errorf("faults: replay crosstalk analysis: %w", err)

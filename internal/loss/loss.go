@@ -93,6 +93,10 @@ type Report struct {
 	TotalPowerMW float64
 	// WavelengthCount is the #wl column: distinct wavelengths used.
 	WavelengthCount int
+	// Banks is the MRR inventory the signals were priced with, which the
+	// crosstalk walk reuses; nil on a report Summarize built until its
+	// caller sets it.
+	Banks *Banks
 }
 
 // Index returns the position of sig in Sigs and whether it was
@@ -264,6 +268,7 @@ func (p *Pricer) Price(ctx context.Context, plan *pdn.Plan) (*Report, error) {
 		losses[i] = &slab[i]
 	}
 	rep := Summarize(p.sigs, losses, p.wavelengths)
+	rep.Banks = p.banks
 	mSignals.Add(int64(len(p.sigs)))
 	span.Set(obs.Float("worst_il_db", rep.WorstIL),
 		obs.Float("power_mw", rep.TotalPowerMW),

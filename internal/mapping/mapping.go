@@ -111,30 +111,21 @@ var modePasses = [...][]slotPass{
 	shareFirst:     {{fresh: true, shared: true}},
 }
 
-// wlIndex indexes every ring waveguide's channels by (waveguide,
-// wavelength) slot. Only same-wavelength channels can collide
-// (router.Design.ChannelsCollide), so a first-fit probe of slot (w, λ)
-// walks that slot's channels alone, and probing all of w's slots costs
-// O(#wl + w's channels) instead of O(#wl × w's channels). "λ is in use
-// on w" is a non-empty slot, not a set built per probe.
-//
-// The layout is flat: heads[w.ID*stride+λ] is the newest arena entry on
-// slot (w, λ), -1 when the slot is free, and next links each entry to
-// the previous one on its slot. A collision test is an any-match, so
-// the walk order inside a slot does not matter. Entries a resync drops
-// go on a free list and are reused, so the arena holds no more entries
-// than the waveguides carry channels. Every change Step 3 makes to a
-// waveguide's channel list goes through add, newWaveguide, resync or
-// truncate, so the slots never go stale.
+// wlIndex keeps every ring waveguide's channels as router.Slots rows,
+// slot w.ID*stride+λ per (waveguide, wavelength) pair: a first-fit
+// probe of slot (w, λ) is one set test, and "λ is in use on w" is a
+// non-empty slot. used counts each waveguide's non-empty slots, so a
+// probe for a fresh slot skips a full waveguide. Every change Step 3
+// makes to a channel list goes through add, newWaveguide or resync, and
+// the spare repack resizes the index to the renumbered waveguides and
+// refills them, so the slots never go stale.
 //
 // The index also owns the route slab: Step 3 takes the router.Route
 // value of every route it records from one backing array.
 type wlIndex struct {
-	stride int          // slots per waveguide: #wl
-	heads  []int32      // newest entry per (waveguide, wavelength) slot, -1 = free
-	sig    []noc.Signal // arena: the signal of each entry
-	next   []int32      // arena: the previous entry on the same slot, -1 = none
-	free   int32        // first entry of the free list, -1 = none
+	stride int // slots per waveguide: #wl
+	occ    router.Slots
+	used   []int // per waveguide, its slots that hold a channel
 	slab   []router.Route
 }
 
@@ -146,99 +137,45 @@ func newWLIndex(d *router.Design, chans, routes int) *wlIndex {
 	// First fit opens a waveguide only when every slot of the earlier
 	// ones in its direction is taken, so chans channels need about chans
 	// slots plus one partly filled waveguide per direction and layer.
-	// Relocation may open a few more; heads grows then.
-	x := &wlIndex{
-		stride: stride,
-		heads:  make([]int32, 0, chans+4*stride),
-		sig:    make([]noc.Signal, 0, chans),
-		next:   make([]int32, 0, chans),
-		free:   -1,
-		slab:   make([]router.Route, 0, routes),
-	}
+	// Relocation may open a few more; the index grows then.
+	x := &wlIndex{stride: stride, occ: router.NewSlots(d, chans+4*stride),
+		used: make([]int, 0, chans/stride+4), slab: make([]router.Route, 0, routes)}
+	x.size(len(d.Waveguides))
 	for _, w := range d.Waveguides {
 		x.resync(w)
 	}
 	return x
 }
 
-// slots returns w's slot heads, or nil when w has none yet.
-func (x *wlIndex) slots(w *router.Waveguide) []int32 {
-	lo := w.ID * x.stride
-	if lo >= len(x.heads) {
-		return nil
-	}
-	return x.heads[lo : lo+x.stride]
+// size cuts the index to n waveguides or appends empty ones up to n.
+func (x *wlIndex) size(n int) {
+	x.occ.Resize(n * x.stride)
+	x.used = append(x.used[:min(n, len(x.used))], make([]int, max(n-len(x.used), 0))...)
 }
 
 // add appends a channel to w and to its slot.
 func (x *wlIndex) add(w *router.Waveguide, c router.Channel) {
 	w.Channels = append(w.Channels, c)
-	x.index(w.ID, c)
+	slot := w.ID*x.stride + c.WL
+	if x.occ.Free(slot) {
+		x.used[w.ID]++
+	}
+	x.occ.Add(slot, w.Dir, c.Sig)
 }
 
-// index links a channel of waveguide id into its slot.
-func (x *wlIndex) index(id int, c router.Channel) {
-	for len(x.heads) < (id+1)*x.stride {
-		x.heads = append(x.heads, -1)
-	}
-	e := x.free
-	if e >= 0 {
-		x.free = x.next[e]
-		x.sig[e] = c.Sig
-	} else {
-		e = int32(len(x.sig))
-		x.sig = append(x.sig, c.Sig)
-		x.next = append(x.next, -1)
-	}
-	s := id*x.stride + c.WL
-	x.next[e] = x.heads[s]
-	x.heads[s] = e
-}
-
-// clear frees every entry on waveguide id's slots.
-func (x *wlIndex) clear(id int) {
-	lo := id * x.stride
-	if lo >= len(x.heads) {
-		return
-	}
-	for s := lo; s < lo+x.stride; s++ {
-		for e := x.heads[s]; e >= 0; {
-			nx := x.next[e]
-			x.next[e] = x.free
-			x.free = e
-			e = nx
-		}
-		x.heads[s] = -1
-	}
-}
-
-// resync rebuilds w's slots from w.Channels after the list was filtered
-// or rewritten, reusing the freed entries.
+// resync rebuilds w's slots and count from w.Channels after it changed.
 func (x *wlIndex) resync(w *router.Waveguide) {
-	x.clear(w.ID)
-	for _, c := range w.Channels {
-		x.index(w.ID, c)
-	}
-}
-
-// truncate frees the slots of every waveguide with ID >= n, after a
-// repack dropped or renumbered them.
-func (x *wlIndex) truncate(n int) {
-	for id := n; id*x.stride < len(x.heads); id++ {
-		x.clear(id)
+	x.occ.Clear(w.ID*x.stride, (w.ID+1)*x.stride)
+	x.used[w.ID] = 0
+	chans := w.Channels
+	w.Channels = w.Channels[:0]
+	for _, c := range chans {
+		x.add(w, c)
 	}
 }
 
 // distinct returns how many wavelengths w carries.
-func (x *wlIndex) distinct(w *router.Waveguide) int {
-	n := 0
-	for _, h := range x.slots(w) {
-		if h >= 0 {
-			n++
-		}
-	}
-	return n
-}
+func (x *wlIndex) distinct(w *router.Waveguide) int { return x.used[w.ID] }
 
 // take returns a pointer to a copy of r in the slab. Should the slab
 // outgrow its size, earlier pointers still point at their own values.
@@ -247,17 +184,13 @@ func (x *wlIndex) take(r router.Route) *router.Route {
 	return &x.slab[len(x.slab)-1]
 }
 
-// ringRoute returns a route for sig on ring slot (wg, wl).
-func (x *wlIndex) ringRoute(sig noc.Signal, wg, wl int) *router.Route {
-	return x.take(router.Route{Sig: sig, Kind: router.OnRing, WG: wg, WL: wl})
-}
-
 // newWaveguide appends a fresh waveguide of direction dir to the design,
 // places sig on it at λ0 and returns it.
 func (x *wlIndex) newWaveguide(d *router.Design, sig noc.Signal, dir router.Direction) *router.Waveguide {
 	w := &router.Waveguide{ID: len(d.Waveguides), Dir: dir, Opening: -1,
 		Channels: make([]router.Channel, 0, x.stride)}
 	d.Waveguides = append(d.Waveguides, w)
+	x.size(len(d.Waveguides))
 	x.add(w, router.Channel{Sig: sig})
 	return w
 }
@@ -292,33 +225,24 @@ func channelLowerBound(d *router.Design) int {
 	n := d.N()
 	best := 0
 	for _, dir := range [2]router.Direction{router.CW, router.CCW} {
-		// load[i] counts arcs traversing the tour edge i -> i+1.
+		// load[e] counts arcs traversing the tour edge e -> e+1. A CCW
+		// arc covers the edges of the CW walk from its Dst to its Src.
 		load := make([]int, n)
 		for _, w := range d.Waveguides {
 			if w.Dir != dir {
 				continue
 			}
 			for _, c := range w.Channels {
-				si := d.TourPos(c.Sig.Src)
-				di := d.TourPos(c.Sig.Dst)
-				step := 1
+				e, to := d.TourPos(c.Sig.Src), d.TourPos(c.Sig.Dst)
 				if dir == router.CCW {
-					step = n - 1
+					e, to = to, e
 				}
-				for i := si; i != di; i = (i + step) % n {
-					e := i
-					if dir == router.CCW {
-						e = (i + n - 1) % n
-					}
+				for ; e != to; e = (e + 1) % n {
 					load[e]++
 				}
 			}
 		}
-		for _, l := range load {
-			if l > best {
-				best = l
-			}
-		}
+		best = max(best, slices.Max(load))
 	}
 	return best
 }
@@ -470,13 +394,10 @@ func ringJobs(d *router.Design, sigs []noc.Signal, skip []bool) []ringJob {
 		jobs = append(jobs, ringJob{sig, dir, l})
 	}
 	slices.SortFunc(jobs, func(a, b ringJob) int {
-		if c := cmp.Compare(b.len, a.len); c != 0 {
-			return c
+		if a.len != b.len {
+			return cmp.Compare(b.len, a.len)
 		}
-		if c := cmp.Compare(a.sig.Src, b.sig.Src); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.sig.Dst, b.sig.Dst)
+		return cmp.Or(cmp.Compare(a.sig.Src, b.sig.Src), cmp.Compare(a.sig.Dst, b.sig.Dst))
 	})
 	return jobs
 }
@@ -489,29 +410,23 @@ func mapRingSignals(d *router.Design, idx *wlIndex, traffic []noc.Signal, owned 
 	if opt.PreferSharing {
 		mode = shareFirst
 	}
-	underCap := func() bool {
-		return opt.MaxWaveguides == 0 || len(d.Waveguides) < opt.MaxWaveguides
-	}
-	place := func(sig noc.Signal, dir router.Direction, mode placeMode) (*router.Waveguide, int) {
-		return idx.placeFirstFit(d, 0, sig, dir, opt.MaxWL, mode)
-	}
 	for _, jb := range ringJobs(d, traffic, owned) {
-		w, wl := place(jb.sig, jb.dir, mode)
+		w, wl := idx.placeFirstFit(d, 0, jb.sig, jb.dir, opt.MaxWL, mode)
 		if w == nil && opt.AllowDetour {
-			w, wl = place(jb.sig, 1-jb.dir, mode)
+			w, wl = idx.placeFirstFit(d, 0, jb.sig, 1-jb.dir, opt.MaxWL, mode)
 		}
-		if w == nil && underCap() {
+		if w == nil && (opt.MaxWaveguides == 0 || len(d.Waveguides) < opt.MaxWaveguides) {
 			w, wl = idx.newWaveguide(d, jb.sig, jb.dir), 0
 		}
 		if w == nil && mode == freshOnly {
 			// The die is full: fall back to wavelength sharing.
-			w, wl = place(jb.sig, jb.dir, freshThenShare)
+			w, wl = idx.placeFirstFit(d, 0, jb.sig, jb.dir, opt.MaxWL, freshThenShare)
 		}
 		if w == nil {
 			return fmt.Errorf("mapping: signal %v does not fit: #wl=%d with at most %d waveguides is infeasible",
 				jb.sig, opt.MaxWL, opt.MaxWaveguides)
 		}
-		d.Routes[jb.sig] = idx.ringRoute(jb.sig, w.ID, wl)
+		d.Routes[jb.sig] = idx.take(router.Route{Sig: jb.sig, Kind: router.OnRing, WG: w.ID, WL: wl})
 		stats.RingSignals++
 	}
 	return nil
@@ -534,36 +449,22 @@ func (x *wlIndex) firstFit(d *router.Design, minWG int, sig noc.Signal, dir rout
 			if w.Dir != dir {
 				continue
 			}
-			if w.Opening >= 0 && d.PassesNode(sig.Src, sig.Dst, w.Opening, dir) {
+			if w.Opening >= 0 && d.PassesNode(sig.Src, sig.Dst, w.Opening, dir) ||
+				!pass.shared && maxWL <= x.stride && x.used[w.ID] == x.stride {
 				continue
 			}
-			slots := x.slots(w)
-			for wl := 0; wl < maxWL; wl++ {
-				head := int32(-1)
-				if wl < len(slots) {
-					head = slots[wl]
-				}
-				if head >= 0 && !pass.shared || head < 0 && !pass.fresh {
-					continue
-				}
-				if !x.collides(d, dir, router.Channel{Sig: sig, WL: wl}, head) {
+			for wl, slot := 0, w.ID*x.stride; wl < maxWL; wl, slot = wl+1, slot+1 {
+				if wl >= x.stride || x.occ.Free(slot) {
+					if pass.fresh {
+						return w, wl
+					}
+				} else if pass.shared && !x.occ.Collides(slot, dir, sig) {
 					return w, wl
 				}
 			}
 		}
 	}
 	return nil, 0
-}
-
-// collides reports whether cand collides with any channel on the slot
-// whose newest entry is head.
-func (x *wlIndex) collides(d *router.Design, dir router.Direction, cand router.Channel, head int32) bool {
-	for e := head; e >= 0; e = x.next[e] {
-		if d.ChannelsCollide(dir, cand, router.Channel{Sig: x.sig[e], WL: cand.WL}) {
-			return true
-		}
-	}
-	return false
 }
 
 // placeFirstFit places sig on the firstFit slot and returns it; the
@@ -620,17 +521,10 @@ func openWaveguidesIn(d *router.Design, idx *wlIndex, routes map[noc.Signal]*rou
 		counts = passerCounts(d, w, counts)
 		// Candidate: least-passed node; prefer nodes already used as
 		// openings elsewhere, then smallest ID.
-		best, bestCount, bestAligned := -1, int(^uint(0)>>1), false
+		best, bestCount, bestAligned := -1, math.MaxInt, false
 		for id, cnt := range counts {
 			aligned := opt.AlignOpenings && openingUsed[id]
-			better := false
-			switch {
-			case cnt < bestCount:
-				better = true
-			case cnt == bestCount && aligned && !bestAligned:
-				better = true
-			}
-			if better {
+			if cnt < bestCount || cnt == bestCount && aligned && !bestAligned {
 				best, bestCount, bestAligned = id, cnt, aligned
 			}
 		}
@@ -668,23 +562,17 @@ func openWaveguidesIn(d *router.Design, idx *wlIndex, routes map[noc.Signal]*rou
 // waveguides are interleaved so that pair k consists of radial positions
 // 2k (inner) and 2k+1 (outer), matching the Sec. III-D corridor layout.
 func assignRadials(d *router.Design) {
-	var cw, ccw []*router.Waveguide
+	var byDir [2][]*router.Waveguide // CW, CCW
 	for _, w := range d.Waveguides {
-		if w.Dir == router.CW {
-			cw = append(cw, w)
-		} else {
-			ccw = append(ccw, w)
-		}
+		byDir[w.Dir] = append(byDir[w.Dir], w)
 	}
 	radial := 0
-	for i := 0; i < len(cw) || i < len(ccw); i++ {
-		if i < len(cw) {
-			cw[i].Radial = radial
-			radial++
-		}
-		if i < len(ccw) {
-			ccw[i].Radial = radial
-			radial++
+	for i := 0; i < len(byDir[router.CW]) || i < len(byDir[router.CCW]); i++ {
+		for _, ws := range byDir {
+			if i < len(ws) {
+				ws[i].Radial = radial
+				radial++
+			}
 		}
 	}
 }

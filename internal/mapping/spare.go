@@ -13,7 +13,9 @@
 package mapping
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"xring/internal/milp"
 	"xring/internal/noc"
@@ -55,12 +57,12 @@ func addSpareLayer(d *router.Design, idx *wlIndex, opt Options, stats *Stats) er
 			}
 			w, wl = idx.newWaveguide(d, jb.sig, jb.dir), 0
 		}
-		d.SpareRoutes[jb.sig] = idx.ringRoute(jb.sig, w.ID, wl)
+		d.SpareRoutes[jb.sig] = idx.take(router.Route{Sig: jb.sig, Kind: router.OnRing, WG: w.ID, WL: wl})
 	}
 
 	if repackSpares(d, firstSpare, opt, stats) {
 		// The repack rewrote and renumbered the protection waveguides.
-		idx.truncate(firstSpare)
+		idx.size(len(d.Waveguides))
 		for _, w := range d.Waveguides[firstSpare:] {
 			idx.resync(w)
 		}
@@ -87,46 +89,43 @@ func addSpareLayer(d *router.Design, idx *wlIndex, opt Options, stats *Stats) er
 // Best-effort by design: any error keeps the greedy packing. It reports
 // whether it replaced the greedy packing.
 func repackSpares(d *router.Design, firstSpare int, opt Options, stats *Stats) bool {
-	type dirPack struct {
-		wgs  []*router.Waveguide // greedy protection waveguides, ID order
-		sigs []noc.Signal        // spare signals in canonical order
-		slot map[noc.Signal][2]int
+	// spare is one greedy placement: the signal, the index of its
+	// waveguide among its direction's protection waveguides, and λ.
+	type spare struct {
+		sig    noc.Signal
+		wi, wl int
 	}
-	packs := map[router.Direction]*dirPack{
-		router.CW:  {slot: map[noc.Signal][2]int{}},
-		router.CCW: {slot: map[noc.Signal][2]int{}},
-	}
+	var wgs [2][]*router.Waveguide // greedy protection waveguides per direction, ID order
+	var sps [2][]spare
 	for _, w := range d.Waveguides[firstSpare:] {
-		p := packs[w.Dir]
-		wi := len(p.wgs)
-		p.wgs = append(p.wgs, w)
 		for _, c := range w.Channels {
-			p.sigs = append(p.sigs, c.Sig)
-			p.slot[c.Sig] = [2]int{wi, c.WL}
+			sps[w.Dir] = append(sps[w.Dir], spare{c.Sig, len(wgs[w.Dir]), c.WL})
 		}
+		wgs[w.Dir] = append(wgs[w.Dir], w)
 	}
 
 	improved := false
 	for _, dir := range [2]router.Direction{router.CW, router.CCW} {
-		p := packs[dir]
-		if len(p.wgs) < 2 {
+		ws, sp := wgs[dir], sps[dir]
+		if len(ws) < 2 {
 			continue // nothing to compact
 		}
-		noc.SortSignals(p.sigs)
-		W, S := len(p.wgs), len(p.sigs)
-		nVars := S*W*opt.MaxWL + W
-		if nVars > spareRepackMaxVars {
+		// Canonical (Src, Dst) order; the signals are distinct.
+		slices.SortFunc(sp, func(a, b spare) int {
+			return cmp.Or(cmp.Compare(a.sig.Src, b.sig.Src), cmp.Compare(a.sig.Dst, b.sig.Dst))
+		})
+		W, S, L := len(ws), len(sp), opt.MaxWL
+		if S*W*L+W > spareRepackMaxVars {
 			continue
 		}
 
+		// x[s][wi*L+wl] places spare s on slot (wi, wl).
 		m := milp.NewModel()
-		x := make([][]milp.Var, S) // x[s][w*maxWL+wl]
+		x := make([][]milp.Var, S)
 		for s := range x {
-			x[s] = make([]milp.Var, W*opt.MaxWL)
-			for wi := 0; wi < W; wi++ {
-				for wl := 0; wl < opt.MaxWL; wl++ {
-					x[s][wi*opt.MaxWL+wl] = m.Binary(fmt.Sprintf("x_%d_%d_%d", s, wi, wl))
-				}
+			x[s] = make([]milp.Var, W*L)
+			for k := range x[s] {
+				x[s][k] = m.Binary(fmt.Sprintf("x_%d_%d_%d", s, k/L, k%L))
 			}
 		}
 		y := make([]milp.Var, W)
@@ -136,28 +135,20 @@ func repackSpares(d *router.Design, firstSpare int, opt Options, stats *Stats) b
 		}
 		for s := range x {
 			m.ExactlyOne(fmt.Sprintf("place_%d", s), x[s]...)
-			for wi := 0; wi < W; wi++ {
-				for wl := 0; wl < opt.MaxWL; wl++ {
-					m.AddConstraint(fmt.Sprintf("use_%d_%d_%d", s, wi, wl),
-						[]milp.Term{{Var: x[s][wi*opt.MaxWL+wl], Coef: 1}, {Var: y[wi], Coef: -1}},
-						milp.LE, 0)
-				}
+			for k, v := range x[s] {
+				m.AddConstraint(fmt.Sprintf("use_%d_%d_%d", s, k/L, k%L),
+					[]milp.Term{{Var: v, Coef: 1}, {Var: y[k/L], Coef: -1}}, milp.LE, 0)
 			}
 		}
 		// Wavelength-routing admissibility: two colliding signals cannot
 		// share a (waveguide, wavelength) slot.
 		for s1 := 0; s1 < S; s1++ {
 			for s2 := s1 + 1; s2 < S; s2++ {
-				c1 := router.Channel{Sig: p.sigs[s1]}
-				c2 := router.Channel{Sig: p.sigs[s2]}
-				if !d.ChannelsCollide(dir, c1, c2) {
+				if !d.ChannelsCollide(dir, router.Channel{Sig: sp[s1].sig}, router.Channel{Sig: sp[s2].sig}) {
 					continue
 				}
-				for wi := 0; wi < W; wi++ {
-					for wl := 0; wl < opt.MaxWL; wl++ {
-						m.AtMostOne(fmt.Sprintf("col_%d_%d_%d_%d", s1, s2, wi, wl),
-							x[s1][wi*opt.MaxWL+wl], x[s2][wi*opt.MaxWL+wl])
-					}
+				for k := range x[s1] {
+					m.AtMostOne(fmt.Sprintf("col_%d_%d_%d_%d", s1, s2, k/L, k%L), x[s1][k], x[s2][k])
 				}
 			}
 		}
@@ -170,9 +161,8 @@ func repackSpares(d *router.Design, firstSpare int, opt Options, stats *Stats) b
 
 		// Warm start from the greedy packing.
 		hint := make([]bool, m.NumVars())
-		for s, sig := range p.sigs {
-			sl := p.slot[sig]
-			hint[int(x[s][sl[0]*opt.MaxWL+sl[1]])] = true
+		for s, g := range sp {
+			hint[int(x[s][g.wi*L+g.wl])] = true
 		}
 		for wi := range y {
 			hint[int(y[wi])] = true
@@ -184,15 +174,13 @@ func repackSpares(d *router.Design, firstSpare int, opt Options, stats *Stats) b
 		}
 		// Adopt: rewrite this direction's protection channels per the
 		// solution, in canonical signal order.
-		for _, w := range p.wgs {
+		for _, w := range ws {
 			w.Channels = nil
 		}
-		for s, sig := range p.sigs {
-			for wi := 0; wi < W; wi++ {
-				for wl := 0; wl < opt.MaxWL; wl++ {
-					if sol.Value(x[s][wi*opt.MaxWL+wl]) {
-						p.wgs[wi].Channels = append(p.wgs[wi].Channels, router.Channel{Sig: sig, WL: wl})
-					}
+		for s, g := range sp {
+			for k, v := range x[s] {
+				if sol.Value(v) {
+					ws[k/L].Channels = append(ws[k/L].Channels, router.Channel{Sig: g.sig, WL: k % L})
 				}
 			}
 		}

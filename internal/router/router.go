@@ -184,13 +184,18 @@ func NewDesign(net *noc.Network, par phys.Params, tour []int, orders []geom.LOrd
 		EdgeOrders: append([]geom.LOrder(nil), orders...),
 		Routes:     map[noc.Signal]*Route{},
 	}
-	if err := d.indexTour(); err != nil {
+	if err := d.RefreshGeometry(); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-func (d *Design) indexTour() error {
+// RefreshGeometry (re)builds the cached tour index and geometry (arc
+// coordinates and perimeter) from the current node positions. The
+// incremental evaluator calls it after perturbing a node position: the
+// tour and all routed structure stay fixed, only the derived coordinates
+// move.
+func (d *Design) RefreshGeometry() error {
 	n := d.Net.N()
 	d.tourIndex = make([]int, n)
 	for i := range d.tourIndex {
@@ -214,12 +219,6 @@ func (d *Design) indexTour() error {
 	d.perimeter = d.cum[n]
 	return nil
 }
-
-// RefreshGeometry recomputes the cached tour geometry (arc coordinates
-// and perimeter) from the current node positions. The incremental
-// evaluator calls it after perturbing a node position: the tour and all
-// routed structure stay fixed, only the derived coordinates move.
-func (d *Design) RefreshGeometry() error { return d.indexTour() }
 
 // N returns the node count.
 func (d *Design) N() int { return d.Net.N() }
@@ -469,8 +468,9 @@ func (d *Design) TotalCrossings() int {
 	return n
 }
 
-// shortcutFor returns the shortcut connecting a and b, if any.
-func (d *Design) shortcutFor(a, b int) (int, *Shortcut) {
+// ShortcutFor returns the shortcut connecting a and b and its index, or
+// -1 and nil when there is none.
+func (d *Design) ShortcutFor(a, b int) (int, *Shortcut) {
 	for i, s := range d.Shortcuts {
 		if (s.A == a && s.B == b) || (s.A == b && s.B == a) {
 			return i, s
@@ -478,6 +478,3 @@ func (d *Design) shortcutFor(a, b int) (int, *Shortcut) {
 	}
 	return -1, nil
 }
-
-// ShortcutFor is the exported lookup used by analyses and tests.
-func (d *Design) ShortcutFor(a, b int) (int, *Shortcut) { return d.shortcutFor(a, b) }

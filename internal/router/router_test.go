@@ -254,6 +254,13 @@ func TestValidateWaveguides(t *testing.T) {
 	if err := d.Validate(); err == nil || !strings.Contains(err.Error(), "collision") {
 		t.Fatalf("want collision violation, got %v", err)
 	}
+
+	// A channel naming a node outside the network is an error, not a
+	// panic, even alone on its waveguide.
+	d.Waveguides[0].Channels = []Channel{{Sig: noc.Signal{Src: 0, Dst: 9}}}
+	if err := d.Validate(); err == nil || !strings.Contains(err.Error(), "outside") {
+		t.Fatalf("want out-of-range channel error, got %v", err)
+	}
 }
 
 func TestValidateShortcuts(t *testing.T) {

@@ -2,9 +2,9 @@ package router
 
 import (
 	"fmt"
+	"slices"
 
 	"xring/internal/geom"
-	"xring/internal/noc"
 )
 
 // ChannelsCollide reports whether two channels cannot share a waveguide
@@ -76,15 +76,27 @@ func (d *Design) validateTourGeometry() error {
 	return nil
 }
 
+// validateWaveguides checks every ring waveguide's channels. Each
+// channel is tested against the Slots rows of the channels before it on
+// its waveguide, with one slot per distinct wavelength there.
 func (d *Design) validateWaveguides() error {
+	n, k := d.N(), max(d.MaxWL, 1)
+	occ := NewSlots(d, k)
+	seen := make([]int, n*n) // seen[Src*n+Dst] = 1 + the waveguide carrying it
+	wls := make([]int, 0, k) // the waveguide's wavelengths; wls[slot] is the slot's
 	for wi, w := range d.Waveguides {
 		if w.ID != wi {
 			return fmt.Errorf("router: waveguide %d has ID %d", wi, w.ID)
 		}
-		if w.Opening != -1 && (w.Opening < 0 || w.Opening >= d.N()) {
+		if w.Opening != -1 && (w.Opening < 0 || w.Opening >= n) {
 			return fmt.Errorf("router: waveguide %d opening %d out of range", wi, w.Opening)
 		}
+		occ.Resize(0)
+		wls = wls[:0]
 		for ci, c := range w.Channels {
+			if c.Sig.Src < 0 || c.Sig.Src >= n || c.Sig.Dst < 0 || c.Sig.Dst >= n {
+				return fmt.Errorf("router: waveguide %d channel %v is outside the %d nodes", wi, c.Sig, n)
+			}
 			if c.Sig.Src == c.Sig.Dst {
 				return fmt.Errorf("router: waveguide %d has self-signal %v", wi, c.Sig)
 			}
@@ -99,16 +111,25 @@ func (d *Design) validateWaveguides() error {
 				return fmt.Errorf("router: waveguide %d channel %v passes its opening at node %d",
 					wi, c.Sig, w.Opening)
 			}
-			for cj := ci + 1; cj < len(w.Channels); cj++ {
-				c2 := w.Channels[cj]
-				if c.Sig == c2.Sig {
-					return fmt.Errorf("router: waveguide %d carries %v twice", wi, c.Sig)
-				}
-				if d.ChannelsCollide(w.Dir, c, c2) {
-					return fmt.Errorf("router: waveguide %d wavelength collision between %v and %v on λ%d",
-						wi, c.Sig, c2.Sig, c.WL)
+			if seen[c.Sig.Src*n+c.Sig.Dst] == wi+1 {
+				return fmt.Errorf("router: waveguide %d carries %v twice", wi, c.Sig)
+			}
+			seen[c.Sig.Src*n+c.Sig.Dst] = wi + 1
+			slot := slices.Index(wls, c.WL)
+			if slot < 0 {
+				slot, wls = len(wls), append(wls, c.WL)
+				occ.Resize(len(wls))
+			}
+			if occ.Collides(slot, w.Dir, c.Sig) {
+				// Name the earlier channel it collides with.
+				for _, c2 := range w.Channels[:ci] {
+					if d.ChannelsCollide(w.Dir, c2, c) {
+						return fmt.Errorf("router: waveguide %d wavelength collision between %v and %v on λ%d",
+							wi, c2.Sig, c.Sig, c.WL)
+					}
 				}
 			}
+			occ.Add(slot, w.Dir, c.Sig)
 		}
 	}
 	return nil
@@ -172,9 +193,6 @@ func (d *Design) validateShortcuts() error {
 }
 
 func (d *Design) validateShortcutChannels(si int, s *Shortcut) error {
-	ends := func(sig noc.Signal, a, b int) bool {
-		return (sig.Src == a && sig.Dst == b) || (sig.Src == b && sig.Dst == a)
-	}
 	seenWL := map[[2]interface{}]bool{} // (direction entry node, wl)
 	for _, c := range s.Channels {
 		if c.ViaCSE {
@@ -190,7 +208,7 @@ func (d *Design) validateShortcutChannels(si int, s *Shortcut) error {
 				return fmt.Errorf("router: CSE channel %v does not join shortcut %d to partner %d",
 					c.Sig, si, s.Partner)
 			}
-		} else if !ends(c.Sig, s.A, s.B) {
+		} else if !(c.Sig.Src == s.A && c.Sig.Dst == s.B || c.Sig.Src == s.B && c.Sig.Dst == s.A) {
 			return fmt.Errorf("router: channel %v does not match shortcut %d endpoints (%d,%d)",
 				c.Sig, si, s.A, s.B)
 		}
@@ -217,28 +235,14 @@ func (d *Design) validateRoutes() error {
 			if r.WG < 0 || r.WG >= len(d.Waveguides) {
 				return fmt.Errorf("router: route %v references waveguide %d", sig, r.WG)
 			}
-			found := false
-			for _, c := range d.Waveguides[r.WG].Channels {
-				if c.Sig == sig && c.WL == r.WL {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !slices.Contains(d.Waveguides[r.WG].Channels, Channel{Sig: sig, WL: r.WL}) {
 				return fmt.Errorf("router: route %v not present as channel on waveguide %d", sig, r.WG)
 			}
 		case OnShortcut:
 			if r.SC < 0 || r.SC >= len(d.Shortcuts) {
 				return fmt.Errorf("router: route %v references shortcut %d", sig, r.SC)
 			}
-			found := false
-			for _, c := range d.Shortcuts[r.SC].Channels {
-				if c.Sig == sig && c.WL == r.WL && c.ViaCSE == r.ViaCSE {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !slices.Contains(d.Shortcuts[r.SC].Channels, ShortcutChannel{Sig: sig, WL: r.WL, ViaCSE: r.ViaCSE}) {
 				return fmt.Errorf("router: route %v not present as channel on shortcut %d", sig, r.SC)
 			}
 		default:
@@ -295,14 +299,7 @@ func (d *Design) validateSpareRoutes() error {
 		if primaryWG[r.WG] {
 			return fmt.Errorf("router: spare route %v shares waveguide %d with primary traffic", sig, r.WG)
 		}
-		found := false
-		for _, c := range d.Waveguides[r.WG].Channels {
-			if c.Sig == sig && c.WL == r.WL {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(d.Waveguides[r.WG].Channels, Channel{Sig: sig, WL: r.WL}) {
 			return fmt.Errorf("router: spare route %v not present as channel on waveguide %d", sig, r.WG)
 		}
 	}
