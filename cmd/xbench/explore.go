@@ -157,7 +157,7 @@ func runExploreBench() (*record, error) {
 	}
 
 	// Phase B: every cell as a standalone cold request — fresh server
-	// (and so fresh ring/hint caches) per cell, result cache disabled.
+	// (and so a fresh ring cache) per cell, result cache disabled.
 	// Same best-of policy, per cell.
 	var individualMS float64
 	distinct := map[string]bool{}

@@ -32,14 +32,8 @@ import (
 	"xring/internal/ring"
 )
 
-// The Step-1 cache caps: ringCacheCap bounds the ring cache, and
-// hintCacheCap the warm-start hint cache. Hints are tiny (one []int
-// tour per degraded floorplan) but the set of floorplans that ever
-// degrade is also small, so a modest cap suffices.
-const (
-	ringCacheCap = 256
-	hintCacheCap = 128
-)
+// ringCacheCap bounds the Step-1 ring cache.
+const ringCacheCap = 256
 
 // The ring-cache counters are process-wide sums over every Engine; the
 // size gauge reports the engine that changed last.
@@ -49,28 +43,16 @@ var (
 	mRingCacheEvicts    = obs.NewCounter("core.ringcache.evictions")
 	mRingCacheSize      = obs.NewGauge("core.ringcache.size")
 	mRingCacheCoalesced = obs.NewCounter("core.ringcache.coalesced")
-	mHintStored         = obs.NewCounter("core.ringhint.stored")
-	mHintUsed           = obs.NewCounter("core.ringhint.used")
 )
 
 // Engine runs the synthesis flow over its own Step-1 state: the ring
-// cache, the warm-start hint cache, the singleflight table of
-// in-flight solves and an optional cluster delegate. Engines share
-// nothing, so two engines in one process behave like two processes.
-// Each service.Server owns one; the package-level functions use a
-// default engine.
+// cache, the singleflight table of in-flight solves and an optional
+// cluster delegate. Engines share nothing, so two engines in one
+// process behave like two processes. Each service.Server owns one; the
+// package-level functions use a default engine.
 type Engine struct {
 	// rings caches Step-1 results; see the file comment.
 	rings *lru.Cache[*ring.Result]
-	// hints remembers the heuristic tour served for a floorplan whose
-	// exact solve fell back (budget or deadline). A later exact attempt
-	// on the same floorplan passes the tour as
-	// ring.Options.IncumbentHint: the solver starts with a
-	// proven-feasible incumbent instead of an infinite bound, which
-	// prunes harder and often turns a formerly budget-exhausted solve
-	// into a completed one. Only fallback tours are stored — exact
-	// results live in the ring cache and never need re-solving.
-	hints *lru.Cache[[]int]
 
 	// flights coalesces concurrent misses on the same floorplan key:
 	// the first miss becomes the leader and solves; later misses wait
@@ -89,7 +71,6 @@ type Engine struct {
 func NewEngine(delegate RingDelegateFunc) *Engine {
 	return &Engine{
 		rings:    lru.New[*ring.Result](ringCacheCap),
-		hints:    lru.New[[]int](hintCacheCap),
 		flights:  map[string]chan struct{}{},
 		delegate: delegate,
 	}
@@ -99,11 +80,7 @@ func NewEngine(delegate RingDelegateFunc) *Engine {
 // ConstructRingShared functions.
 var defaultEngine = NewEngine(nil)
 
-// floorplanKey serializes everything ring.Construct reads — except
-// Options.IncumbentHint, deliberately: a warm-start hint only narrows
-// the search, it cannot change the optimum, so hinted and hint-less
-// solves of the same floorplan must share one cache slot (and the hint
-// cache must be addressable by the key of the retry it serves).
+// floorplanKey serializes everything ring.Construct reads.
 func floorplanKey(net *noc.Network, opt ring.Options) string {
 	buf := make([]byte, 0, 16*(len(net.Nodes)+2))
 	put := func(f float64) {
@@ -167,7 +144,7 @@ type RingDelegateFunc func(ctx context.Context, net *noc.Network, opt ring.Optio
 // ownership during a topology change. Concurrent identical requests
 // (local or forwarded by every other shard) coalesce onto one solve.
 func (e *Engine) ConstructRingShared(ctx context.Context, net *noc.Network, opt ring.Options) (*ring.Result, error) {
-	return e.constructRing(ctx, net, opt, false)
+	return e.constructRing(ctx, net, opt, floorplanKey(net, opt), false)
 }
 
 // ConstructRingShared is Engine.ConstructRingShared on the default engine.
@@ -175,15 +152,15 @@ func ConstructRingShared(ctx context.Context, net *noc.Network, opt ring.Options
 	return defaultEngine.ConstructRingShared(ctx, net, opt)
 }
 
-// constructRing is ring.Construct behind the cache, with singleflight
-// miss coalescing; delegate lets a leader consult the cluster delegate.
+// constructRing is ring.Construct behind the cache under key (the
+// floorplanKey of net and opt), with singleflight miss coalescing;
+// delegate lets a leader consult the cluster delegate.
 // The solve is deterministic, so an adopted leader result is
 // bit-identical to a private solve. A leader that fails (cancellation,
 // solver budget) fills nothing; each waiter then retries on its own —
 // one request's deadline must not poison identical requests that still
 // have budget.
-func (e *Engine) constructRing(ctx context.Context, net *noc.Network, opt ring.Options, delegate bool) (*ring.Result, error) {
-	key := floorplanKey(net, opt)
+func (e *Engine) constructRing(ctx context.Context, net *noc.Network, opt ring.Options, key string, delegate bool) (*ring.Result, error) {
 	for {
 		if r, ok := e.cacheLookup(key); ok {
 			return r, nil
@@ -257,14 +234,6 @@ const (
 // tour. With noFallback set the original error is returned instead.
 func (e *Engine) constructRingResilient(ctx context.Context, net *noc.Network, opt ring.Options, noFallback bool) (*ring.Result, string, error) {
 	key := floorplanKey(net, opt)
-	// Retry amnesty: if a previous request for this floorplan degraded,
-	// its heuristic tour warm-starts this attempt at the exact solve.
-	if len(opt.IncumbentHint) == 0 {
-		if tour, ok := e.hints.Get(key); ok {
-			opt.IncumbentHint = tour
-			mHintUsed.Inc()
-		}
-	}
 	err := resilience.Fire(ctx, "core.ring")
 	if err == nil {
 		if dl, ok := ctx.Deadline(); !noFallback && ok && time.Until(dl) < ringDeadlineSlack {
@@ -274,10 +243,10 @@ func (e *Engine) constructRingResilient(ctx context.Context, net *noc.Network, o
 				return r, "", nil
 			}
 			mFallbackDeadline.Inc()
-			return e.heuristicFallback(ctx, net, opt, key, DegradedReasonDeadline, nil)
+			return heuristicFallback(ctx, net, opt, DegradedReasonDeadline, nil)
 		}
 		var res *ring.Result
-		if res, err = e.constructRing(ctx, net, opt, true); err == nil {
+		if res, err = e.constructRing(ctx, net, opt, key, true); err == nil {
 			return res, "", nil
 		}
 	}
@@ -287,14 +256,13 @@ func (e *Engine) constructRingResilient(ctx context.Context, net *noc.Network, o
 		return nil, "", err
 	}
 	mFallbackBudget.Inc()
-	return e.heuristicFallback(ctx, net, opt, key, DegradedReasonBudget, err)
+	return heuristicFallback(ctx, net, opt, DegradedReasonBudget, err)
 }
 
 // heuristicFallback serves a degraded Step-1 request from the heuristic
-// ring constructor and keeps its tour as the next exact attempt's
-// warm-start hint. A heuristic failure is wrapped with cause, the
+// ring constructor. A heuristic failure is wrapped with cause, the
 // exact-path error that triggered the fallback, when there is one.
-func (e *Engine) heuristicFallback(ctx context.Context, net *noc.Network, opt ring.Options, key, reason string, cause error) (*ring.Result, string, error) {
+func heuristicFallback(ctx context.Context, net *noc.Network, opt ring.Options, reason string, cause error) (*ring.Result, string, error) {
 	res, err := ring.ConstructHeuristic(ctx, net, opt)
 	if err != nil {
 		if cause != nil {
@@ -302,18 +270,7 @@ func (e *Engine) heuristicFallback(ctx context.Context, net *noc.Network, opt ri
 		}
 		return nil, "", err
 	}
-	e.hintStore(key, res.Tour)
 	return res, reason, nil
-}
-
-// hintStore records a fallback tour for key (copied: the caller's
-// design keeps its own).
-func (e *Engine) hintStore(key string, tour []int) {
-	if len(tour) == 0 {
-		return
-	}
-	e.hints.Put(key, append([]int(nil), tour...), true)
-	mHintStored.Inc()
 }
 
 // ResetRingCache empties the default engine's Step-1 result cache.
@@ -324,6 +281,8 @@ func ResetRingCache() {
 	mRingCacheSize.Set(0)
 }
 
-// ResetHintCache empties the default engine's warm-start hint cache
-// (benchmarks, alongside ResetRingCache).
-func ResetHintCache() { defaultEngine.hints.Reset() }
+// ResetHintCache does nothing. Step 1 keeps no warm-start state beyond
+// the ring cache (the branch-and-bound always seeds its incumbent from
+// ring.HeuristicTour); the function stays for callers that reset both
+// caches between timed passes.
+func ResetHintCache() {}

@@ -1,15 +1,20 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"xring/internal/designio"
 	"xring/internal/milp"
 	"xring/internal/noc"
 	"xring/internal/resilience"
+	"xring/internal/ring"
 )
 
 // degradedCtx returns a context whose Step-1 exact solve fails with an
@@ -50,13 +55,11 @@ func TestSynthesizeFallsBackOnBudget(t *testing.T) {
 	}
 }
 
-// TestDegradedRetryWarmStarts pins the retry-amnesty loop: a synthesis
-// that degrades on budget exhaustion stores its heuristic tour in the
-// hint cache, and the next request for the same floorplan hands that
-// tour to the exact solver as an incumbent hint. The retry must come
-// back un-degraded AND report the warm start — the degraded rate across
-// the two runs drops from 1/1 to 1/2.
-func TestDegradedRetryWarmStarts(t *testing.T) {
+// TestDegradedRetryServesExact: once a synthesis has degraded on budget
+// exhaustion, the next request for the same floorplan on the same
+// engine runs the exact solve again — the degraded rate across the two
+// runs drops from 1/1 to 1/2.
+func TestDegradedRetryServesExact(t *testing.T) {
 	e := NewEngine(nil)
 	net := noc.Floorplan8()
 	in := resilience.NewInjector(1,
@@ -70,24 +73,18 @@ func TestDegradedRetryWarmStarts(t *testing.T) {
 	if !first.Degraded {
 		t.Fatal("first run not degraded — injection missed")
 	}
-	if first.Ring.WarmStarted {
-		t.Error("heuristic fallback must not claim a warm start")
-	}
 
 	// Same injector context, but the rule is spent (Times: 1): the exact
-	// solver runs this time, seeded with the stored heuristic tour.
+	// solver runs this time.
 	second, err := e.SynthesizeCtx(ctx, net, Options{MaxWL: 7})
 	if err != nil {
 		t.Fatalf("retry failed: %v", err)
 	}
 	if second.Degraded {
-		t.Fatal("retry still degraded; hint cache did not help")
-	}
-	if !second.Ring.WarmStarted {
-		t.Fatal("retry did not warm-start from the stored degraded tour")
+		t.Fatal("retry still degraded")
 	}
 	if !second.Ring.Optimal {
-		t.Error("warm-started retry should prove optimality")
+		t.Error("retry should prove optimality")
 	}
 }
 
@@ -162,5 +159,70 @@ func TestStageFaultAbortsPipeline(t *testing.T) {
 	_, err := SynthesizeCtx(ctx, noc.Floorplan8(), Options{MaxWL: 7})
 	if !errors.Is(err, resilience.ErrInjected) {
 		t.Fatalf("err = %v, want the injected stage fault", err)
+	}
+}
+
+// TestDegradedLeavesNoStep1State is a differential test: an engine that
+// has served a degraded Step-1 request — once through an injected
+// budget exhaustion, once through a near-expired deadline — must then
+// serve an exact request for the same floorplan exactly as a fresh
+// engine does. The ring.Result must deep-equal the fresh engine's and
+// the saved design must be byte-identical, so no fallback leaves state
+// behind that could steer a later solve.
+func TestDegradedLeavesNoStep1State(t *testing.T) {
+	names := []string{"floorplan8", "floorplan16"}
+	nets := []*noc.Network{noc.Floorplan8(), noc.Floorplan16()}
+	for seed := int64(1); seed <= 4; seed++ {
+		names = append(names, fmt.Sprintf("irr10-%d", seed))
+		nets = append(nets, noc.Irregular(10, 12, 12, 2.0, seed))
+	}
+	opt := Options{MaxWL: 8, WithPDN: true}
+	for i, net := range nets {
+		name := names[i]
+		fresh, err := NewEngine(nil).SynthesizeCtx(context.Background(), net, opt)
+		if err != nil {
+			t.Fatalf("%s: fresh engine: %v", name, err)
+		}
+		want, err := designio.Save(fresh.Design)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []string{"budget", "deadline"} {
+			e := NewEngine(nil)
+			switch mode {
+			case "budget":
+				res, err := e.SynthesizeCtx(degradedCtx(), net, opt)
+				if err != nil {
+					t.Fatalf("%s/%s: degraded synthesis: %v", name, mode, err)
+				}
+				if !res.Degraded {
+					t.Fatalf("%s/%s: injection missed", name, mode)
+				}
+			case "deadline":
+				ctx, cancel := context.WithTimeout(context.Background(), ringDeadlineSlack/2)
+				_, reason, err := e.constructRingResilient(ctx, net, ring.Options{}, false)
+				cancel()
+				if err != nil || reason != DegradedReasonDeadline {
+					t.Fatalf("%s/%s: reason %q err %v, want the deadline fallback", name, mode, reason, err)
+				}
+			}
+			got, err := e.SynthesizeCtx(context.Background(), net, opt)
+			if err != nil {
+				t.Fatalf("%s/%s: exact retry: %v", name, mode, err)
+			}
+			if got.Degraded {
+				t.Fatalf("%s/%s: exact retry degraded", name, mode)
+			}
+			if !reflect.DeepEqual(got.Ring, fresh.Ring) {
+				t.Errorf("%s/%s: ring.Result after a degraded request\n%+v\nfresh engine\n%+v", name, mode, *got.Ring, *fresh.Ring)
+			}
+			b, err := designio.Save(got.Design)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(b, want) {
+				t.Errorf("%s/%s: saved design differs from a fresh engine's", name, mode)
+			}
+		}
 	}
 }

@@ -1,16 +1,14 @@
 package core
 
 // Engine isolation: two engines in one process share no Step-1 state —
-// not the ring cache, not the warm-start hints — and only an engine's
-// own delegate is consulted on its misses.
+// no ring cache, no in-flight solves — and only an engine's own
+// delegate is consulted on its misses.
 
 import (
 	"context"
 	"testing"
 
-	"xring/internal/milp"
 	"xring/internal/noc"
-	"xring/internal/resilience"
 	"xring/internal/ring"
 )
 
@@ -51,31 +49,6 @@ func TestEnginesDoNotShareRingCache(t *testing.T) {
 	}
 }
 
-func TestEnginesDoNotShareHints(t *testing.T) {
-	a, b := NewEngine(nil), NewEngine(nil)
-	net := noc.Floorplan8()
-	in := resilience.NewInjector(1,
-		resilience.Rule{Point: "core.ring", Err: milp.ErrBudget, Times: 1})
-	degraded, err := a.SynthesizeCtx(resilience.WithInjector(context.Background(), in), net, Options{MaxWL: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !degraded.Degraded {
-		t.Fatal("engine A's run not degraded — injection missed")
-	}
-	if _, ok := a.hints.Get(floorplanKey(net, ring.Options{})); !ok {
-		t.Fatal("engine A stored no hint for its degraded floorplan")
-	}
-
-	res, err := b.SynthesizeCtx(context.Background(), net, Options{MaxWL: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ring.WarmStarted {
-		t.Error("engine B warm-started from engine A's hint")
-	}
-}
-
 func TestEngineDelegate(t *testing.T) {
 	net := noc.Floorplan8()
 	want := &ring.Result{Length: 42}
@@ -91,7 +64,7 @@ func TestEngineDelegate(t *testing.T) {
 	// A leader's miss goes to the delegate; the answer is cached.
 	e := NewEngine(delegate)
 	for i := 0; i < 2; i++ {
-		got, err := e.constructRing(context.Background(), net, ring.Options{}, true)
+		got, err := e.constructRing(context.Background(), net, ring.Options{}, floorplanKey(net, ring.Options{}), true)
 		if err != nil || got != want {
 			t.Fatalf("constructRing #%d = %v, %v; want the delegated result", i, got, err)
 		}
@@ -106,7 +79,7 @@ func TestEngineDelegate(t *testing.T) {
 	if _, err := NewEngine(delegate).ConstructRingShared(context.Background(), net, ring.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewEngine(nil).constructRing(context.Background(), net, ring.Options{}, true); err != nil {
+	if _, err := NewEngine(nil).constructRing(context.Background(), net, ring.Options{}, floorplanKey(net, ring.Options{}), true); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 0 {

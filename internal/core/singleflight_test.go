@@ -28,7 +28,7 @@ func TestConstructRingCoalescesConcurrentMisses(t *testing.T) {
 	for i := 0; i < callers; i++ {
 		go func(i int) {
 			defer wg.Done()
-			r, err := e.constructRing(context.Background(), net, ring.Options{}, true)
+			r, err := e.constructRing(context.Background(), net, ring.Options{}, floorplanKey(net, ring.Options{}), true)
 			if err != nil {
 				t.Errorf("caller %d: %v", i, err)
 				return
@@ -47,7 +47,7 @@ func TestConstructRingCoalescesConcurrentMisses(t *testing.T) {
 	// the cache the leader filled; only the leader's lookup plus any
 	// pre-flight-registration races count as misses, and after the
 	// leader lands there can be no further ones.
-	if after, err := e.constructRing(context.Background(), net, ring.Options{}, true); err != nil || after != results[0] {
+	if after, err := e.constructRing(context.Background(), net, ring.Options{}, floorplanKey(net, ring.Options{}), true); err != nil || after != results[0] {
 		t.Fatalf("post-flight lookup: %v (shared=%v)", err, after == results[0])
 	}
 	t.Logf("misses during coalesced burst: %d", mRingCacheMisses.Value()-before)
@@ -75,7 +75,7 @@ func TestConstructRingLeaderFailureDoesNotPoisonWaiters(t *testing.T) {
 		}
 		go func(ctx context.Context) {
 			defer wg.Done()
-			if _, err := e.constructRing(ctx, net, ring.Options{}, true); err != nil {
+			if _, err := e.constructRing(ctx, net, ring.Options{}, floorplanKey(net, ring.Options{}), true); err != nil {
 				failures.Add(1)
 			}
 		}(ctx)
@@ -86,7 +86,7 @@ func TestConstructRingLeaderFailureDoesNotPoisonWaiters(t *testing.T) {
 	if n := failures.Load(); n > 1 {
 		t.Errorf("%d callers failed, want at most the cancelled one", n)
 	}
-	if _, err := e.constructRing(context.Background(), net, ring.Options{}, true); err != nil {
+	if _, err := e.constructRing(context.Background(), net, ring.Options{}, floorplanKey(net, ring.Options{}), true); err != nil {
 		t.Errorf("post-failure solve: %v", err)
 	}
 }
@@ -111,7 +111,7 @@ func TestConstructRingWaiterHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.constructRing(ctx, net, ring.Options{}, true)
+		_, err := e.constructRing(ctx, net, ring.Options{}, floorplanKey(net, ring.Options{}), true)
 		done <- err
 	}()
 	cancel()

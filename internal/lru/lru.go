@@ -1,6 +1,6 @@
 // Package lru is a bounded least-recently-used map from string keys,
-// safe for concurrent use. The Step-1 ring and hint caches of
-// internal/core and the service's result cache are all instances.
+// safe for concurrent use. The Step-1 ring cache of internal/core and
+// the service's result cache are both instances.
 package lru
 
 import (

@@ -45,7 +45,6 @@ type JobRecord struct {
 	// Resilience annotations.
 	Degraded       bool   `json:"degraded,omitempty"`
 	DegradedReason string `json:"degradedReason,omitempty"`
-	WarmStart      bool   `json:"warmStart,omitempty"`
 	Panic          bool   `json:"panic,omitempty"`
 	Injected       bool   `json:"injected,omitempty"` // a resilience fault fired
 }

@@ -82,8 +82,9 @@ type Options struct {
 	// Delta scores proposals with the incremental evaluation engine
 	// (internal/delta) instead of a full re-synthesis per proposal: the
 	// structure synthesized at the initial placement is held fixed while
-	// the search moves nodes, and only the move's dirty subset of the
-	// loss/crosstalk analyses is recomputed. The returned Result is a
+	// the search moves nodes, and each move re-prices the loss and
+	// crosstalk analyses on that structure from cached exact counts and
+	// refreshed geometry (no Step 1–3 re-run). The returned Result is a
 	// fresh full synthesis at the final placement. The search trajectory
 	// can differ from full mode, which re-synthesizes (and may therefore
 	// restructure) at every proposal.
@@ -228,8 +229,8 @@ func OptimizeCtx(ctx context.Context, net *noc.Network, opt Options) (*noc.Netwo
 		tEval := time.Now()
 
 		// Score the round. Delta mode holds the synthesized structure
-		// fixed and evaluates moves incrementally (apply → dirty-subset
-		// recompute → revert), which is inherently serial and cheap;
+		// fixed and evaluates moves incrementally (apply → re-price
+		// → revert), which is inherently serial and cheap;
 		// full mode re-synthesizes per proposal. Ties break toward the
 		// lowest proposal index either way, so the pick is independent
 		// of worker count.

@@ -142,7 +142,7 @@ func TestBBMatchesReference(t *testing.T) {
 					opt := Options{MaxNodes: maxNodes}
 					name := fmt.Sprintf("n=%d spacing=%v seed=%d maxNodes=%d", n, spacing, seed, maxNodes)
 					rb, wsucc, wobj, werr := refSolveAssignmentBB(net, ct, opt)
-					st, _ := newBBState(net, ct, opt)
+					st := newBBState(net, ct, opt)
 					st.search(0, nil, 0)
 					succ, obj, _, err := st.outcome()
 					if fmt.Sprint(err) != fmt.Sprint(werr) {

@@ -58,7 +58,6 @@ var (
 	mBBPruned      = obs.NewCounter("ring.bb.pruned")
 	mBBIncumbents  = obs.NewCounter("ring.bb.incumbents")
 	mConflictPairs = obs.NewCounter("ring.conflict.pairs")
-	mWarmAccepted  = obs.NewCounter("ring.warmstart.accepted")
 )
 
 // Result is the outcome of ring construction.
@@ -80,10 +79,6 @@ type Result struct {
 	Nodes int
 	// Optimal reports whether the model was solved to proven optimality.
 	Optimal bool
-	// WarmStarted reports whether an external Options.IncumbentHint was
-	// valid, conflict-free and primed the incumbent. The always-on
-	// internal heuristic warm start does not count.
-	WarmStarted bool
 }
 
 // Options tunes the constructors.
@@ -92,11 +87,6 @@ type Options struct {
 	MaxNodes int
 	// DisableConflicts drops Eq. (3), for ablation studies.
 	DisableConflicts bool
-	// IncumbentHint, when non-nil, is a previously known feasible tour
-	// (a permutation of the node IDs) used to prime the incumbent — e.g.
-	// a prior degraded result on a retry. Invalid or conflicting hints
-	// are ignored rather than rejected.
-	IncumbentHint []int
 }
 
 type edgeKey struct{ a, b int } // undirected, a < b
@@ -254,7 +244,7 @@ func ConstructCtx(ctx context.Context, net *noc.Network, opt Options) (*Result, 
 	cspan.End()
 
 	_, sspan := obs.Start(ctx, "ring.solve")
-	succ, objective, nodes, optimal, warm, err := solveAssignmentBB(net, ct, opt)
+	succ, objective, nodes, optimal, err := solveAssignmentBB(net, ct, opt)
 	sspan.Set(obs.Int("bb_nodes", nodes), obs.Bool("optimal", optimal))
 	sspan.End()
 	if err != nil {
@@ -282,7 +272,6 @@ func ConstructCtx(ctx context.Context, net *noc.Network, opt Options) (*Result, 
 		Subcycles:      len(cycles),
 		Nodes:          nodes,
 		Optimal:        optimal,
-		WarmStarted:    warm,
 	}, nil
 }
 
@@ -333,17 +322,15 @@ func ConstructHeuristic(ctx context.Context, net *noc.Network, opt Options) (*Re
 type dedge struct{ from, to int }
 
 // MILPInstance is a compiled Eq. (1)-(4) model for one network, ready to
-// hand to milp.Solve. Hint carries the warm-start incumbent (from the
-// construction heuristic, or the caller's Options.IncumbentHint when it
-// is a valid conflict-free tour); nil when no feasible tour is known.
+// hand to milp.Solve. Hint carries the construction heuristic's tour as
+// the warm-start incumbent; nil when no feasible tour is known.
 type MILPInstance struct {
 	Model *milp.Model
 	Hint  []bool
 
-	n            int
-	vars         map[dedge]milp.Var
-	ct           *conflictTable
-	externalHint bool // Hint derived from Options.IncumbentHint
+	n    int
+	vars map[dedge]milp.Var
+	ct   *conflictTable
 }
 
 // NewMILPInstance builds the literal paper model: Eq. (1) degree rows,
@@ -357,7 +344,7 @@ type MILPInstance struct {
 //
 // Equality is impossible (2-cycles are banned and n ≥ 3), so exactly one
 // orientation of each tour survives and the search space halves without
-// losing any optimum. Warm-start tours are reversed as needed to respect
+// losing any optimum. The warm-start tour is reversed as needed to respect
 // the same orientation before being encoded as a hint.
 func NewMILPInstance(net *noc.Network, opt Options) (*MILPInstance, error) {
 	n := net.N()
@@ -418,14 +405,8 @@ func NewMILPInstance(net *noc.Network, opt Options) (*MILPInstance, error) {
 	m.AddConstraint("symbreak", symb, milp.LE, 0)
 
 	inst := &MILPInstance{Model: m, n: n, vars: vars, ct: ct}
-	// Prefer the caller's hint when it is a valid conflict-free tour;
-	// otherwise fall back to the construction heuristic.
 	chk := &bbState{net: net, ct: ct, n: n}
-	if hint := opt.IncumbentHint; len(hint) > 0 && isPermutation(hint, n) && chk.feasible(tourSucc(hint)) {
-		inst.Hint = inst.encodeTour(hint)
-		inst.externalHint = true
-		mWarmAccepted.Inc()
-	} else if tour, err := HeuristicTour(net, ct); err == nil && chk.feasible(tourSucc(tour)) {
+	if tour, err := HeuristicTour(net, ct); err == nil && chk.feasible(tourSucc(tour)) {
 		inst.Hint = inst.encodeTour(tour)
 	}
 	return inst, nil
@@ -471,8 +452,7 @@ func (inst *MILPInstance) Successors(sol *milp.Solution) []int {
 // ConstructMILP builds and solves the literal Eq. (1)-(4) model with the
 // generic 0/1 solver, then applies the same merging. It is exponential
 // in the worst case and intended for N ≲ 10 and cross-validation. The
-// solve is warm-started from the construction heuristic (or the caller's
-// Options.IncumbentHint).
+// solve is warm-started from the construction heuristic.
 func ConstructMILP(net *noc.Network, opt Options) (*Result, error) {
 	inst, err := NewMILPInstance(net, opt)
 	if err != nil {
@@ -508,7 +488,6 @@ func ConstructMILP(net *noc.Network, opt Options) (*Result, error) {
 		Subcycles:      len(cycles),
 		Nodes:          int(sol.Nodes),
 		Optimal:        sol.Optimal,
-		WarmStarted:    inst.externalHint && sol.WarmStarted,
 	}, nil
 }
 
@@ -546,21 +525,6 @@ type bbState struct {
 	incumbents int // times a new best assignment was adopted
 }
 
-// isPermutation reports whether tour is a permutation of 0..n-1.
-func isPermutation(tour []int, n int) bool {
-	if len(tour) != n {
-		return false
-	}
-	seen := make([]bool, n)
-	for _, v := range tour {
-		if v < 0 || v >= n || seen[v] {
-			return false
-		}
-		seen[v] = true
-	}
-	return true
-}
-
 // tourSucc converts a cyclic tour into a successor function.
 func tourSucc(tour []int) []int {
 	succ := make([]int, len(tour))
@@ -570,20 +534,19 @@ func tourSucc(tour []int) []int {
 	return succ
 }
 
-func solveAssignmentBB(net *noc.Network, ct *conflictTable, opt Options) (succ []int, objective float64, nodes int, optimal, warmStarted bool, err error) {
-	st, warmStarted := newBBState(net, ct, opt)
+func solveAssignmentBB(net *noc.Network, ct *conflictTable, opt Options) (succ []int, objective float64, nodes int, optimal bool, err error) {
+	st := newBBState(net, ct, opt)
 	st.search(0, nil, 0)
 	mBBNodes.Add(int64(st.nodes))
 	mBBPruned.Add(int64(st.pruned))
 	mBBIncumbents.Add(int64(st.incumbents))
 	succ, objective, optimal, err = st.outcome()
-	return succ, objective, st.nodes, optimal, warmStarted, err
+	return succ, objective, st.nodes, optimal, err
 }
 
 // newBBState sets up the search: the cost matrix and the incumbent from
-// the heuristic warm start or the caller's hint, whichever is better.
-// warmStarted reports whether the hint was usable.
-func newBBState(net *noc.Network, ct *conflictTable, opt Options) (st *bbState, warmStarted bool) {
+// the heuristic warm start.
+func newBBState(net *noc.Network, ct *conflictTable, opt Options) *bbState {
 	n := net.N()
 	pos := net.Positions()
 	cost := make([]float64, n*n)
@@ -596,38 +559,19 @@ func newBBState(net *noc.Network, ct *conflictTable, opt Options) (st *bbState, 
 			}
 		}
 	}
-	st = &bbState{net: net, ct: ct, n: n, cost: cost, best: math.Inf(1), maxNodes: opt.MaxNodes}
+	st := &bbState{net: net, ct: ct, n: n, cost: cost, best: math.Inf(1), maxNodes: opt.MaxNodes}
 	if st.maxNodes == 0 {
 		st.maxNodes = 500_000
 	}
 	// Warm start from the merge-friendly heuristic: a feasible
 	// conflict-free tour is also a feasible assignment.
 	if warm, werr := HeuristicTour(net, ct); werr == nil {
-		wsucc := make([]int, n)
-		for i := range warm {
-			wsucc[warm[i]] = warm[(i+1)%n]
-		}
-		if st.feasible(wsucc) {
+		if wsucc := tourSucc(warm); st.feasible(wsucc) {
 			st.best = succCost(cost, wsucc)
 			st.bestSucc = wsucc
 		}
 	}
-	// External tour hint (e.g. a prior degraded result): adopt if it is a
-	// valid, conflict-free permutation. It counts as a warm start even
-	// when the internal heuristic found something better — the caller
-	// only cares that its hint was usable.
-	if hint := opt.IncumbentHint; len(hint) > 0 && isPermutation(hint, n) {
-		hsucc := tourSucc(hint)
-		if st.feasible(hsucc) {
-			warmStarted = true
-			mWarmAccepted.Inc()
-			if c := succCost(cost, hsucc); c < st.best {
-				st.best = c
-				st.bestSucc = hsucc
-			}
-		}
-	}
-	return st, warmStarted
+	return st
 }
 
 // outcome reports the finished search: the best assignment, its cost

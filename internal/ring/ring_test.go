@@ -334,7 +334,7 @@ func TestBudgetExhaustionWrapsErrBudget(t *testing.T) {
 			ct.set(x, y)
 		}
 	}
-	_, _, _, _, _, err := solveAssignmentBB(net, ct, Options{MaxNodes: 1})
+	_, _, _, _, err := solveAssignmentBB(net, ct, Options{MaxNodes: 1})
 	if !errors.Is(err, milp.ErrBudget) {
 		t.Fatalf("err = %v, want errors.Is(err, milp.ErrBudget)", err)
 	}

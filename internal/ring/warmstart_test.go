@@ -6,49 +6,6 @@ import (
 	"xring/internal/noc"
 )
 
-// TestExternalHintWarmStartsBB: feeding a previously constructed tour
-// back in as IncumbentHint must be accepted (WarmStarted) and must not
-// change the optimum.
-func TestExternalHintWarmStartsBB(t *testing.T) {
-	net := noc.Irregular(7, 9, 9, 1.5, 41)
-	base, err := Construct(net, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.WarmStarted {
-		t.Fatal("hint-less construct must not report a warm start")
-	}
-	again, err := Construct(net, Options{IncumbentHint: base.Tour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !again.WarmStarted {
-		t.Fatal("valid tour hint not reported as warm start")
-	}
-	if again.ModelObjective != base.ModelObjective {
-		t.Fatalf("warm start changed the optimum: %v != %v", again.ModelObjective, base.ModelObjective)
-	}
-}
-
-// TestInvalidHintIgnored: garbage hints are silently dropped rather than
-// rejected — the solve still succeeds, just without the warm start.
-func TestInvalidHintIgnored(t *testing.T) {
-	net := noc.Irregular(6, 8, 8, 1.5, 42)
-	for _, hint := range [][]int{
-		{0, 0, 0, 0, 0, 0}, // not a permutation
-		{0, 1, 2},          // wrong length
-		{9, 8, 7, 6, 5, 4}, // out of range
-	} {
-		res, err := Construct(net, Options{IncumbentHint: hint})
-		if err != nil {
-			t.Fatalf("hint %v: %v", hint, err)
-		}
-		if res.WarmStarted {
-			t.Fatalf("hint %v reported as warm start", hint)
-		}
-	}
-}
-
 // TestMILPInstanceRoundTrip: the exported instance must carry a feasible
 // heuristic hint (respecting the symmetry break) and decode solver
 // solutions back into a full successor assignment.
@@ -68,28 +25,5 @@ func TestMILPInstanceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.WarmStarted {
-		t.Fatal("heuristic warm start must not be reported as external")
-	}
 	checkTour(t, net, res)
-}
-
-// TestConstructMILPExternalHint: ConstructMILP prefers a valid external
-// tour hint and reports it via Result.WarmStarted.
-func TestConstructMILPExternalHint(t *testing.T) {
-	net := noc.Irregular(6, 8, 8, 1.5, 44)
-	base, err := ConstructMILP(net, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := ConstructMILP(net, Options{IncumbentHint: base.Tour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.WarmStarted {
-		t.Fatal("valid external hint not reported by ConstructMILP")
-	}
-	if warm.ModelObjective != base.ModelObjective {
-		t.Fatalf("warm start changed the optimum: %v != %v", warm.ModelObjective, base.ModelObjective)
-	}
 }

@@ -90,11 +90,7 @@ type Stats struct {
 	// fallback), panics contained to their job, stage-watchdog expiries,
 	// and persistent-cache traffic (disk hits promoted to memory,
 	// entries recovered at startup, corrupt/stale entries discarded).
-	Degraded int64 `json:"degraded"`
-	// WarmStarts counts jobs whose Step-1 exact solve was primed with a
-	// cached incumbent tour (typically a prior degraded result for the
-	// same floorplan) — the retry-amnesty loop working as intended.
-	WarmStarts       int64 `json:"warmStartUsed"`
+	Degraded         int64 `json:"degraded"`
 	Panics           int64 `json:"panics"`
 	StageTimeouts    int64 `json:"stageTimeouts"`
 	PersistHits      int64 `json:"persistHits"`
@@ -136,7 +132,6 @@ type stats struct {
 	synthesized        atomic.Int64
 	failed             atomic.Int64
 	degraded           atomic.Int64
-	warmStarts         atomic.Int64
 	panics             atomic.Int64
 	stageTimeouts      atomic.Int64
 	persistHits        atomic.Int64
@@ -164,7 +159,6 @@ func (s *stats) snapshot() Stats {
 		Synthesized:          s.synthesized.Load(),
 		Failed:               s.failed.Load(),
 		Degraded:             s.degraded.Load(),
-		WarmStarts:           s.warmStarts.Load(),
 		Panics:               s.panics.Load(),
 		StageTimeouts:        s.stageTimeouts.Load(),
 		PersistHits:          s.persistHits.Load(),
@@ -194,7 +188,6 @@ func (s *stats) metrics() map[string]int64 {
 		"service.jobs.done":             s.synthesized.Load(),
 		"service.jobs.failed":           s.failed.Load(),
 		"service.jobs.degraded":         s.degraded.Load(),
-		"service.jobs.warmstarted":      s.warmStarts.Load(),
 		"service.jobs.panics_recovered": s.panics.Load(),
 		"service.jobs.stage_timeouts":   s.stageTimeouts.Load(),
 		"service.persist.hits":          s.persistHits.Load(),

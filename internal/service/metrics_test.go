@@ -27,7 +27,6 @@ func statsByMetric(st Stats) map[string]int64 {
 		"service.jobs.done":             st.Synthesized,
 		"service.jobs.failed":           st.Failed,
 		"service.jobs.degraded":         st.Degraded,
-		"service.jobs.warmstarted":      st.WarmStarts,
 		"service.jobs.panics_recovered": st.Panics,
 		"service.jobs.stage_timeouts":   st.StageTimeouts,
 		"service.persist.hits":          st.PersistHits,
@@ -241,7 +240,6 @@ func TestMetricsServerFamilies(t *testing.T) {
 		"xring_service_jobs_inflight_max",
 		"xring_service_jobs_panics_recovered_total",
 		"xring_service_jobs_stage_timeouts_total",
-		"xring_service_jobs_warmstarted_total",
 		"xring_service_persist_discarded_total",
 		"xring_service_persist_evictions_total",
 		"xring_service_persist_hits_total",

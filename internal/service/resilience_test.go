@@ -67,11 +67,11 @@ func TestDegradedSynthesisOverHTTP(t *testing.T) {
 	}
 }
 
-// TestWarmStartSurfacedOverHTTP follows a degraded job with a fresh
-// request for the same floorplan: the retry warm-starts the exact solve
-// from the stored heuristic tour, the summary carries warmStart, and
-// /v1/stats counts it under warmStartUsed.
-func TestWarmStartSurfacedOverHTTP(t *testing.T) {
+// TestDegradedRetryOverHTTP follows a degraded job with a fresh
+// request for the same floorplan: past the spent fault rule the retry
+// runs the exact solve and comes back un-degraded, and /v1/stats counts
+// only the first job as degraded.
+func TestDegradedRetryOverHTTP(t *testing.T) {
 	inj := resilience.NewInjector(1,
 		resilience.Rule{Point: "core.ring", Err: milp.ErrBudget, Times: 1})
 	s, ts := newTestServer(t, Config{Workers: 1, Injector: inj})
@@ -85,41 +85,18 @@ func TestWarmStartSurfacedOverHTTP(t *testing.T) {
 	}
 
 	// Same floorplan, different content key (MaxWL), so the result cache
-	// and dedup are out of the way and the engine runs again — this time
-	// past the spent fault rule and seeded from the hint cache.
+	// and dedup are out of the way and the engine runs again.
 	retry := quadRequest(0)
 	retry.Options.MaxWL = 3
 	resp, data = postSynth(t, ts.URL, retry)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("retry synthesize: status %d, body %s", resp.StatusCode, data)
 	}
-	r := decodeResponse(t, data)
-	if r.Summary == nil || r.Summary.Degraded {
+	if r := decodeResponse(t, data); r.Summary == nil || r.Summary.Degraded {
 		t.Fatalf("retry summary = %+v, want un-degraded", r.Summary)
 	}
-	if !r.Summary.WarmStart {
-		t.Fatal("retry summary does not report the warm start")
-	}
-	if st := s.Stats(); st.WarmStarts != 1 {
-		t.Errorf("stats.WarmStarts = %d, want 1", st.WarmStarts)
-	}
-
-	// The raw JSON field name is API surface (clients and dashboards key
-	// off it).
-	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		t.Fatal(err)
-	}
-	sum, _ := raw["summary"].(map[string]any)
-	if sum["warmStart"] != true {
-		t.Errorf(`response summary JSON lacks "warmStart": true: %v`, sum)
-	}
-	stats, err := json.Marshal(s.Stats())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(stats), `"warmStartUsed":1`) {
-		t.Errorf("stats JSON lacks warmStartUsed: %s", stats)
+	if st := s.Stats(); st.Degraded != 1 || st.Synthesized != 2 {
+		t.Errorf("stats degraded/synthesized = %d/%d, want 1/2", st.Degraded, st.Synthesized)
 	}
 }
 

@@ -48,11 +48,6 @@ type Summary struct {
 	// still valid and fully routed, just not provably optimal.
 	Degraded       bool   `json:"degraded,omitempty"`
 	DegradedReason string `json:"degradedReason,omitempty"`
-	// WarmStart marks a result whose exact Step-1 solve was primed with
-	// a previously known feasible tour (the retry path after a degraded
-	// result). Purely informational — warm starts never change the
-	// optimum, only how fast it is proven.
-	WarmStart bool `json:"warmStart,omitempty"`
 	// TraceID is the trace ID of the request that ran the synthesis. On
 	// a cache hit it keeps the synthesizing request's ID (the envelope's
 	// TraceID is the current request's), so a cached summary still
@@ -113,7 +108,6 @@ func summarize(res *core.Result) *Summary {
 	}
 	s.Degraded = res.Degraded
 	s.DegradedReason = res.DegradedReason
-	s.WarmStart = res.Ring != nil && res.Ring.WarmStarted
 	return s
 }
 
@@ -237,9 +231,6 @@ func (s *Server) run(j *job) {
 			if summary.Degraded {
 				s.st.degraded.Add(1)
 			}
-			if summary.WarmStart {
-				s.st.warmStarts.Add(1)
-			}
 			c := &cached{key: j.key, jobID: j.id, summary: summary, design: design}
 			s.cachePut(c)
 			if s.persist != nil {
@@ -282,7 +273,6 @@ func (s *Server) run(j *job) {
 	if summary != nil {
 		rec.Degraded = summary.Degraded
 		rec.DegradedReason = summary.DegradedReason
-		rec.WarmStart = summary.WarmStart
 	}
 	if err != nil {
 		rec.Error = err.Error()

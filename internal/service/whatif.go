@@ -23,6 +23,7 @@ import (
 	"xring/internal/faults"
 	"xring/internal/noc"
 	"xring/internal/pdn"
+	"xring/internal/resilience"
 	"xring/internal/router"
 )
 
@@ -149,6 +150,23 @@ func whatifID(seq uint64, key string, spec []byte) string {
 // universe must not mint millions of scenarios; use sample mode).
 const maxWhatifScenarios = 4096
 
+// maxWhatifFaults bounds one replay's expansion by total faults,
+// scenarios × k: the scenario cap alone still admits a k near the
+// universe size, whose few thousand scenarios each carry thousands of
+// faults.
+const maxWhatifFaults = 8 * maxWhatifScenarios
+
+// checkFaultTotal rejects an expansion of n scenarios of k faults each
+// when it would exceed maxWhatifFaults, without multiplying (k is
+// client-chosen and may be huge).
+func checkFaultTotal(n, k int) error {
+	if k > 0 && n > maxWhatifFaults/k {
+		return fmt.Errorf("%d scenarios of %d faults exceed the max of %d faults per replay",
+			n, k, maxWhatifFaults)
+	}
+	return nil
+}
+
 // toFault validates one wire fault against the design it will be
 // injected into.
 func (fs *FaultSpec) toFault(d *router.Design) (faults.Fault, error) {
@@ -223,6 +241,9 @@ func (fs *FaultSpec) toFault(d *router.Design) (faults.Fault, error) {
 // returning the universe size alongside (0 in inject mode).
 func expandScenarios(d *router.Design, spec *WhatifFaults) ([]faults.Scenario, int, error) {
 	if len(spec.Inject) > 0 {
+		if err := checkFaultTotal(1, len(spec.Inject)); err != nil {
+			return nil, 0, err
+		}
 		sc := make(faults.Scenario, len(spec.Inject))
 		for i := range spec.Inject {
 			f, err := spec.Inject[i].toFault(d)
@@ -261,10 +282,11 @@ func expandScenarios(d *router.Design, spec *WhatifFaults) ([]faults.Scenario, i
 		// Bound by the binomial count before materializing anything: a
 		// k=3 universe of a few thousand faults enumerates billions of
 		// scenarios, which must be rejected without allocating them.
-		if n := faults.Combinations(len(universe), k, maxWhatifScenarios); n > maxWhatifScenarios {
+		n := faults.Combinations(len(universe), k, maxWhatifScenarios)
+		if n > maxWhatifScenarios {
 			err = fmt.Errorf("k=%d over a universe of %d enumerates more than %d scenarios; use mode \"sample\"",
 				k, len(universe), maxWhatifScenarios)
-		} else {
+		} else if err = checkFaultTotal(n, k); err == nil {
 			scs, err = faults.EnumerateK(universe, k)
 		}
 	case "sample":
@@ -274,7 +296,7 @@ func expandScenarios(d *router.Design, spec *WhatifFaults) ([]faults.Scenario, i
 		}
 		if n > maxWhatifScenarios {
 			err = fmt.Errorf("samples %d exceeds max %d", n, maxWhatifScenarios)
-		} else {
+		} else if err = checkFaultTotal(n, k); err == nil {
 			scs, err = faults.SampleK(universe, k, n, spec.Seed)
 		}
 	default:
@@ -366,14 +388,11 @@ func (s *Server) runWhatif(wr *whatifRun, d *router.Design, scenarios []faults.S
 	})
 }
 
-// replayIsolated runs the analyzer with panic containment and publishes
-// one "fault" event per completed scenario.
+// replayIsolated runs the analyzer with panic containment (a serial
+// replay panics on its caller; pooled ones come back as errors) and
+// publishes one "fault" event per completed scenario.
 func (s *Server) replayIsolated(wr *whatifRun, d *router.Design, scenarios []faults.Scenario, serial bool) (rep *faults.Report, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			rep, err = nil, fmt.Errorf("whatif replay panicked: %v", r)
-		}
-	}()
+	defer resilience.RecoverTo(&err, "service.whatif")
 	// Designs synthesized with an aligned tree PDN carry openings; their
 	// feed losses replay exactly. Designs without openings (no PDN, or
 	// the comb ablation) replay without PDN terms — the structural

@@ -9,13 +9,17 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
 
+	"xring/internal/core"
+	"xring/internal/designio"
 	"xring/internal/faults"
 	"xring/internal/milp"
+	"xring/internal/noc"
 	"xring/internal/resilience"
 )
 
@@ -329,4 +333,59 @@ func sseTypes(t *testing.T, url string) []string {
 	}
 	t.Fatalf("stream %s ended without a terminal event (err %v): %v", url, sc.Err(), types)
 	return nil
+}
+
+// TestWhatifBoundsTotalFaults: an expansion is bounded by its total
+// fault count (scenarios × k), not only by its scenario count, and the
+// bound is checked before any scenario is materialized. Both shapes
+// pass the scenario cap; both are sent async, so a server that
+// allocated and admitted them would answer 202.
+func TestWhatifBoundsTotalFaults(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	resp, data := postSynth(t, ts.URL, &Request{
+		Network: NetworkSpec{Standard: 8}, Options: OptionsSpec{MaxWL: 7}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("synthesize: %d %s", resp.StatusCode, data)
+	}
+	key := decodeResponse(t, data).Key
+	d, err := designio.Load(getDesign(t, ts.URL, key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := len(faults.Universe(d, []faults.Kind{faults.KindMRR, faults.KindSegment, faults.KindDetune}, 0))
+	if u*(u-1) <= maxWhatifFaults {
+		t.Fatalf("universe %d too small for the enumerate shape", u)
+	}
+	for name, spec := range map[string]WhatifFaults{
+		// u scenarios of u−1 faults each.
+		"enumerate k=u-1": {K: u - 1},
+		// 512 samples of u/2 faults each.
+		"sample k=u/2": {Mode: "sample", K: u / 2, Samples: 512},
+	} {
+		resp, data := postWhatif(t, ts.URL, &WhatifRequest{Key: key, Faults: spec, Async: true})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "faults per replay") {
+			t.Errorf("%s: status %d body %s, want 400 naming the fault cap", name, resp.StatusCode, data)
+		}
+	}
+}
+
+// TestSerialReplayPanicIsContained: a serial replay runs on its
+// caller, so a panic in the analyzer (here an unvalidated segment fault
+// on a waveguide the design does not have) must come back as a
+// *resilience.PanicError, like every other contained panic.
+func TestSerialReplayPanicIsContained(t *testing.T) {
+	res, err := core.Synthesize(noc.Floorplan8(), core.Options{MaxWL: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := faults.Scenario{{Kind: faults.KindSegment, WG: len(res.Design.Waveguides) + 5, SC: -1, Edge: 0}}
+	s := &Server{}
+	_, err = s.replayIsolated(&whatifRun{}, res.Design, []faults.Scenario{bad}, true)
+	var pe *resilience.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v (%T), want a *resilience.PanicError", err, err)
+	}
+	if pe.Point != "service.whatif" || len(pe.Stack) == 0 {
+		t.Errorf("panic error point %q stack %d bytes, want service.whatif with a stack", pe.Point, len(pe.Stack))
+	}
 }
